@@ -6,7 +6,8 @@ collecting registry and the span-attributed sampling profiler on, and
 writes ``BENCH_detectors.json`` at the repo root:
 
 - per sub-detector (MC, H-ARC, L-ARC, HC, ME): call count plus p50/p90
-  wall-clock seconds from the ``detector.<kind>.seconds`` histograms;
+  wall-clock seconds from the ``span.detector.<kind>.seconds`` span
+  histograms;
 - aggregate ``analyze_batch`` wall time per population (the batching win,
   distinct from the per-detector incremental win);
 - the top self-time frames the profiler attributed to detector spans;
@@ -76,7 +77,7 @@ def main() -> int:
 
     detectors = {}
     for kind in DETECTOR_KINDS:
-        hist = registry.histograms.get(f"detector.{kind}.seconds")
+        hist = registry.histograms.get(f"span.detector.{kind}.seconds")
         calls = registry.counter_value(f"detector.{kind}.calls")
         if hist is None or not calls:
             continue

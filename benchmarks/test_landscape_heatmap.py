@@ -19,13 +19,13 @@ def test_landscape_heatmap(benchmark, context, results_dir):
 
     def run():
         sa = sweep_landscape(
-            challenge, context.scheme("SA"),
+            challenge, "SA",
             bias_values=(-4.0, -3.0, -2.0, -1.0),
             std_values=(0.1, 0.6, 1.2),
             probes=3, seed=41,
         )
         p = sweep_landscape(
-            challenge, context.scheme("P"),
+            challenge, "P",
             bias_values=(-4.0, -3.0, -2.0, -1.0),
             std_values=(0.1, 0.6, 1.2),
             probes=3, seed=41,

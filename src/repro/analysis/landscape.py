@@ -18,10 +18,8 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.attacks.base import ProductTarget
-from repro.attacks.generator import AttackGenerator, AttackSpec
 from repro.attacks.time_models import TimeModel, UniformWindow
 from repro.errors import ValidationError
-from repro.utils.rng import SeedLike
 
 __all__ = ["MPLandscape", "sweep_landscape"]
 
@@ -84,17 +82,17 @@ class MPLandscape:
 
 def sweep_landscape(
     challenge,
-    scheme,
+    scheme_name: str,
     bias_values: Sequence[float] = (-4.0, -3.0, -2.0, -1.0),
     std_values: Sequence[float] = (0.1, 0.5, 1.0, 1.5),
     probes: int = 3,
     n_ratings: int = 50,
     time_model: Optional[TimeModel] = None,
     targets: Optional[List[ProductTarget]] = None,
-    seed: SeedLike = 0,
+    seed: int = 0,
     evaluator=None,
 ) -> MPLandscape:
-    """Probe every (bias, sigma) grid point against ``scheme``.
+    """Probe every (bias, sigma) grid point against scheme ``scheme_name``.
 
     Each point is probed ``probes`` times with fresh random value draws
     (fixed timing policy, so the landscape isolates the value dimensions)
@@ -103,16 +101,21 @@ def sweep_landscape(
     receive the mirrored positive bias (the attack generator applies the
     target's direction to the magnitude).
 
-    With ``evaluator`` (a :class:`~repro.exec.ParallelEvaluator`), each
-    grid point becomes a :class:`~repro.exec.LandscapeProbeTask`: the
-    whole grid fans out in one dispatch with per-point derived seeds, so
-    the surface is identical at any worker count (though not to the
-    serial default path, whose probes share one RNG stream).  Requires a
-    seed-reconstructible challenge (``RatingChallenge(seed=...)``) and an
-    integer ``seed``.
+    Each grid point is one :class:`~repro.exec.LandscapeProbeTask`: the
+    whole grid fans out in one dispatch through ``evaluator`` (default:
+    an inline :class:`~repro.exec.ParallelEvaluator`) with per-point
+    seeds derived from ``seed``, so the surface is identical at any
+    worker count.  The task rebuilds the scheme from ``scheme_name``
+    (``"P"``, ``"SA"`` or ``"BF"``) and the world from the challenge's
+    seed, so ``challenge`` must be seed-reconstructible
+    (``RatingChallenge(seed=...)``).
     """
     if probes < 1:
         raise ValidationError(f"probes must be >= 1, got {probes}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValidationError(
+            f"seed must be an int (per-point seeds derive from it), got {seed!r}"
+        )
     bias_arr = np.asarray(list(bias_values), dtype=float)
     std_arr = np.asarray(list(std_values), dtype=float)
     if bias_arr.size == 0 or std_arr.size == 0:
@@ -131,63 +134,30 @@ def sweep_landscape(
             ProductTarget(by_volume[2], +1),
             ProductTarget(by_volume[3], +1),
         ]
-    scheme_name = getattr(scheme, "name", type(scheme).__name__)
-    grid = np.zeros((bias_arr.size, std_arr.size))
-    if evaluator is not None:
-        from repro.exec import LandscapeProbeTask, share_challenge
+    from repro.exec import LandscapeProbeTask, ParallelEvaluator, share_challenge
 
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValidationError(
-                "the evaluator path needs an integer seed to derive "
-                "per-point RNG streams from"
-            )
-        share_challenge(challenge)  # raises unless seed-reconstructible
-        tasks = [
-            LandscapeProbeTask(
-                challenge_seed=challenge.seed,
-                scheme_name=scheme_name,
-                bias=float(bias),
-                std=float(std),
-                probes=probes,
-                n_ratings=n_ratings,
-                time_model=time_model,
-                targets=tuple(targets),
-                seed_root=seed,
-            )
-            for bias in bias_arr
-            for std in std_arr
-        ]
-        values = evaluator.map(tasks)
-        grid[:] = np.asarray(values, dtype=float).reshape(grid.shape)
-        return MPLandscape(
+    share_challenge(challenge)  # raises unless seed-reconstructible
+    tasks = [
+        LandscapeProbeTask(
+            challenge_seed=challenge.seed,
             scheme_name=scheme_name,
-            bias_values=bias_arr,
-            std_values=std_arr,
-            mp=grid,
+            bias=float(bias),
+            std=float(std),
+            probes=probes,
+            n_ratings=n_ratings,
+            time_model=time_model,
+            targets=tuple(targets),
+            seed_root=seed,
         )
-    generator = AttackGenerator(
-        challenge.fair_dataset,
-        challenge.config.biased_rater_ids(),
-        scale=challenge.config.scale,
-        seed=seed,
-    )
-    for i, bias in enumerate(bias_arr):
-        for j, std in enumerate(std_arr):
-            spec_proto = AttackSpec(
-                bias_magnitude=abs(float(bias)),
-                std=float(std),
-                n_ratings=n_ratings,
-                time_model=time_model,
-            )
-            best = 0.0
-            for _ in range(probes):
-                submission = generator.generate(targets, spec_proto)
-                result = challenge.evaluate(submission, scheme, validate=False)
-                best = max(best, result.total)
-            grid[i, j] = best
+        for bias in bias_arr
+        for std in std_arr
+    ]
+    if evaluator is None:
+        evaluator = ParallelEvaluator()
+    values = evaluator.map(tasks)
     return MPLandscape(
         scheme_name=scheme_name,
         bias_values=bias_arr,
         std_values=std_arr,
-        mp=grid,
+        mp=np.asarray(values, dtype=float).reshape(bias_arr.size, std_arr.size),
     )

@@ -156,7 +156,6 @@ def heuristic_region_search(
     probe_batch: Optional[
         Callable[[Sequence[Tuple[float, float, int]]], List[float]]
     ] = None,
-    memoize: bool = True,
 ) -> RegionSearchResult:
     """Run Procedure 2 over ``evaluate``.
 
@@ -172,10 +171,10 @@ def heuristic_region_search(
     keep drawing attacks from it, so the reported ``best_mp`` includes
     this exploitation phase.
 
-    Because subareas overlap, centre points can recur across rounds; with
-    ``memoize`` (default) each distinct ``(bias, std, probe count)``
-    request is evaluated once per search and replays afterwards (counted
-    as ``search.memo.hits``).  When ``probe_batch`` is given -- e.g. from
+    Because subareas overlap, centre points can recur across rounds, so
+    each distinct ``(bias, std, probe count)`` request is evaluated once
+    per search and replays afterwards (counted as ``search.memo.hits``).
+    When ``probe_batch`` is given -- e.g. from
     :func:`repro.exec.region_probe_batch` -- each round's un-memoized
     requests are scored in one batched call, letting a parallel evaluator
     fan the whole round out at once; ``evaluate`` may then be ``None``.
@@ -192,7 +191,7 @@ def heuristic_region_search(
     if final_probes is None:
         final_probes = 2 * probes_per_subarea
     reg = registry if registry is not None else get_registry()
-    memo: Optional[Dict[Tuple[float, float, int], float]] = {} if memoize else None
+    memo: Dict[Tuple[float, float, int], float] = {}
 
     def probe(bias: float, std: float) -> float:
         start = perf_counter()
@@ -213,7 +212,7 @@ def heuristic_region_search(
         scores: List[float] = [0.0] * len(requests)
         pending: List[int] = []
         for i, request in enumerate(requests):
-            if memo is not None and request in memo:
+            if request in memo:
                 scores[i] = memo[request]
                 reg.inc("search.memo.hits")
             else:
@@ -231,9 +230,8 @@ def heuristic_region_search(
             for i in pending:
                 bias, std, count = requests[i]
                 scores[i] = float(max(probe(bias, std) for _ in range(count)))
-        if memo is not None:
-            for i in pending:
-                memo[requests[i]] = scores[i]
+        for i in pending:
+            memo[requests[i]] = scores[i]
         return scores
 
     area = initial_area

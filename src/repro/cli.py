@@ -35,12 +35,13 @@ streams one flattened metrics snapshot per epoch close as JSONL
 (threshold / rate-of-change / burn-rate conditions, TOML or JSON;
 default: the packaged ruleset) at each epoch close, and
 ``--openmetrics-out PATH`` writes the final registry in OpenMetrics /
-Prometheus text exposition format.  The scaling globals ``--workers N`` and
-``--cache-dir DIR`` route ``population``/``search``/``sensitivity``
-through the :mod:`repro.exec` engine: evaluations fan out over ``N``
-processes (bit-identical to serial, and since the telemetry-capsule
-merge, observationally identical too) and/or replay from a persistent MP
-cache.
+Prometheus text exposition format.  ``population``, ``search`` and
+``sensitivity`` always dispatch their evaluations through the
+:mod:`repro.exec` engine, so every run carries a workload fingerprint;
+the scaling globals ``--workers N`` (``0``, the default, runs the tasks
+inline) and ``--cache-dir DIR`` fan them out over ``N`` processes and/or
+replay them from a persistent MP cache, with bit-identical output at any
+worker count.
 
 Three inspection subcommands close the loop: ``trace FILE`` validates
 and summarizes an exported trace, ``profile FILE`` summarizes a
@@ -138,6 +139,14 @@ def _make_scheme(name: str):
     return _SCHEMES[name]()
 
 
+def _evaluator(args):
+    """The :mod:`repro.exec` evaluator for ``--workers``/``--cache-dir``."""
+    from repro.exec import MPCache, ParallelEvaluator
+
+    cache = MPCache(cache_dir=args.cache_dir) if args.cache_dir else None
+    return ParallelEvaluator(workers=args.workers, cache=cache)
+
+
 def _parse_target(text: str) -> ProductTarget:
     try:
         product_id, direction_s = text.rsplit(":", 1)
@@ -225,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="worker processes for parallelizable commands "
-             "(population/search/sensitivity); 0 = serial (default). "
-             "Results are bit-identical at any worker count.",
+        help="worker processes for the repro.exec engine behind "
+             "population/search/sensitivity; 0 = run tasks inline "
+             "(default). Results are bit-identical at any worker count.",
     )
     common.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -642,36 +651,25 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_population(args) -> int:
-    if args.workers > 0 or args.cache_dir:
-        # Route through the execution engine (bit-identical to the
-        # serial path below; the context builds the same world/population).
-        from repro.experiments.context import ExperimentContext
+    from repro.experiments.context import ExperimentContext
 
-        context = ExperimentContext(
-            seed=args.seed,
-            population_size=args.size,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
+    context = ExperimentContext(
+        seed=args.seed,
+        population_size=args.size,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+    )
+    try:
+        results = context.results_for(args.scheme)
+        population = context.population
+        board = context.challenge.leaderboard(
+            population,
+            context.scheme(args.scheme),
+            validate=False,
+            results=[results[s.submission_id] for s in population],
         )
-        try:
-            results = context.results_for(args.scheme)
-            challenge = context.challenge
-            population = context.population
-            board = challenge.leaderboard(
-                population,
-                context.scheme(args.scheme),
-                validate=False,
-                results=[results[s.submission_id] for s in population],
-            )
-        finally:
-            context.close()
-    else:
-        challenge = RatingChallenge(seed=args.seed)
-        population = generate_population(
-            challenge, PopulationConfig(size=args.size), seed=args.seed + 1
-        )
-        scheme = _make_scheme(args.scheme)
-        board = challenge.leaderboard(population, scheme, validate=False)
+    finally:
+        context.close()
     if board:
         run_ledger.record_digest("population.top_mp", board[0].total_mp)
         run_ledger.record_digest(
@@ -693,6 +691,8 @@ def _cmd_population(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from repro.exec import region_probe_batch, share_challenge
+
     challenge = RatingChallenge(seed=args.seed)
     by_volume = sorted(
         challenge.fair_dataset.product_ids,
@@ -705,41 +705,20 @@ def _cmd_search(args) -> int:
         ProductTarget(by_volume[3], +1),
     ]
     area = SearchArea(bias_min=-4.0, bias_max=0.0, std_min=0.0, std_max=2.0)
-    if args.workers > 0 or args.cache_dir:
-        from repro.exec import (
-            MPCache,
-            ParallelEvaluator,
-            region_probe_batch,
-            share_challenge,
-        )
-
-        share_challenge(challenge)
-        cache = MPCache(cache_dir=args.cache_dir) if args.cache_dir else None
-        with ParallelEvaluator(workers=args.workers, cache=cache) as evaluator:
-            result = heuristic_region_search(
-                None,
-                area,
-                n_subareas=args.subareas,
-                probes_per_subarea=args.probes,
-                probe_batch=region_probe_batch(
-                    evaluator,
-                    challenge_seed=args.seed,
-                    scheme_name=args.scheme,
-                    targets=targets,
-                    seed_root=args.seed + 5,
-                ),
-            )
-    else:
-        generator = AttackGenerator(
-            challenge.fair_dataset, challenge.config.biased_rater_ids(),
-            seed=args.seed + 5,
-        )
-        evaluate = generator.evaluator(targets, challenge, _make_scheme(args.scheme))
+    share_challenge(challenge)
+    with _evaluator(args) as evaluator:
         result = heuristic_region_search(
-            evaluate,
+            None,
             area,
             n_subareas=args.subareas,
             probes_per_subarea=args.probes,
+            probe_batch=region_probe_batch(
+                evaluator,
+                challenge_seed=args.seed,
+                scheme_name=args.scheme,
+                targets=targets,
+                seed_root=args.seed + 5,
+            ),
         )
     rows = []
     for i, round_ in enumerate(result.rounds):
@@ -770,26 +749,14 @@ def _cmd_ablation(args) -> int:
 def _cmd_sensitivity(args) -> int:
     from repro.experiments.sensitivity import sweep_detector_parameter
 
-    if args.workers > 0 or args.cache_dir:
-        from repro.exec import MPCache, ParallelEvaluator
-
-        cache = MPCache(cache_dir=args.cache_dir) if args.cache_dir else None
-        with ParallelEvaluator(workers=args.workers, cache=cache) as evaluator:
-            result = sweep_detector_parameter(
-                args.parameter,
-                args.values,
-                n_fair_worlds=args.fair_worlds,
-                n_attacks=args.attacks,
-                seed=args.seed,
-                evaluator=evaluator,
-            )
-    else:
+    with _evaluator(args) as evaluator:
         result = sweep_detector_parameter(
             args.parameter,
             args.values,
             n_fair_worlds=args.fair_worlds,
             n_attacks=args.attacks,
             seed=args.seed,
+            evaluator=evaluator,
         )
     print(result.to_text())
     return 0

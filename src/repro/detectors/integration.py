@@ -22,13 +22,13 @@ Every mark also records *provenance*: which path fired and which
 sub-detectors contributed, as ``PROV_*`` bit flags per rating
 (:mod:`repro.detectors.base`).  The mask travels on the
 :class:`DetectionReport`, feeding per-decision attribution (the CLI's
-``detect --explain``) without re-running detection.  Per-sub-detector
-wall-clock timings are recorded into the active metrics registry under
-``detector.<kind>.seconds``; when a collecting registry is active, each
-verdict is additionally joined against the stream's ground-truth unfair
-labels into a :mod:`repro.obs.quality` scorecard (``quality.*``
-counters: per-detector confusion cells, detection latency, bias at
-detection).
+``detect --explain``) without re-running detection.  Each sub-detector
+runs under a ``detector.<kind>`` span (nested under whatever stage span
+is open), which times it into the active metrics registry; when a
+collecting registry is active, each verdict is additionally joined
+against the stream's ground-truth unfair labels into a
+:mod:`repro.obs.quality` scorecard (``quality.*`` counters:
+per-detector confusion cells, detection latency, bias at detection).
 
 Implementation note: the paper issues the Path 2 alarm only when the ARC
 curve "does not have such a U-shape"; we raise it whenever the curve
@@ -39,7 +39,6 @@ misses (e.g. an MC curve flattened by a high-variance attack).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -212,20 +211,16 @@ class JointDetector:
     # ------------------------------------------------------------------ #
 
     def _timed(self, kind: str, analyze: Callable, *args):
-        """Run one sub-detector under a span, recording wall-clock time.
+        """Run one sub-detector under a span, counting the call.
 
         The span (``detector.<kind>``, nested under whatever stage is
-        open) is what the sampling profiler attributes frames to, so a
-        profile breaks each sub-detector's cost down per frame; the flat
-        ``detector.<kind>.seconds`` histogram is kept for dashboards
-        that predate the span tree.
+        open) times the call and is what the sampling profiler
+        attributes frames to, so a profile breaks each sub-detector's
+        cost down per frame.
         """
         registry = self.registry
         with span(f"detector.{kind}", registry):
-            start = perf_counter()
             report = analyze(*args)
-            elapsed = perf_counter() - start
-        registry.observe(f"detector.{kind}.seconds", elapsed)
         registry.inc(f"detector.{kind}.calls")
         return report
 
@@ -435,13 +430,12 @@ class JointDetector:
         once per product.
 
         Batch telemetry: ``detector.batch.calls`` / ``.streams`` /
-        ``.ratings`` counters, the ``detector.batch.seconds`` histogram
-        for the precompute wall time, and ``detector.batch.fallbacks``
-        when a singular AR batch drops to the per-stream solver.
+        ``.ratings`` counters, the ``detector.batch`` span for the
+        precompute wall time, and ``detector.batch.fallbacks`` when a
+        singular AR batch drops to the per-stream solver.
         """
         registry = self.registry
         with span("detector.batch", registry):
-            start = perf_counter()
             columns = extract_columns(dataset)
             eligible = [
                 i
@@ -457,8 +451,6 @@ class JointDetector:
                 columns, eligible, registry
             ).items():
                 precomputed.setdefault(product_id, {})["ME"] = curve
-            elapsed = perf_counter() - start
-        registry.observe("detector.batch.seconds", elapsed)
         registry.inc("detector.batch.calls")
         registry.inc("detector.batch.streams", columns.num_streams)
         registry.inc("detector.batch.ratings", columns.total_ratings)
@@ -468,15 +460,3 @@ class JointDetector:
             )
             for product_id in dataset
         }
-
-    def analyze_dataset(
-        self,
-        dataset,
-        trust_lookup: Optional[TrustLookup] = None,
-    ) -> Dict[str, DetectionReport]:
-        """Run detection over every product in a dataset.
-
-        Delegates to :meth:`analyze_batch`; kept as the stable name used
-        throughout the experiment and marketplace layers.
-        """
-        return self.analyze_batch(dataset, trust_lookup)

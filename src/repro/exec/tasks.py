@@ -225,7 +225,6 @@ class RegionProbeTask(EvalTask):
     std: float
     trial: int
     seed_root: int
-    randomize_timing: bool = True
 
     def run(self) -> float:
         from repro.attacks.generator import AttackGenerator
@@ -243,12 +242,7 @@ class RegionProbeTask(EvalTask):
             scale=challenge.config.scale,
             seed=rng,
         )
-        evaluate = generator.evaluator(
-            list(self.targets),
-            challenge,
-            scheme,
-            randomize_timing=self.randomize_timing,
-        )
+        evaluate = generator.evaluator(list(self.targets), challenge, scheme)
         return float(evaluate(self.bias, self.std))
 
 
@@ -337,7 +331,6 @@ def region_probe_batch(
     scheme_name: str,
     targets: Sequence,
     seed_root: int,
-    randomize_timing: bool = True,
 ) -> Callable[[Sequence[Tuple[float, float, int]]], List[float]]:
     """A Procedure 2 ``probe_batch`` backed by ``evaluator``.
 
@@ -362,7 +355,6 @@ def region_probe_batch(
                     std=float(std),
                     trial=trial,
                     seed_root=int(seed_root),
-                    randomize_timing=randomize_timing,
                 )
                 for trial in range(count)
             )

@@ -20,6 +20,7 @@ from repro.attacks.optimizer import (
 )
 from repro.attacks.time_models import ConcentratedBurst, EvenlySpaced, UniformWindow
 from repro.detectors.integration import JointDetector
+from repro.exec import region_probe_batch, share_challenge
 from repro.experiments.context import ExperimentContext
 from repro.obs.quality import Scorecard, score_detection
 
@@ -166,8 +167,6 @@ def run_region_search_figure(
     probes_per_subarea: int = 10,
     n_subareas: int = 4,
     initial_area: Optional[SearchArea] = None,
-    randomize_timing: bool = True,
-    evaluator=None,
 ) -> RegionSearchFigure:
     """Figure 5: run Procedure 2 against one scheme and compare with the
     population's best submission.
@@ -177,13 +176,11 @@ def run_region_search_figure(
     would pick) and, per Procedure 2, randomly draws timing for each of
     the ``m`` probes at a subarea's centre point.
 
-    With ``evaluator`` set (or a context configured with ``workers``/
-    ``cache_dir``), probes run as :class:`~repro.exec.tasks.RegionProbeTask`
-    units through the execution engine: each round fans out in one batch
-    and every probe's randomness derives from ``(context.seed + 5, bias,
-    std, trial)``, so the trajectory is identical at any worker count.
-    The legacy inline path (a single shared RNG stream) remains the
-    default for a plain serial context.
+    Probes run as :class:`~repro.exec.tasks.RegionProbeTask` units through
+    ``context.evaluator`` (inline at ``workers=0``): each round fans out in
+    one batch and every probe's randomness derives from ``(context.seed +
+    5, bias, std, trial)``, so the trajectory is identical at any worker
+    count and replays from ``context.cache_dir`` when one is set.
     """
     challenge = context.challenge
     if initial_area is None:
@@ -200,46 +197,20 @@ def run_region_search_figure(
         ProductTarget(by_volume[2], +1),
         ProductTarget(by_volume[3], +1),
     ]
-    use_engine = (
-        evaluator is not None or context.workers > 0 or context.cache_dir is not None
+    share_challenge(challenge, seed=context.seed)
+    search = heuristic_region_search(
+        None,
+        initial_area,
+        n_subareas=n_subareas,
+        probes_per_subarea=probes_per_subarea,
+        probe_batch=region_probe_batch(
+            context.evaluator,
+            challenge_seed=context.seed,
+            scheme_name=scheme_name,
+            targets=targets,
+            seed_root=context.seed + 5,
+        ),
     )
-    if use_engine:
-        from repro.exec import region_probe_batch, share_challenge
-
-        share_challenge(challenge, seed=context.seed)
-        search = heuristic_region_search(
-            None,
-            initial_area,
-            n_subareas=n_subareas,
-            probes_per_subarea=probes_per_subarea,
-            probe_batch=region_probe_batch(
-                evaluator if evaluator is not None else context.evaluator,
-                challenge_seed=context.seed,
-                scheme_name=scheme_name,
-                targets=targets,
-                seed_root=context.seed + 5,
-                randomize_timing=randomize_timing,
-            ),
-        )
-    else:
-        generator = AttackGenerator(
-            challenge.fair_dataset,
-            challenge.config.biased_rater_ids(),
-            scale=challenge.config.scale,
-            seed=context.seed + 5,
-        )
-        evaluate = generator.evaluator(
-            targets,
-            challenge,
-            context.scheme(scheme_name),
-            randomize_timing=randomize_timing,
-        )
-        search = heuristic_region_search(
-            evaluate,
-            initial_area,
-            n_subareas=n_subareas,
-            probes_per_subarea=probes_per_subarea,
-        )
     return RegionSearchFigure(
         scheme_name=scheme_name,
         search=search,

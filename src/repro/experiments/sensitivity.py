@@ -35,6 +35,7 @@ from repro.attacks.time_models import UniformWindow
 from repro.detectors.base import DetectorConfig
 from repro.detectors.integration import JointDetector
 from repro.errors import ValidationError
+from repro.exec import ParallelEvaluator, SensitivityTask
 from repro.marketplace.challenge import RatingChallenge
 from repro.marketplace.fair_ratings import FairRatingGenerator
 from repro.obs.quality import Scorecard, roc_auc, score_detection
@@ -264,10 +265,11 @@ def sweep_detector_parameter(
     caught at any sane threshold and flattens the curve, while the
     marginal attack exposes where detection actually starts to fail.
 
-    With ``evaluator`` (a :class:`~repro.exec.ParallelEvaluator`), each
-    value is one :class:`~repro.exec.SensitivityTask` and the whole sweep
-    fans out in a single dispatch -- bit-identical to the serial loop,
-    since every point is a pure function of ``(parameter, value, seed)``.
+    Each value is one :class:`~repro.exec.SensitivityTask` and the whole
+    sweep fans out in a single dispatch through ``evaluator`` (default:
+    an inline :class:`~repro.exec.ParallelEvaluator`); every point is a
+    pure function of ``(parameter, value, seed)``, so the result is
+    identical at any worker count.
     """
     if not values:
         raise ValidationError("values must be non-empty")
@@ -276,42 +278,26 @@ def sweep_detector_parameter(
         raise ValidationError(
             f"{parameter!r} is not a DetectorConfig field"
         )
-    if evaluator is not None:
-        from repro.exec import SensitivityTask
-
-        tasks = [
-            SensitivityTask(
-                parameter=parameter,
-                value=value,
-                n_fair_worlds=n_fair_worlds,
-                n_attacks=n_attacks,
-                attack_bias=attack_bias,
-                attack_std=attack_std,
-                attack_ratings=attack_ratings,
-                attack_duration=attack_duration,
-                seed=seed,
-            )
-            for value in values
-        ]
-        # Build fixtures before the pool forks so workers inherit them.
-        _sweep_fixtures(
-            n_fair_worlds, n_attacks, attack_bias, attack_std,
-            attack_ratings, attack_duration, seed,
+    tasks = [
+        SensitivityTask(
+            parameter=parameter,
+            value=value,
+            n_fair_worlds=n_fair_worlds,
+            n_attacks=n_attacks,
+            attack_bias=attack_bias,
+            attack_std=attack_std,
+            attack_ratings=attack_ratings,
+            attack_duration=attack_duration,
+            seed=seed,
         )
-        points = evaluator.map(tasks)
-    else:
-        points = [
-            measure_operating_point(
-                parameter,
-                value,
-                n_fair_worlds=n_fair_worlds,
-                n_attacks=n_attacks,
-                attack_bias=attack_bias,
-                attack_std=attack_std,
-                attack_ratings=attack_ratings,
-                attack_duration=attack_duration,
-                seed=seed,
-            )
-            for value in values
-        ]
+        for value in values
+    ]
+    # Build fixtures before a pool forks so workers inherit them.
+    _sweep_fixtures(
+        n_fair_worlds, n_attacks, attack_bias, attack_std,
+        attack_ratings, attack_duration, seed,
+    )
+    if evaluator is None:
+        evaluator = ParallelEvaluator()
+    points = evaluator.map(tasks)
     return SensitivityResult(parameter=parameter, points=tuple(points))

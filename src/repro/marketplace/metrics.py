@@ -128,24 +128,22 @@ def detection_quality(
     """Pool detection confusion counts over a dataset with ground truth.
 
     ``marks`` may be supplied (e.g. from a P-scheme run); otherwise the
-    ``detector`` is run on every product stream.
+    ``detector`` (a :class:`~repro.detectors.JointDetector`) analyzes the
+    whole dataset in one :meth:`analyze_batch` pass.
     """
+    if marks is None:
+        marks = {
+            product_id: report.suspicious
+            for product_id, report in detector.analyze_batch(dataset).items()
+        }
     tp = fp = fn = tn = 0
-    reports = None
-    if marks is None and hasattr(detector, "analyze_batch"):
-        reports = detector.analyze_batch(dataset)
     for product_id in dataset:
         stream = dataset[product_id]
-        if marks is not None:
-            suspicious = np.asarray(marks[product_id], dtype=bool)
-            if suspicious.size != len(stream):
-                raise ValidationError(
-                    f"marks for {product_id!r} misaligned with stream"
-                )
-        elif reports is not None:
-            suspicious = reports[product_id].suspicious
-        else:
-            suspicious = detector.analyze(stream).suspicious
+        suspicious = np.asarray(marks[product_id], dtype=bool)
+        if suspicious.size != len(stream):
+            raise ValidationError(
+                f"marks for {product_id!r} misaligned with stream"
+            )
         unfair = stream.unfair
         tp += int((suspicious & unfair).sum())
         fp += int((suspicious & ~unfair).sum())

@@ -473,9 +473,9 @@ def _comparable(latest: RunRecord, record: RunRecord) -> bool:
     latest_fp = latest.workload.get("fingerprint")
     record_fp = record.workload.get("fingerprint")
     if latest_fp is None and record_fp is None:
-        # Neither run dispatched engine tasks (e.g. the CLI's legacy
-        # serial path), so there is no workload hash to match on --
-        # fall back to exact argv identity rather than treating every
+        # Neither run dispatched engine tasks (e.g. ``world`` or
+        # ``detect``), so there is no workload hash to match on -- fall
+        # back to exact argv identity rather than treating every
         # fingerprint-less run of the command as the same workload.
         return record.argv == latest.argv
     return record_fp == latest_fp

@@ -9,6 +9,7 @@ dispatched.  These tests pin that contract end to end.
 import numpy as np
 import pytest
 
+from repro.analysis.landscape import sweep_landscape
 from repro.exec import MPCache, ParallelEvaluator
 from repro.experiments.context import ExperimentContext
 from repro.experiments.figures import (
@@ -16,6 +17,8 @@ from repro.experiments.figures import (
     run_headline_comparison,
     run_region_search_figure,
 )
+from repro.experiments.sensitivity import sweep_detector_parameter
+from repro.marketplace.challenge import RatingChallenge
 from repro.obs import MetricsRegistry, set_registry
 
 SEED = 2008
@@ -68,10 +71,7 @@ class TestPopulationDeterminism:
 class TestRegionSearchDeterminism:
     def test_trajectories_identical_across_worker_counts(self):
         context = ExperimentContext(seed=SEED, population_size=2)
-        serial = run_region_search_figure(
-            context, "SA", probes_per_subarea=2,
-            evaluator=ParallelEvaluator(workers=0),
-        )
+        serial = run_region_search_figure(context, "SA", probes_per_subarea=2)
         parallel_ctx = ExperimentContext(
             seed=SEED, population_size=2, workers=2
         )
@@ -89,6 +89,35 @@ class TestRegionSearchDeterminism:
             assert a.best_index == b.best_index
         assert serial.search.best_mp == parallel.search.best_mp
         assert serial.search.final_area == parallel.search.final_area
+
+
+class TestLandscapeDeterminism:
+    def test_grid_identical_across_worker_counts(self):
+        challenge = RatingChallenge(seed=SEED)
+        kwargs = dict(
+            bias_values=(-3.0, -1.0), std_values=(0.2, 1.0), probes=2, seed=3
+        )
+        serial = sweep_landscape(challenge, "SA", **kwargs)
+        with ParallelEvaluator(workers=2) as evaluator:
+            parallel = sweep_landscape(
+                challenge, "SA", evaluator=evaluator, **kwargs
+            )
+        assert np.array_equal(serial.mp, parallel.mp)
+        assert serial.peak == parallel.peak
+
+
+class TestSensitivityDeterminism:
+    def test_sweep_identical_across_worker_counts(self):
+        kwargs = dict(n_fair_worlds=1, n_attacks=1, seed=5)
+        values = [2.0, 8.0]
+        serial = sweep_detector_parameter(
+            "larc_peak_threshold", values, **kwargs
+        )
+        with ParallelEvaluator(workers=2) as evaluator:
+            parallel = sweep_detector_parameter(
+                "larc_peak_threshold", values, evaluator=evaluator, **kwargs
+            )
+        assert serial == parallel
 
 
 class TestCacheDeterminism:

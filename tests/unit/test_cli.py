@@ -183,7 +183,8 @@ class TestObservabilityFlags:
         assert counters["pscheme.report_cache.hits"] >= 1
         histograms = payload["histograms"]
         for kind in ("MC", "H-ARC", "L-ARC", "HC", "ME"):
-            assert histograms[f"detector.{kind}.seconds"]["sum"] > 0.0
+            name = f"span.pscheme.monthly_scores.detect.detector.{kind}.seconds"
+            assert histograms[name]["sum"] > 0.0
         for stage in ("detect", "trust", "aggregate"):
             name = f"span.pscheme.monthly_scores.{stage}.seconds"
             assert histograms[name]["count"] >= 1
@@ -261,6 +262,18 @@ class TestSearchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "strongest region" in out
+
+    def test_output_identical_at_any_worker_count(self, capsys):
+        outputs = []
+        for workers in ("0", "2"):
+            code = main(
+                ["search", "--seed", "4", "--scheme", "SA", "--probes", "2",
+                 "--workers", workers]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert "strongest region" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestAblationCommand:

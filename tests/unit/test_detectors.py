@@ -231,7 +231,7 @@ class TestJointDetector:
     def test_analyze_dataset(self):
         ds = RatingDataset([fair_stream(seed=1, product="a"),
                             fair_stream(seed=2, product="b")])
-        reports = JointDetector().analyze_dataset(ds)
+        reports = JointDetector().analyze_batch(ds)
         assert set(reports) == {"a", "b"}
 
     def test_suspicious_mask_frozen(self):

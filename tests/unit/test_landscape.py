@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.aggregation import SimpleAveragingScheme
 from repro.analysis.landscape import MPLandscape, sweep_landscape
 from repro.errors import ValidationError
 from repro.marketplace import RatingChallenge
@@ -54,7 +53,7 @@ class TestMPLandscape:
 class TestSweepLandscape:
     def test_grid_dimensions(self, challenge):
         landscape = sweep_landscape(
-            challenge, SimpleAveragingScheme(),
+            challenge, "SA",
             bias_values=(-3.0, -1.0), std_values=(0.2,), probes=1, seed=0,
         )
         assert landscape.mp.shape == (2, 1)
@@ -62,7 +61,7 @@ class TestSweepLandscape:
 
     def test_bias_monotone_under_sa(self, challenge):
         landscape = sweep_landscape(
-            challenge, SimpleAveragingScheme(),
+            challenge, "SA",
             bias_values=(-3.5, -1.0), std_values=(0.2,), probes=2, seed=1,
         )
         assert landscape.mp[0, 0] > landscape.mp[1, 0]
@@ -70,13 +69,20 @@ class TestSweepLandscape:
     def test_invalid_probes(self, challenge):
         with pytest.raises(ValidationError):
             sweep_landscape(
-                challenge, SimpleAveragingScheme(),
+                challenge, "SA",
                 bias_values=(-1.0,), std_values=(0.1,), probes=0,
+            )
+
+    def test_non_integer_seed_rejected(self, challenge):
+        with pytest.raises(ValidationError):
+            sweep_landscape(
+                challenge, "SA", bias_values=(-1.0,), std_values=(0.1,),
+                seed=np.random.default_rng(0),
             )
 
     def test_empty_grid_rejected(self, challenge):
         with pytest.raises(ValidationError):
             sweep_landscape(
-                challenge, SimpleAveragingScheme(), bias_values=(),
+                challenge, "SA", bias_values=(),
                 std_values=(0.1,),
             )

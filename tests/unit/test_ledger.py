@@ -345,9 +345,10 @@ class TestCheckLedger:
         assert "NO BASELINE" in report.to_text()
 
     def test_fingerprintless_runs_compare_by_argv(self, tmp_path):
-        # Legacy serial CLI runs carry no workload fingerprint; two such
-        # runs are only comparable when their argv is identical --
-        # otherwise seed-11 and seed-2008 runs would cross-compare.
+        # Runs that dispatch no engine tasks carry no workload
+        # fingerprint; two such runs are only comparable when their argv
+        # is identical -- otherwise seed-11 and seed-2008 runs would
+        # cross-compare.
         same = dict(fingerprint=None, argv=["population", "--seed", "7"])
         other = dict(fingerprint=None, argv=["population", "--seed", "9"])
         ledger = self.write(

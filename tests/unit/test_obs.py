@@ -256,7 +256,9 @@ class TestPSchemeTelemetry:
         scheme = PScheme(registry=reg)
         scheme.monthly_scores(small_dataset())
         for kind in ("MC", "H-ARC", "L-ARC", "HC", "ME"):
-            hist = reg.histograms[f"detector.{kind}.seconds"]
+            hist = reg.histograms[
+                f"span.pscheme.monthly_scores.detect.detector.{kind}.seconds"
+            ]
             assert hist.count >= 1
             assert hist.total > 0.0
 
