@@ -125,8 +125,7 @@ class AttackGenerator:
         fair_stream = self.fair_dataset[product_id]
         return heuristic_correlation_match(times, values, fair_stream)
 
-    # Draws from self._rng, seeded once at construction via ``seed=``.
-    def generate_stream(self, target: ProductTarget, spec: AttackSpec):  # lint: ignore[rng-missing-param]
+    def generate_stream(self, target: ProductTarget, spec: AttackSpec):
         """The unfair stream for a single product target."""
         if target.product_id not in self.fair_dataset:
             raise AttackSpecError(
@@ -225,8 +224,7 @@ class AttackGenerator:
         span = challenge.end_day - challenge.start_day
         max_raters = len(self.rater_ids)
 
-        # Closes over self._rng (seeded at construction); never pickled.
-        def sample_spec(bias_magnitude: float, std: float) -> AttackSpec:  # lint: ignore[rng-missing-param]
+        def sample_spec(bias_magnitude: float, std: float) -> AttackSpec:
             if not randomize_timing:
                 time_model = template.time_model
                 n_ratings = template.n_ratings

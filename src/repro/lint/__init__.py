@@ -6,32 +6,30 @@ guarantees rest on (see ``docs/LINT.md`` for the rule catalog):
 ==========================  ============================================
 rule id                     invariant
 ==========================  ============================================
-``rng-unseeded``            RNG constructors must receive a seed
-``rng-global-state``        no module-level ``np.random.*``/``random.*``
-``rng-missing-param``       world builders accept an ``rng``/``seed``
-``wall-clock``              no absolute-time reads outside pragma'd sites
-``pickle-safety``           no lambdas/closures in EvalTask/pool payloads
+``rng-taint``               every random draw descends from a plumbed seed
+``wall-clock``              no absolute-time reads outside pragma'd
+                            sites, none reaching a fingerprint input
+``pickle-safety``           task and pool payloads pickle, at the call
+                            site and through ``EvalTask`` field types
+``span-balance``            spans open only via ``with span(...)``
+``worker-state-mutation``   no global/shared writes in the worker closure
 ``metric-uncataloged``      emitted metric names appear in the docs
 ``metric-stale``            catalogued metric names are still emitted
-``span-balance``            spans open only via ``with span(...)``
 ``unordered-iter``          no salted-order iteration near fingerprints
 ``alert-unknown-metric``    alert-rule files watch catalogued metrics
-``rng-taint``               task-reachable RNG seeded from plumbed seeds
-``worker-state-mutation``   no global/shared writes in the worker closure
-``pickle-reachability``     task fields resolve to picklable definitions
-``wallclock-fingerprint``   no wall clock anywhere in fingerprint inputs
-``span-escape``             helper-returned spans land in ``with`` blocks
 ==========================  ============================================
 
-The first ten are per-file AST rules; the last five run over the linked
-whole-program call graph (:mod:`repro.lint.graph` /
-:mod:`repro.lint.flow`), with per-module summaries cached by content
-hash in ``.repro-lint-cache.json``.
+The first five read the per-module facts and the linked whole-program
+call graph of :mod:`repro.lint.graph` (rules in :mod:`repro.lint.flow`);
+each checks its invariant both at the site, anywhere in the tree, and
+along the call paths that make the site matter.  The last four are
+per-file and whole-project catalog checks.
 
-Run as ``python -m repro.lint [paths...]`` or ``repro-rating lint``;
-suppress a single line with ``# lint: ignore[rule-id]``, carry accepted
-pre-existing findings in ``.repro-lint-baseline.json``, and export
-GitHub-code-scanning annotations with ``--sarif``.
+Run as ``python -m repro.lint [paths...]`` or ``repro-rating lint``
+(which takes exactly the same arguments); suppress a single line with
+``# lint: ignore[rule-id]``, carry accepted pre-existing findings in
+``.repro-lint-baseline.json``, and export GitHub-code-scanning
+annotations with ``--sarif``.
 """
 
 from __future__ import annotations
@@ -53,18 +51,15 @@ from repro.lint.core import (
     run_lint,
 )
 from repro.lint.flow import (
-    PickleReachabilityRule,
+    PickleSafetyRule,
     RngTaintRule,
-    SpanEscapeRule,
-    WallclockFingerprintRule,
+    SpanBalanceRule,
+    WallClockRule,
     WorkerStateMutationRule,
 )
 from repro.lint.rules_alerts import AlertRuleMetricRule
-from repro.lint.rules_metrics import MetricCatalogRule, MetricStaleRule, SpanBalanceRule
+from repro.lint.rules_metrics import MetricCatalogRule, MetricStaleRule
 from repro.lint.rules_order import UnorderedIterRule
-from repro.lint.rules_pickle import PickleSafetyRule
-from repro.lint.rules_rng import RngGlobalStateRule, RngMissingParamRule, RngUnseededRule
-from repro.lint.rules_time import WallClockRule
 
 __all__ = [
     "Finding",
@@ -79,7 +74,6 @@ __all__ = [
 ]
 
 DEFAULT_BASELINE = ".repro-lint-baseline.json"
-DEFAULT_CACHE = ".repro-lint-cache.json"
 DEFAULT_CATALOGS = ("docs/API.md", "docs/OBSERVABILITY.md")
 #: Where committed alert-rule files live (relative to the repo root).
 DEFAULT_ALERT_RULE_DIRS = ("src/repro/obs/alert_rules",)
@@ -88,21 +82,15 @@ DEFAULT_ALERT_RULE_DIRS = ("src/repro/obs/alert_rules",)
 def default_rules(config: LintConfig) -> List[Rule]:
     """The full rule battery, wired to ``config``'s catalog paths."""
     return [
-        RngUnseededRule(),
-        RngGlobalStateRule(),
-        RngMissingParamRule(),
+        RngTaintRule(),
         WallClockRule(),
         PickleSafetyRule(),
+        SpanBalanceRule(),
+        WorkerStateMutationRule(),
         MetricCatalogRule(config.catalog_paths),
         MetricStaleRule(config.catalog_paths),
-        SpanBalanceRule(),
         UnorderedIterRule(),
         AlertRuleMetricRule(config.catalog_paths, config.alert_rule_paths),
-        RngTaintRule(),
-        WorkerStateMutationRule(),
-        PickleReachabilityRule(),
-        WallclockFingerprintRule(),
-        SpanEscapeRule(),
     ]
 
 
@@ -153,16 +141,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sarif", metavar="PATH", default=None,
         help="also write findings as a SARIF 2.1.0 report to PATH",
-    )
-    parser.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help="per-module analysis cache file for the whole-program rules "
-             f"(default: {DEFAULT_CACHE}; warm runs re-analyze only "
-             "changed modules)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the analysis cache",
     )
     parser.add_argument(
         "--changed-only", action="store_true",
@@ -276,9 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else _default_alert_rules()
         ),
         stale_check=not (args.no_stale or args.changed_only),
-        cache_path=(
-            None if args.no_cache else (args.cache or DEFAULT_CACHE)
-        ),
         changed_paths=changed_paths,
     )
     rules = default_rules(config)

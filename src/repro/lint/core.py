@@ -10,8 +10,10 @@ repo-specific rules plug into:
 - :class:`Finding` -- one violation, with a stable ``baseline_key`` so a
   committed baseline file can grandfather accepted findings without
   pinning line numbers;
-- :class:`Rule` -- the visitor contract (``check_module`` per file plus
-  a ``finalize`` hook for whole-project rules such as catalog parity);
+- :class:`Rule` -- the visitor contract (``check_module`` per file,
+  ``check_program`` over the linked call graph of
+  :mod:`repro.lint.graph`, and a ``finalize`` hook for whole-project
+  rules such as catalog parity);
 - :class:`ModuleSource` -- a parsed file with its pragma map and an
   import-alias resolver shared by every rule;
 - :class:`Linter` / :func:`run_lint` -- deterministic file walking,
@@ -73,9 +75,9 @@ class Finding:
     #: function name, a call expression) -- the line-independent part of
     #: the baseline key, so unrelated edits don't churn the baseline.
     symbol: str = ""
-    #: Extra lines where a suppression pragma also counts -- decorator
-    #: lines above a flagged def, or the continuation lines of a
-    #: multiline call.  Excluded from ordering, JSON, and the baseline.
+    #: Extra lines where a suppression pragma also counts -- the lines
+    #: of a multiline call.  Excluded from ordering, JSON, and the
+    #: baseline.
     extra_lines: Tuple[int, ...] = field(default=(), compare=False)
 
     @property
@@ -194,7 +196,7 @@ class Rule:
         return ()
 
     def check_program(self, program) -> Iterable[Finding]:
-        """Findings over the linked whole-program view (flow rules)."""
+        """Findings over the linked whole-program view."""
         return ()
 
     def finalize(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
@@ -220,9 +222,6 @@ class LintConfig:
     #: Whether to report catalog entries no code emits (disable when
     #: linting a partial tree, where "nothing emits X" is vacuous).
     stale_check: bool = True
-    #: Per-module analysis cache file (None disables persistence; the
-    #: in-memory store is still used within the run).
-    cache_path: Optional[str] = None
     #: When set, only these paths plus their reverse-dependency closure
     #: over the import graph are checked (``--changed-only`` mode).
     changed_paths: Optional[Sequence[str]] = None
@@ -238,10 +237,9 @@ class LintResult:
     files_checked: int
     rules: List[str]
     parse_errors: List[Finding]
-    #: Whole-program analysis stats: which modules were (re-)extracted
-    #: (``analyzed``), served from the cache (``cached``), and actually
-    #: rule-checked this run (``checked``).  Empty when no program rule
-    #: ran.
+    #: Whole-program analysis stats: which modules were summarized
+    #: (``analyzed``) and which were actually rule-checked this run
+    #: (``checked``).  Empty when no program rule ran.
     analysis: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
@@ -378,39 +376,21 @@ class Linter:
                 parsed[rel] = None
             return parsed[rel]
 
-        # ---- whole-program phase: summaries, cache, linked call graph.
+        # ---- whole-program phase: summaries and the linked call graph.
         program = None
         analysis: Dict[str, List[str]] = {}
-        program_rules = [
-            rule for rule in self.rules if getattr(rule, "needs_program", False)
-        ]
+        program_rules = [rule for rule in self.rules if rule.needs_program]
         if program_rules or self.config.changed_paths is not None:
             # Imported lazily: graph depends on this module.
             from repro.lint.graph import build_program, extract_summary
-            from repro.lint.store import AnalysisStore, content_digest
 
-            store_path = (
-                Path(self.config.cache_path) if self.config.cache_path else None
-            )
-            store = AnalysisStore(store_path)
-            summaries = []
-            for rel in order:
-                digest = content_digest(texts[rel])
-                summary = store.get(rel, digest)
-                if summary is None:
-                    module = parse(rel)
-                    if module is None:
-                        continue
-                    summary = extract_summary(module, digest)
-                    store.put(summary)
-                summaries.append(summary)
+            summaries = [
+                extract_summary(module)
+                for module in map(parse, order)
+                if module is not None
+            ]
             program = build_program(summaries)
-            store.prune(order)
-            store.save()
-            analysis = {
-                "analyzed": sorted(store.misses),
-                "cached": sorted(store.hits),
-            }
+            analysis = {"analyzed": sorted(s.path for s in summaries)}
 
         # ---- scope: everything, or the changed set's dependency closure.
         if self.config.changed_paths is not None and program is not None:
@@ -433,7 +413,7 @@ class Linter:
                 continue
             modules.append(module)
             for rule in self.rules:
-                if not getattr(rule, "needs_program", False):
+                if not rule.needs_program:
                     raw.extend(rule.check_module(module))
 
         # ---- program phase: flow rules see the whole graph but only
@@ -445,7 +425,7 @@ class Linter:
                         raw.append(finding)
 
         for rule in self.rules:
-            if not getattr(rule, "needs_program", False):
+            if not rule.needs_program:
                 raw.extend(rule.finalize(modules))
 
         by_path = {module.path: module for module in modules}

@@ -1,16 +1,33 @@
-"""Interprocedural dataflow rules over the linked call graph.
+"""The determinism and telemetry rules, computed from whole-program facts.
 
-The per-file rules guard each function in isolation; these four rule
-families guard the *paths* between them, using
-:class:`repro.lint.graph.Program`:
+Each invariant has one rule.  Every rule reads the per-scope facts
+:func:`repro.lint.graph.extract_summary` collected and judges them in
+two scopes: the site itself, wherever it sits, and the paths through
+the linked call graph (:class:`repro.lint.graph.Program`) that make a
+site matter.
 
-- ``rng-taint`` -- any RNG constructed on a path reachable from an
-  ``EvalTask.run`` override must be seeded from a plumbed seed source
-  (a seed-like parameter, a ``derive_seed`` call, or a value derived
-  from one).  This replaces the per-file signature-name heuristic with
-  real reachability: a helper three calls below ``run`` that draws from
-  ``default_rng()`` -- or ``default_rng(42)`` -- breaks replay exactly
-  like one inside the task.
+- ``rng-taint`` -- a process-global ``np.random.*`` / ``random.*`` draw,
+  or an RNG constructor with no seed, is a finding anywhere.  On a path
+  reachable from an ``EvalTask.run`` override a constructor must also be
+  seeded from a plumbed seed source (a seed-like parameter, a
+  ``derive_seed`` call, or a value derived from one): a helper three
+  calls below ``run`` that draws from ``default_rng(42)`` breaks replay
+  exactly like one inside the task.
+- ``wall-clock`` -- every absolute-time read is a finding at the read,
+  and an input to ``derive_seed`` / ``stable_fingerprint`` /
+  ``canonical_bytes`` that reaches a read through any call chain is a
+  finding at the feed.  Pragmas act per line, so a pragma that
+  sanctions a timestamp read does not bless a fingerprint chain through
+  it.
+- ``pickle-safety`` -- lambdas, closures and locally-defined classes
+  passed into ``*Task(...)`` constructors or a pool's ``.map(...)``, and
+  ``EvalTask`` field annotations that do not transitively resolve to
+  module-level picklable definitions (``object``/``Any``/``Callable``
+  and names that resolve to nothing).
+- ``span-balance`` -- spans open only as the context of a ``with``: a
+  bare ``span(...)``, a call to a helper that returns an open span
+  outside a ``with``, and manual ``record_span`` / ``adopt_span`` outside
+  ``repro.obs`` all leave the per-thread span stack unbalanced.
 - ``worker-state-mutation`` -- a static race detector for the fork pool:
   nothing reachable from ``_run_task_timed``/``_run_chunk`` may write a
   module-level global or mutate a fork-shared world object, except the
@@ -19,15 +36,6 @@ families guard the *paths* between them, using
   ``repro.obs``.  Such writes are invisible to the parent on fork-exec
   platforms and racy on fork, so results would silently depend on the
   worker schedule.
-- ``pickle-reachability`` -- every annotated field of every
-  ``EvalTask`` subclass crosses the pool boundary; each must resolve,
-  transitively through project dataclasses, to module-level picklable
-  definitions.  ``object``/``Any``/``Callable`` annotations and names
-  that resolve to nothing are flagged.
-- ``wallclock-fingerprint`` / ``span-escape`` -- the hashing API's
-  inputs must not depend on the wall clock through *any* call chain,
-  and a raw span record returned from a helper must be consumed by a
-  ``with`` block at the eventual call site.
 """
 
 from __future__ import annotations
@@ -36,24 +44,34 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.core import Finding, Rule
-from repro.lint.graph import Program
+from repro.lint.graph import FunctionFacts, ModuleSummary, Program
 
 __all__ = [
-    "PickleReachabilityRule",
+    "PickleSafetyRule",
     "RngTaintRule",
-    "SpanEscapeRule",
-    "WallclockFingerprintRule",
+    "SpanBalanceRule",
+    "WallClockRule",
     "WorkerStateMutationRule",
 ]
 
 
+def _in_obs(module: str) -> bool:
+    return module == "repro.obs" or module.startswith("repro.obs.")
+
+
+def _display(summary: ModuleSummary, facts: FunctionFacts) -> str:
+    return f"{summary.module}:{facts.name}"
+
+
 class RngTaintRule(Rule):
-    """Taint-check randomness on every task-reachable path."""
+    """Every random draw descends from a plumbed seed."""
 
     id = "rng-taint"
     summary = (
-        "RNG constructed on an EvalTask.run-reachable path must be seeded "
-        "from a plumbed seed (parameter, derive_seed, or derived value)"
+        "no global-state np.random.*/random.* draws or unseeded RNG "
+        "constructors anywhere; RNG on an EvalTask.run-reachable path must "
+        "be seeded from a plumbed seed (parameter, derive_seed, or derived "
+        "value)"
     )
     needs_program = True
 
@@ -62,31 +80,53 @@ class RngTaintRule(Rule):
         for class_id in program.task_classes():
             roots.extend(program.lookup_method(class_id, "run"))
         parents = program.reachable(roots)
-        for fn_id in sorted(parents):
-            node = program.functions[fn_id]
-            for site in node.facts.rng_sites:
-                if site.get("suppressed"):
-                    continue
-                if site["seeded"] and site["tainted"]:
-                    continue
-                chain = " <- ".join(reversed(program.chain(parents, fn_id)))
-                what = (
-                    "with no seed argument"
-                    if not site["seeded"]
-                    else "from a seed not derived from a plumbed seed source"
-                )
-                ctor = site["ctor"].rsplit(".", 1)[-1]
+        # Scopes are walked per file, so match them to linked functions
+        # by identity: module bodies are not linked, and two files can
+        # share a module name.
+        on_task_path = {
+            id(program.functions[fn_id].facts): fn_id for fn_id in parents
+        }
+        for summary, facts in program.scopes():
+            for draw in facts.rng_globals:
                 yield Finding(
-                    path=node.path,
+                    path=summary.path,
+                    line=draw["line"],
+                    column=draw["col"],
+                    rule=self.id,
+                    message=(
+                        f"{draw['name']}() uses the process-global RNG "
+                        "stream; draw from an explicitly seeded "
+                        "np.random.Generator instead"
+                    ),
+                    symbol=draw["name"],
+                    extra_lines=tuple(draw["window"]),
+                )
+            fn_id = on_task_path.get(id(facts))
+            for site in facts.rng_sites:
+                if site["seeded"] and (site["tainted"] or fn_id is None):
+                    continue
+                ctor = site["ctor"]
+                if site["seeded"]:
+                    problem = "is seeded from a value not derived from a plumbed seed source"
+                    symbol = f"{_display(summary, facts)}:{ctor}"
+                else:
+                    problem = "has no seed, so it draws from OS entropy"
+                    symbol = ctor
+                where = ""
+                if fn_id is not None:
+                    chain = " <- ".join(reversed(program.chain(parents, fn_id)))
+                    where = f" on a task-reachable path ({chain})"
+                yield Finding(
+                    path=summary.path,
                     line=site["line"],
                     column=site["col"],
                     rule=self.id,
                     message=(
-                        f"`{ctor}(...)` constructed {what} on a task-reachable "
-                        f"path ({chain}); replay from the task fingerprint "
-                        "requires every draw to derive from the task seed"
+                        f"`{ctor}(...)`{where} {problem}; replay requires "
+                        "every draw to derive from the plumbed root seed"
                     ),
-                    symbol=f"{node.display}:{site['ctor']}",
+                    symbol=symbol,
+                    extra_lines=tuple(site["window"]),
                 )
 
 
@@ -133,7 +173,7 @@ class WorkerStateMutationRule(Rule):
         parents = program.reachable(roots)
         for fn_id in sorted(parents):
             node = program.functions[fn_id]
-            if node.module == "repro.obs" or node.module.startswith("repro.obs."):
+            if _in_obs(node.module):
                 continue
             chain = " <- ".join(reversed(program.chain(parents, fn_id)))
             for write in node.facts.global_writes:
@@ -179,19 +219,54 @@ _PICKLABLE_NAMES: Set[str] = {
 _OPAQUE_NAMES: Set[str] = {"object", "Any", "Callable", "callable"}
 
 
-class PickleReachabilityRule(Rule):
-    """Transitive pickle-safety of everything crossing the pool boundary."""
+class PickleSafetyRule(Rule):
+    """Everything crossing the pool boundary pickles."""
 
-    id = "pickle-reachability"
+    id = "pickle-safety"
     summary = (
-        "EvalTask field annotations must transitively resolve to "
-        "module-level picklable definitions"
+        "no lambdas, closures, or locally-defined classes in EvalTask "
+        "fields or pool .map payloads, and EvalTask field annotations must "
+        "transitively resolve to module-level picklable definitions"
     )
     needs_program = True
 
     _DEPTH_CAP = 4
 
     def check_program(self, program: Program) -> Iterable[Finding]:
+        for summary, facts in program.scopes():
+            local_defs = set(summary.local_defs)
+            for payload in facts.payloads:
+                receiver = payload["receiver"]
+                if receiver is not None and receiver not in summary.pool_names:
+                    continue
+                for arg in payload["args"]:
+                    bad = next(
+                        (
+                            what
+                            for what, name in arg["candidates"]
+                            if name is None or name in local_defs
+                        ),
+                        None,
+                    )
+                    if bad is None:
+                        continue
+                    yield Finding(
+                        path=summary.path,
+                        line=arg["line"],
+                        column=arg["col"],
+                        rule=self.id,
+                        message=(
+                            f"{bad} passed into {payload['sink']} will not "
+                            "pickle across the process boundary; use a "
+                            "module-level function or a frozen dataclass "
+                            "field instead"
+                        ),
+                        symbol=f"{payload['sink']}:{bad}",
+                        extra_lines=tuple(payload["window"]),
+                    )
+        yield from self._field_findings(program)
+
+    def _field_findings(self, program: Program) -> Iterable[Finding]:
         for class_id in program.task_classes():
             module = program.class_module(class_id)
             summary = program.modules[module]
@@ -325,86 +400,121 @@ class PickleReachabilityRule(Rule):
         return problems
 
 
-class WallclockFingerprintRule(Rule):
-    """No wall-clock dependence anywhere in a fingerprint's input."""
+class WallClockRule(Rule):
+    """No absolute time outside sanctioned sites, none in fingerprints."""
 
-    id = "wallclock-fingerprint"
+    id = "wall-clock"
     summary = (
-        "inputs to derive_seed/stable_fingerprint/canonical_bytes must not "
-        "reach a wall-clock read through any call chain"
+        "no time.time()/datetime.now() outside pragma'd sites, and no "
+        "derive_seed/stable_fingerprint/canonical_bytes input that reaches "
+        "a wall-clock read through any call chain"
     )
     needs_program = True
 
     def check_program(self, program: Program) -> Iterable[Finding]:
-        for fn_id in sorted(program.functions):
-            node = program.functions[fn_id]
-            for feed in node.facts.hash_feeds:
-                roots: List[str] = []
-                for target in feed["targets"]:
-                    roots.extend(program.resolve_spec(target, node.module))
-                parents = program.reachable(roots)
-                finding = self._first_dirty(program, parents, node, feed)
+        for summary, facts in program.scopes():
+            for clock in facts.wallclock:
+                yield Finding(
+                    path=summary.path,
+                    line=clock["line"],
+                    column=clock["col"],
+                    rule=self.id,
+                    message=(
+                        f"{clock['name']}() reads the wall clock; use "
+                        "perf_counter for durations, or pragma this line "
+                        "if it is a sanctioned timestamp source"
+                    ),
+                    symbol=clock["name"],
+                )
+            for feed in facts.hash_feeds:
+                finding = self._first_dirty(program, summary, facts, feed)
                 if finding is not None:
                     yield finding
 
     def _first_dirty(
         self,
         program: Program,
-        parents: Dict[str, Optional[str]],
-        node,
+        summary: ModuleSummary,
+        facts: FunctionFacts,
         feed: Dict,
     ) -> Optional[Finding]:
+        roots: List[str] = []
+        for target in feed["targets"]:
+            roots.extend(program.resolve_spec(target, summary.module))
+        parents = program.reachable(roots)
         for fn_id in sorted(parents):
             callee = program.functions[fn_id]
-            for clock in callee.facts.wallclock:
-                if clock.get("suppressed"):
-                    continue
-                chain = " -> ".join(program.chain(parents, fn_id))
-                return Finding(
-                    path=node.path,
-                    line=feed["line"],
-                    column=feed["col"],
-                    rule=self.id,
-                    message=(
-                        f"`{feed['api']}(...)` input calls {chain}, which "
-                        f"reads `{clock['name']}` at {callee.path}:"
-                        f"{clock['line']}; fingerprints and derived seeds "
-                        "must be wall-clock independent"
-                    ),
-                    symbol=f"{node.display}:{feed['api']}",
-                )
+            if not callee.facts.wallclock:
+                continue
+            clock = callee.facts.wallclock[0]
+            chain = " -> ".join(program.chain(parents, fn_id))
+            return Finding(
+                path=summary.path,
+                line=feed["line"],
+                column=feed["col"],
+                rule=self.id,
+                message=(
+                    f"`{feed['api']}(...)` input calls {chain}, which "
+                    f"reads `{clock['name']}` at {callee.path}:"
+                    f"{clock['line']}; fingerprints and derived seeds "
+                    "must be wall-clock independent"
+                ),
+                symbol=f"{_display(summary, facts)}:{feed['api']}",
+            )
         return None
 
 
-class SpanEscapeRule(Rule):
-    """Raw span records returned from helpers must land in a ``with``."""
+class SpanBalanceRule(Rule):
+    """Spans open only as the context of a ``with`` block."""
 
-    id = "span-escape"
+    id = "span-balance"
     summary = (
-        "a call to a helper that returns an open span context must be "
-        "consumed by a `with` block at the call site"
+        "spans open only via 'with span(...)': a bare span() call, an "
+        "un-entered span returned by a helper, or manual record_span/"
+        "adopt_span outside repro.obs unbalances the per-thread span stack"
     )
     needs_program = True
 
     def check_program(self, program: Program) -> Iterable[Finding]:
         returning = self._span_returning(program)
-        for fn_id in sorted(program.functions):
-            node = program.functions[fn_id]
-            if node.module == "repro.obs" or node.module.startswith("repro.obs."):
+        wrappers = {id(program.functions[fn_id].facts) for fn_id in returning}
+        for summary, facts in program.scopes():
+            for site in facts.span_sites:
+                if site["name"] == "span":
+                    message = (
+                        "span(...) must be the context of a 'with' "
+                        "statement; a bare call never closes and corrupts "
+                        "the span stack"
+                    )
+                elif "/obs/" not in summary.path:
+                    message = (
+                        f"manual {site['name']}() outside repro.obs "
+                        "bypasses the span context manager; open spans "
+                        "with 'with span(...)'"
+                    )
+                else:
+                    continue
+                yield Finding(
+                    path=summary.path,
+                    line=site["line"],
+                    column=site["col"],
+                    rule=self.id,
+                    message=message,
+                    symbol=site["name"],
+                )
+            # Wrappers pass the open span through; their callers are the
+            # ones on the hook.
+            if _in_obs(summary.module) or id(facts) in wrappers:
                 continue
-            if fn_id in returning:
-                # Wrappers pass the open span through; their callers are
-                # the ones on the hook.
-                continue
-            for call in node.facts.calls:
+            for call in facts.calls:
                 if call.in_with:
                     continue
-                targets = program.resolve_spec(call.target, node.module)
+                targets = program.resolve_spec(call.target, summary.module)
                 if not targets or not all(t in returning for t in targets):
                     continue
                 callee = program.functions[targets[0]].display
                 yield Finding(
-                    path=node.path,
+                    path=summary.path,
                     line=call.line,
                     column=call.col,
                     rule=self.id,
@@ -413,7 +523,7 @@ class SpanEscapeRule(Rule):
                         "call site does not enter it with `with`; the span "
                         "never closes and telemetry nesting breaks"
                     ),
-                    symbol=f"{node.display}:{callee}",
+                    symbol=f"{_display(summary, facts)}:{callee}",
                 )
 
     @staticmethod

@@ -1,67 +1,82 @@
-"""Project-wide symbol table and call graph for the invariant checker.
+"""Per-module facts and the project-wide call graph behind every lint rule.
 
-The per-file rules in :mod:`repro.lint` can only see one module at a
-time, but the contracts they guard are *interprocedural*: a helper three
-calls below ``EvalTask.run`` that seeds a generator from a constant
-breaks replay just as surely as one in the task itself, and a function
-reachable from a pool worker that mutates fork-shared state races no
-matter which file it lives in.  This module gives the whole-program
-rules in :mod:`repro.lint.flow` their eyes:
+The determinism and telemetry contracts are *interprocedural*: a helper
+three calls below ``EvalTask.run`` that seeds a generator from a
+constant breaks replay just as surely as one in the task itself, and a
+function reachable from a pool worker that mutates fork-shared state
+races no matter which file it lives in.  Yet most violations are also
+plain local facts -- an unseeded constructor is wrong wherever it sits.
+This module collects both kinds in one walk per module, for the rules in
+:mod:`repro.lint.flow`:
 
 - :func:`extract_summary` distils one parsed module into a
-  JSON-serializable :class:`ModuleSummary`: its functions and classes,
-  every call site (with a symbolic target), RNG-construction sites with
-  seed-taint verdicts, module-global and fork-shared writes, wall-clock
-  reads, and span-escape facts.  Summaries are pure functions of the
-  file's text, which is what makes them cacheable by content hash
-  (:mod:`repro.lint.store`).
+  :class:`ModuleSummary`: its functions and classes, every call site
+  (with a symbolic target), RNG constructions with seed-taint verdicts
+  and process-global RNG draws, module-global and fork-shared writes,
+  wall-clock reads, hashing-API feeds, span facts, and the payloads
+  handed to task constructors and pool ``.map`` calls.  Module-scope
+  code -- top-level statements, class bodies, decorators, defaults --
+  is summarized as one more scope (:attr:`ModuleSummary.body`), so the
+  facts cover every call in the file.
 - :class:`Program` links summaries into a project: imports (including
   package re-exports) are resolved, methods are bound through parameter
   and attribute type hints plus constructor assignments, calls through a
   base-typed receiver conservatively fan out to every subclass override,
   and receiver-less dynamic dispatch falls back to binding only when the
   method name is unique project-wide.
-- :meth:`Program.reachable` answers the closure queries the flow rules
-  are built on, keeping parent links so findings can show the call
-  chain from the root to the violation.
+- :meth:`Program.reachable` answers the closure queries the rules are
+  built on, keeping parent links so findings can show the call chain
+  from the root to the violation.
 
 The symbolic call-target encoding (``["dotted", ...]`` / ``["local",
 ...]`` / ``["self", ...]`` / ``["attr", ...]`` / ``["dyn", ...]``) keeps
-extraction local -- a summary never needs another module -- so a single
-changed file re-analyzes alone while the rest of the graph loads from
-the store.
+extraction local: a summary never needs another module.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import ModuleSource
+from repro.lint.core import ModuleSource, expr_window
 
 __all__ = [
     "CallFact",
     "ClassFacts",
     "FunctionFacts",
+    "HASHING_TAILS",
     "ModuleSummary",
     "Program",
     "build_program",
     "extract_summary",
+    "is_span_call",
     "module_name_for",
 ]
 
-#: Bump when the extraction schema changes; cached summaries from other
-#: versions are discarded (see :mod:`repro.lint.store`).
-SCHEMA_VERSION = 1
-
-#: RNG constructors whose seed argument the taint analysis inspects.
+#: RNG constructors: called with no seed they draw from OS entropy.
 _RNG_CONSTRUCTORS = {
     "numpy.random.default_rng",
     "numpy.random.RandomState",
     "numpy.random.SeedSequence",
     "random.Random",
+}
+
+#: ``numpy.random`` attributes that build generators rather than draw
+#: from the process-global stream (``np.random.normal``, ``.seed``, ...).
+_NUMPY_RNG_TYPES = {
+    "default_rng",
+    "Generator",
+    "RandomState",
+    "BitGenerator",
+    "SeedSequence",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "MT19937",
+    "SFC64",
 }
 
 #: Canonical names of the fingerprint/seed-derivation API.
@@ -70,9 +85,10 @@ _HASHING_APIS = {
     "repro.exec.hashing.stable_fingerprint",
     "repro.exec.hashing.canonical_bytes",
 }
-_HASHING_TAILS = {"derive_seed", "stable_fingerprint", "canonical_bytes"}
+HASHING_TAILS = {"derive_seed", "stable_fingerprint", "canonical_bytes"}
 
-#: Wall-clock reads (mirrors rules_time; kept in sync by a lint test).
+#: Absolute-time reads.  ``time.perf_counter`` stays legal: durations are
+#: telemetry, never inputs.
 _WALLCLOCK = {
     "time.time",
     "time.time_ns",
@@ -85,21 +101,58 @@ _WALLCLOCK = {
 #: Canonical paths of the span context manager.
 _SPAN_FUNCS = {"repro.obs.span", "repro.obs.spans.span"}
 
-#: Parameter/attribute names that count as a plumbed seed (mirrors
-#: rules_rng's accepted spellings).
+#: Span-stack plumbing that only ``repro/obs`` itself may call.
+_SPAN_INTERNALS = {"record_span", "adopt_span"}
+
+#: Parameter/attribute names that count as a plumbed seed.
 _SEED_NAMES = {"rng", "seed", "seeds", "random_state", "generator"}
 _SEED_SUFFIXES = ("_rng", "_seed", "_seed_root", "_generator")
 _SEED_PREFIXES = ("rng_", "seed_")
+
+#: Constructors whose arguments are pickled into pool workers.
+_TASK_CTOR = re.compile(r"^[A-Z]\w*Task$")
+
+#: Receiver names whose ``.map(...)`` dispatches across processes.
+_POOL_RECEIVERS = {"evaluator", "pool", "executor"}
+
+#: Constructors whose instances dispatch across processes; a name
+#: assigned from one of these makes that name a pool receiver too.
+_POOL_TYPES = {"ParallelEvaluator", "ProcessPoolExecutor", "Pool"}
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def seedlike(name: str) -> bool:
     """Whether ``name`` spells a plumbed seed/generator."""
     return (
         name in _SEED_NAMES
-        or name == "seed_root"
         or name.endswith(_SEED_SUFFIXES)
         or name.startswith(_SEED_PREFIXES)
     )
+
+
+def is_span_call(call: ast.Call, resolved: Optional[str]) -> bool:
+    """Whether ``call`` (resolving to ``resolved``) opens a span.
+
+    A bare ``span(...)`` whose name no import explains counts too: it is
+    the span context manager under its conventional name.
+    """
+    if isinstance(call.func, ast.Name) and call.func.id == "span":
+        return resolved is None or resolved in _SPAN_FUNCS
+    return resolved in _SPAN_FUNCS
+
+
+def _global_rng_draw(resolved: str) -> bool:
+    """Whether ``resolved`` names a process-global RNG function."""
+    for prefix, builders in (
+        ("numpy.random.", _NUMPY_RNG_TYPES),
+        ("random.", {"Random"}),
+    ):
+        if resolved.startswith(prefix):
+            tail = resolved[len(prefix):]
+            return "." not in tail and tail not in builders
+    return False
 
 
 def module_name_for(path: Path) -> str:
@@ -134,78 +187,51 @@ class CallFact:
     target: List
     in_with: bool = False
 
-    def to_dict(self) -> Dict:
-        return {
-            "line": self.line, "col": self.col,
-            "target": self.target, "in_with": self.in_with,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CallFact":
-        return cls(
-            line=int(data["line"]), col=int(data["col"]),
-            target=list(data["target"]), in_with=bool(data["in_with"]),
-        )
-
 
 @dataclass
 class FunctionFacts:
-    """Everything the flow rules need to know about one function."""
+    """Everything the rules need to know about one scope.
 
-    name: str  # qualname within the module ("f" or "Cls.f")
+    A scope is a function (``name`` is its qualname, ``"f"`` or
+    ``"Cls.f"``) or a module's top-level code (``name`` ``"<module>"``).
+    Facts inside nested defs belong to the enclosing scope.  Site lists
+    hold ``line``/``col``; ``window`` is the continuation lines of a
+    multiline call, where a suppression pragma also counts.
+    """
+
+    name: str
     line: int
-    end_line: int
-    decorator_lines: List[int] = field(default_factory=list)
-    params: List[str] = field(default_factory=list)
     calls: List[CallFact] = field(default_factory=list)
-    #: ``{line, col, ctor, seeded, tainted}`` per RNG-constructor call.
+    #: ``{line, col, ctor, seeded, tainted, window}`` per RNG-constructor
+    #: call.
     rng_sites: List[Dict] = field(default_factory=list)
+    #: ``{name, line, col, window}`` per process-global RNG call
+    #: (``np.random.normal``, ``random.random``, ...).
+    rng_globals: List[Dict] = field(default_factory=list)
     #: ``{name, line, col, kind}`` with kind ``global`` | ``module-attr``.
     global_writes: List[Dict] = field(default_factory=list)
     #: ``{name, line, col}`` -- attr/subscript stores on ``get_shared_*``
     #: results (fork-shared world objects).
     shared_writes: List[Dict] = field(default_factory=list)
-    #: ``{name, line, col, suppressed}`` wall-clock reads.
+    #: ``{name, line, col}`` wall-clock reads.
     wallclock: List[Dict] = field(default_factory=list)
     #: ``{line, col, api, targets}`` -- hashing-API calls and the
     #: symbolic targets of calls nested in their argument expressions.
     hash_feeds: List[Dict] = field(default_factory=list)
+    #: ``{name, line, col}`` -- ``span(...)`` opened outside a ``with``
+    #: (name ``span``) and ``record_span``/``adopt_span`` calls.
+    span_sites: List[Dict] = field(default_factory=list)
+    #: ``{sink, receiver, args, window}`` per ``*Task(...)`` / ``.map(...)``
+    #: call: ``receiver`` is the name a ``.map`` is called on (None for
+    #: other sinks), ``args`` holds ``{line, col, candidates}`` per
+    #: argument that may not pickle (see :func:`_payload_candidates`).
+    payloads: List[Dict] = field(default_factory=list)
     #: Returns a raw span record (``return span(...)`` or a variable
     #: holding one).
     returns_span: bool = False
     #: Symbolic targets whose return value this function returns --
-    #: span-escape propagates through these.
+    #: span escapes propagate through these.
     return_targets: List[List] = field(default_factory=list)
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name, "line": self.line, "end_line": self.end_line,
-            "decorator_lines": self.decorator_lines, "params": self.params,
-            "calls": [c.to_dict() for c in self.calls],
-            "rng_sites": self.rng_sites,
-            "global_writes": self.global_writes,
-            "shared_writes": self.shared_writes,
-            "wallclock": self.wallclock,
-            "hash_feeds": self.hash_feeds,
-            "returns_span": self.returns_span,
-            "return_targets": self.return_targets,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FunctionFacts":
-        return cls(
-            name=data["name"], line=data["line"], end_line=data["end_line"],
-            decorator_lines=list(data["decorator_lines"]),
-            params=list(data["params"]),
-            calls=[CallFact.from_dict(c) for c in data["calls"]],
-            rng_sites=list(data["rng_sites"]),
-            global_writes=list(data["global_writes"]),
-            shared_writes=list(data["shared_writes"]),
-            wallclock=list(data["wallclock"]),
-            hash_feeds=list(data["hash_feeds"]),
-            returns_span=bool(data["returns_span"]),
-            return_targets=list(data["return_targets"]),
-        )
 
 
 @dataclass
@@ -225,68 +251,34 @@ class ClassFacts:
     methods: Dict[str, FunctionFacts] = field(default_factory=dict)
     is_dataclass: bool = False
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name, "line": self.line, "bases": self.bases,
-            "fields": self.fields, "attr_types": self.attr_types,
-            "methods": {k: m.to_dict() for k, m in self.methods.items()},
-            "is_dataclass": self.is_dataclass,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ClassFacts":
-        return cls(
-            name=data["name"], line=data["line"],
-            bases=[list(b) for b in data["bases"]],
-            fields=dict(data["fields"]),
-            attr_types={k: list(v) for k, v in data["attr_types"].items()},
-            methods={
-                k: FunctionFacts.from_dict(m)
-                for k, m in data["methods"].items()
-            },
-            is_dataclass=bool(data["is_dataclass"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """The cacheable whole-module analysis record."""
+    """The whole-module analysis record."""
 
     path: str
     module: str
-    digest: str
     imports: Dict[str, str] = field(default_factory=dict)
-    module_names: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
+    #: Module-scope code: top-level statements, class bodies outside
+    #: methods, and the decorators and defaults of every def.
+    body: FunctionFacts = field(
+        default_factory=lambda: FunctionFacts("<module>", 1)
+    )
     #: Names of functions/classes defined *inside* functions (pickle
     #: hazards when referenced from task payloads).
     local_defs: List[str] = field(default_factory=list)
+    #: Names whose ``.map(...)`` dispatches across processes: the
+    #: conventional receivers plus names bound to a pool constructor.
+    pool_names: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict:
-        return {
-            "path": self.path, "module": self.module, "digest": self.digest,
-            "imports": self.imports, "module_names": self.module_names,
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-            "local_defs": self.local_defs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ModuleSummary":
-        return cls(
-            path=data["path"], module=data["module"], digest=data["digest"],
-            imports=dict(data["imports"]),
-            module_names=list(data["module_names"]),
-            functions={
-                k: FunctionFacts.from_dict(f)
-                for k, f in data["functions"].items()
-            },
-            classes={
-                k: ClassFacts.from_dict(c) for k, c in data["classes"].items()
-            },
-            local_defs=list(data["local_defs"]),
-        )
+    def scopes(self) -> Iterator[FunctionFacts]:
+        """The module scope, then every function and method."""
+        yield self.body
+        yield from self.functions.values()
+        for cfacts in self.classes.values():
+            yield from cfacts.methods.values()
 
 
 # --------------------------------------------------------------------- #
@@ -304,6 +296,14 @@ def _attr_chain(node: ast.AST) -> Optional[List[str]]:
         return None
     parts.append(node.id)
     return list(reversed(parts))
+
+
+def _terminal_name(func: ast.AST) -> str:
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return ""
 
 
 def _annotation_spec(
@@ -340,56 +340,88 @@ def _annotation_spec(
     return None
 
 
-class _FunctionExtractor:
-    """Distils one function body into :class:`FunctionFacts`."""
+def _payload_candidates(value: ast.AST, in_container: bool = False) -> List[List]:
+    """``[description, name]`` for each part of ``value`` that may not pickle.
+
+    A lambda (``name`` None) never pickles; a bare name fails only when
+    it names a locally-defined function or class, which the rule decides
+    against :attr:`ModuleSummary.local_defs`.  ``functools.partial``
+    pickles by reference to what it wraps, and a list/tuple/set of
+    callables is a payload too.  Candidates come in source order; the
+    first bad one is reported.
+    """
+    if isinstance(value, ast.Lambda):
+        return [["a lambda", None]]
+    if isinstance(value, ast.Name):
+        return [[f"locally-defined '{value.id}'", value.id]]
+    if not in_container and isinstance(value, (ast.List, ast.Tuple, ast.Set)):
+        return [
+            candidate
+            for element in value.elts
+            for candidate in _payload_candidates(element, in_container=True)
+        ]
+    if isinstance(value, ast.Call) and _terminal_name(value.func) == "partial":
+        out: List[List] = []
+        for arg in list(value.args) + [kw.value for kw in value.keywords]:
+            if isinstance(arg, ast.Lambda):
+                out.append(["a functools.partial wrapping a lambda", None])
+            elif isinstance(arg, ast.Name):
+                out.append([
+                    f"a functools.partial wrapping locally-defined '{arg.id}'",
+                    arg.id,
+                ])
+        return out
+    return []
+
+
+@dataclass
+class _ModuleState:
+    """Module-wide sets that every scope extractor reads or extends."""
+
+    #: Names bound at module scope.
+    names: Set[str]
+    local_defs: Set[str] = field(default_factory=set)
+    pool_names: Set[str] = field(default_factory=lambda: set(_POOL_RECEIVERS))
+
+
+class _ScopeExtractor:
+    """Distils one scope's code into its :class:`FunctionFacts`."""
 
     def __init__(
         self,
-        node: ast.AST,
-        qualname: str,
+        facts: FunctionFacts,
+        body: Sequence[ast.AST],
+        args: Optional[ast.arguments],
         module: ModuleSource,
         class_name: Optional[str],
-        module_names: Set[str],
+        state: _ModuleState,
     ) -> None:
-        self.node = node
+        self.facts = facts
+        self.body = body
         self.module = module
         self.class_name = class_name
-        self.module_names = module_names
-        args = node.args
-        self.params = [
-            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-        ]
-        if args.vararg:
-            self.params.append(args.vararg.arg)
-        if args.kwarg:
-            self.params.append(args.kwarg.arg)
+        self.state = state
+        #: Function scopes make every def they contain a local def.
+        self.in_function = args is not None
+        params: List[str] = []
         self.var_types: Dict[str, List] = {}
-        for a in args.posonlyargs + args.args + args.kwonlyargs:
-            spec = _annotation_spec(a.annotation, module)
-            if spec is not None:
-                self.var_types[a.arg] = spec
+        if args is not None:
+            declared = args.posonlyargs + args.args + args.kwonlyargs
+            params = [a.arg for a in declared] + [
+                a.arg for a in (args.vararg, args.kwarg) if a is not None
+            ]
+            for a in declared:
+                spec = _annotation_spec(a.annotation, module)
+                if spec is not None:
+                    self.var_types[a.arg] = spec
         self.shared_vars: Set[str] = set()
-        self.locals: Set[str] = set(self.params)
-        self.tainted: Set[str] = {p for p in self.params if seedlike(p)}
+        self.locals: Set[str] = set(params)
+        self.tainted: Set[str] = {p for p in params if seedlike(p)}
         self.globals_declared: Set[str] = set()
-        self.facts = FunctionFacts(
-            name=qualname,
-            line=node.lineno,
-            end_line=getattr(node, "end_lineno", node.lineno) or node.lineno,
-            decorator_lines=[d.lineno for d in node.decorator_list],
-            params=list(self.params),
-        )
         self.with_ctx: Set[int] = set()
         self.returned_names: Set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.With, ast.AsyncWith)):
-                for item in sub.items:
-                    self.with_ctx.add(id(item.context_expr))
 
     # -- helpers ------------------------------------------------------- #
-
-    def _resolve_dotted(self, node: ast.AST) -> Optional[str]:
-        return self.module.imports.resolve(node)
 
     def target_spec(self, func: ast.AST) -> List:
         """The symbolic call target for a callee expression."""
@@ -399,7 +431,7 @@ class _FunctionExtractor:
                 return ["dotted", resolved]
             return ["local", func.id]
         if isinstance(func, ast.Attribute):
-            resolved = self._resolve_dotted(func)
+            resolved = self.module.imports.resolve(func)
             if resolved is not None:
                 return ["dotted", resolved]
             base = func.value
@@ -424,16 +456,10 @@ class _FunctionExtractor:
                 resolved = self.module.imports.resolve_call(sub)
                 if resolved is not None and (
                     resolved in _HASHING_APIS
-                    or resolved.rsplit(".", 1)[-1] in _HASHING_TAILS
+                    or resolved.rsplit(".", 1)[-1] in HASHING_TAILS
                 ):
                     return True
         return False
-
-    def _suppressed(self, line: int, *rule_ids: str) -> bool:
-        rules = self.module.ignores.get(line, ...)
-        if rules is ...:
-            return False
-        return rules is None or any(r in rules for r in rule_ids)
 
     def _is_store_on_module_name(self, target: ast.AST) -> Optional[Tuple[str, str]]:
         """(name, kind) when ``target`` writes through a module-level name."""
@@ -453,7 +479,7 @@ class _FunctionExtractor:
             return None  # reported as a shared write, not a global one
         if name in self.locals and name not in self.globals_declared:
             return None
-        if name in self.globals_declared or name in self.module_names:
+        if name in self.globals_declared or name in self.state.names:
             return name, "module-attr"
         resolved = self.module.imports.names.get(name)
         if resolved is not None:
@@ -466,7 +492,8 @@ class _FunctionExtractor:
 
     def run(self) -> FunctionFacts:
         self._prescan()
-        self._walk_statements(self.node.body)
+        for stmt in self.body:
+            self._visit_stmt(stmt)
         return self.facts
 
     def _bound_names(self, target: ast.AST, out: Set[str]) -> None:
@@ -481,32 +508,32 @@ class _FunctionExtractor:
             self._bound_names(target.value, out)
 
     def _prescan(self) -> None:
-        """Collect locals, ``global`` decls, and returned names first."""
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Global):
-                self.globals_declared.update(sub.names)
-            elif isinstance(sub, ast.Assign):
-                for target in sub.targets:
-                    self._bound_names(target, self.locals)
-            elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(sub.target, ast.Name):
-                    self.locals.add(sub.target.id)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                self._bound_names(sub.target, self.locals)
-            elif isinstance(sub, ast.withitem) and sub.optional_vars is not None:
-                self._bound_names(sub.optional_vars, self.locals)
-            elif isinstance(sub, ast.Return) and isinstance(sub.value, ast.Name):
-                self.returned_names.add(sub.value.id)
+        """Collect locals, ``global`` decls, ``with`` contexts and
+        returned names first."""
+        for stmt in self.body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Global):
+                    self.globals_declared.update(sub.names)
+                elif isinstance(sub, ast.Assign):
+                    for target in sub.targets:
+                        self._bound_names(target, self.locals)
+                elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
+                    if isinstance(sub.target, ast.Name):
+                        self.locals.add(sub.target.id)
+                elif isinstance(sub, (ast.For, ast.AsyncFor)):
+                    self._bound_names(sub.target, self.locals)
+                elif isinstance(sub, ast.withitem):
+                    self.with_ctx.add(id(sub.context_expr))
+                    if sub.optional_vars is not None:
+                        self._bound_names(sub.optional_vars, self.locals)
+                elif isinstance(sub, ast.Return) and isinstance(sub.value, ast.Name):
+                    self.returned_names.add(sub.value.id)
 
-    def _walk_statements(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt)
-
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
+    def _visit_stmt(self, stmt: ast.AST) -> None:
         # One BFS walk per top-level statement handles arbitrarily nested
         # assignments, loops, and comprehensions in near-source order, so
         # taint introduced by an outer node is visible to inner calls.
-        # Facts inside nested defs are attributed to this function: the
+        # Facts inside nested defs are attributed to this scope: the
         # nested callee is invisible to the linker, and attributing its
         # body here over-approximates reachability (the safe direction).
         for node in ast.walk(stmt):
@@ -533,8 +560,31 @@ class _FunctionExtractor:
                 # generators.
                 for gen in node.generators:
                     self._note_loop_taint(gen.target, gen.iter)
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                self._note_pool_binding([node.optional_vars], node.context_expr)
+            elif isinstance(node, _DEFS):
+                self._note_def(node)
             elif isinstance(node, ast.Call):
                 self._note_call(node)
+
+    def _note_def(self, node: ast.AST) -> None:
+        if self.in_function:
+            self.state.local_defs.add(node.name)
+        elif isinstance(node, _FUNCTION_DEFS):
+            # A def reached at module scope (under an ``if``, or a method
+            # of a nested class) is module-level itself; only what it
+            # defines is local.
+            self.state.local_defs.update(
+                child.name
+                for child in ast.walk(node)
+                if child is not node and isinstance(child, _DEFS)
+            )
+
+    def _note_pool_binding(self, targets: List[ast.AST], value: ast.AST) -> None:
+        if isinstance(value, ast.Call) and _terminal_name(value.func) in _POOL_TYPES:
+            self.state.pool_names.update(
+                target.id for target in targets if isinstance(target, ast.Name)
+            )
 
     def _note_loop_taint(self, target: ast.AST, source: ast.AST) -> None:
         """Iterating a tainted source taints the loop variables."""
@@ -553,6 +603,16 @@ class _FunctionExtractor:
                     if isinstance(target, ast.Name):
                         self.tainted.add(target.id)
             return
+        self._note_pool_binding(targets, value)
+        if (
+            len(targets) == 1
+            and isinstance(targets[0], ast.Name)
+            and targets[0].id in self.returned_names
+            and is_span_call(value, self.module.imports.resolve_call(value))
+        ):
+            # ``rec = span(...); return rec`` escapes just like a direct
+            # ``return span(...)``.
+            self.facts.returns_span = True
         spec = self.target_spec(value.func)
         terminal = spec[-1] if spec and isinstance(spec[-1], str) else ""
         for target in targets:
@@ -590,76 +650,93 @@ class _FunctionExtractor:
             })
 
     def _note_return(self, value: ast.AST) -> None:
+        # ``rec = span(...); return rec`` is handled in _note_assign.
         if isinstance(value, ast.Call):
-            resolved = self.module.imports.resolve_call(value)
-            if resolved in _SPAN_FUNCS:
+            if is_span_call(value, self.module.imports.resolve_call(value)):
                 self.facts.returns_span = True
             else:
                 self.facts.return_targets.append(self.target_spec(value.func))
-        elif isinstance(value, ast.Name):
-            # ``rec = span(...); return rec`` -- handled in _note_call.
-            pass
 
     def _note_call(self, call: ast.Call) -> None:
         resolved = self.module.imports.resolve_call(call)
-        spec = self.target_spec(call.func)
+        in_with = id(call) in self.with_ctx
         self.facts.calls.append(CallFact(
-            line=call.lineno, col=call.col_offset, target=spec,
-            in_with=id(call) in self.with_ctx,
+            line=call.lineno, col=call.col_offset,
+            target=self.target_spec(call.func), in_with=in_with,
         ))
-        if resolved is not None:
-            if resolved in _RNG_CONSTRUCTORS:
-                seeded = bool(call.args or call.keywords)
-                tainted = seeded and any(
-                    self._expr_tainted(a)
-                    for a in list(call.args) + [k.value for k in call.keywords]
-                )
-                self.facts.rng_sites.append({
-                    "line": call.lineno, "col": call.col_offset,
-                    "ctor": resolved, "seeded": seeded, "tainted": tainted,
-                    "suppressed": self._suppressed(call.lineno, "rng-taint"),
-                })
-            if resolved in _WALLCLOCK:
-                # Only a `wallclock-fingerprint` pragma blesses hashing
-                # chains through this site; a plain `wall-clock` pragma
-                # covers the per-file rule alone.
-                self.facts.wallclock.append({
-                    "name": resolved, "line": call.lineno,
-                    "col": call.col_offset,
-                    "suppressed": self._suppressed(
-                        call.lineno, "wallclock-fingerprint"
-                    ),
-                })
-            if (
-                resolved in _HASHING_APIS
-                or (
-                    resolved.startswith("repro.")
-                    and resolved.rsplit(".", 1)[-1] in _HASHING_TAILS
-                )
-            ):
-                targets = [
-                    self.target_spec(sub.func)
-                    for arg in list(call.args) + [k.value for k in call.keywords]
-                    for sub in ast.walk(arg)
-                    if isinstance(sub, ast.Call)
-                ]
-                self.facts.hash_feeds.append({
-                    "line": call.lineno, "col": call.col_offset,
-                    "api": resolved.rsplit(".", 1)[-1], "targets": targets,
-                })
-            if resolved in _SPAN_FUNCS and not self.facts.returns_span:
-                # ``rec = span(...); return rec`` escapes just like a
-                # direct ``return span(...)``.
-                parent_assign = self._assigned_name_of(call)
-                if parent_assign is not None and parent_assign in self.returned_names:
-                    self.facts.returns_span = True
+        site = {"line": call.lineno, "col": call.col_offset}
+        if is_span_call(call, resolved):
+            if not in_with:
+                self.facts.span_sites.append({"name": "span", **site})
+        elif isinstance(call.func, ast.Attribute) and call.func.attr in _SPAN_INTERNALS:
+            self.facts.span_sites.append({"name": call.func.attr, **site})
+        self._note_payload(call)
+        if resolved is None:
+            return
+        if resolved in _RNG_CONSTRUCTORS:
+            seeded = bool(call.args or call.keywords)
+            tainted = seeded and any(
+                self._expr_tainted(a)
+                for a in list(call.args) + [k.value for k in call.keywords]
+            )
+            self.facts.rng_sites.append({
+                **site, "ctor": resolved, "seeded": seeded,
+                "tainted": tainted, "window": list(expr_window(call)),
+            })
+        elif _global_rng_draw(resolved):
+            self.facts.rng_globals.append({
+                "name": resolved, **site, "window": list(expr_window(call)),
+            })
+        if resolved in _WALLCLOCK:
+            self.facts.wallclock.append({"name": resolved, **site})
+        if (
+            resolved in _HASHING_APIS
+            or (
+                resolved.startswith("repro.")
+                and resolved.rsplit(".", 1)[-1] in HASHING_TAILS
+            )
+        ):
+            targets = [
+                self.target_spec(sub.func)
+                for arg in list(call.args) + [k.value for k in call.keywords]
+                for sub in ast.walk(arg)
+                if isinstance(sub, ast.Call)
+            ]
+            self.facts.hash_feeds.append({
+                **site, "api": resolved.rsplit(".", 1)[-1], "targets": targets,
+            })
 
-    def _assigned_name_of(self, call: ast.Call) -> Optional[str]:
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Assign) and sub.value is call:
-                if len(sub.targets) == 1 and isinstance(sub.targets[0], ast.Name):
-                    return sub.targets[0].id
-        return None
+    def _note_payload(self, call: ast.Call) -> None:
+        """Record the arguments a task constructor or ``.map`` pickles."""
+        name = _terminal_name(call.func)
+        receiver = None
+        if _TASK_CTOR.match(name) or name == "EvalTask":
+            sink = f"{name}(...)"
+        elif isinstance(call.func, ast.Attribute) and name == "map":
+            base = call.func.value
+            if isinstance(base, ast.Name):
+                sink, receiver = f"{base.id}.map(...)", base.id
+            elif isinstance(base, ast.Call) and _terminal_name(base.func) in _POOL_TYPES:
+                sink = f"{_terminal_name(base.func)}().map(...)"
+            else:
+                return
+        else:
+            return
+        args = []
+        for value in list(call.args) + [kw.value for kw in call.keywords]:
+            candidates = _payload_candidates(value)
+            if candidates:
+                args.append({
+                    "line": value.lineno, "col": value.col_offset,
+                    "candidates": candidates,
+                })
+        if args:
+            self.facts.payloads.append({
+                "sink": sink, "receiver": receiver, "args": args,
+                # The pragma may sit anywhere on the call: its first
+                # line, the flagged argument, or the closing paren.
+                "window": [call.lineno, *expr_window(call)],
+            })
 
 
 def _module_level_names(tree: ast.Module) -> Set[str]:
@@ -668,7 +745,7 @@ def _module_level_names(tree: ast.Module) -> Set[str]:
 
     def visit(body: Sequence[ast.stmt]) -> None:
         for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, _DEFS):
                 names.add(stmt.name)
             elif isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
@@ -700,29 +777,47 @@ def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
     return False
 
 
-def extract_summary(module: ModuleSource, digest: str = "") -> ModuleSummary:
+def _header(node: ast.AST) -> List[ast.AST]:
+    """What a ``def``/``class`` statement evaluates in the enclosing
+    scope: decorators, defaults and annotations, or bases and keywords."""
+    out: List[ast.AST] = list(node.decorator_list)
+    if isinstance(node, ast.ClassDef):
+        return out + node.bases + [kw.value for kw in node.keywords]
+    args = node.args
+    out += args.defaults + [d for d in args.kw_defaults if d is not None]
+    for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+        if arg is not None and arg.annotation is not None:
+            out.append(arg.annotation)
+    if node.returns is not None:
+        out.append(node.returns)
+    return out
+
+
+def extract_summary(module: ModuleSource) -> ModuleSummary:
     """The whole-module analysis record for one parsed file."""
     tree = module.tree
-    module_names = _module_level_names(tree)
+    state = _ModuleState(names=_module_level_names(tree))
     summary = ModuleSummary(
         path=module.path,
         module=module_name_for(Path(module.path)),
-        digest=digest,
         imports=dict(module.imports.names),
-        module_names=sorted(module_names),
     )
 
     def extract_function(
         node: ast.AST, qualname: str, class_name: Optional[str]
     ) -> FunctionFacts:
-        return _FunctionExtractor(
-            node, qualname, module, class_name, module_names
+        return _ScopeExtractor(
+            FunctionFacts(name=qualname, line=node.lineno),
+            node.body, node.args, module, class_name, state,
         ).run()
 
+    module_scope: List[ast.AST] = []
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, _FUNCTION_DEFS):
+            module_scope.extend(_header(stmt))
             summary.functions[stmt.name] = extract_function(stmt, stmt.name, None)
         elif isinstance(stmt, ast.ClassDef):
+            module_scope.extend(_header(stmt))
             facts = ClassFacts(
                 name=stmt.name,
                 line=stmt.lineno,
@@ -735,6 +830,16 @@ def extract_summary(module: ModuleSource, digest: str = "") -> ModuleSummary:
                 elif isinstance(base, ast.Name):
                     facts.bases.append(["local", base.id])
             for item in stmt.body:
+                if isinstance(item, _FUNCTION_DEFS):
+                    module_scope.extend(_header(item))
+                    qual = f"{stmt.name}.{item.name}"
+                    facts.methods[item.name] = extract_function(
+                        item, qual, stmt.name
+                    )
+                    if item.name == "__init__":
+                        _collect_ctor_attr_types(item, module, facts)
+                    continue
+                module_scope.append(item)
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     facts.fields[item.target.id] = {
                         "annotation": ast.unparse(item.annotation),
@@ -743,26 +848,15 @@ def extract_summary(module: ModuleSource, digest: str = "") -> ModuleSummary:
                     spec = _annotation_spec(item.annotation, module)
                     if spec is not None:
                         facts.attr_types[item.target.id] = spec
-                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{stmt.name}.{item.name}"
-                    facts.methods[item.name] = extract_function(
-                        item, qual, stmt.name
-                    )
-                    if item.name == "__init__":
-                        _collect_ctor_attr_types(item, module, facts)
             summary.classes[stmt.name] = facts
-
-    # Functions/classes defined inside functions: pickle hazards.
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for child in ast.walk(node):
-                if child is node:
-                    continue
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    summary.local_defs.append(child.name)
-    summary.local_defs = sorted(set(summary.local_defs))
+        else:
+            module_scope.append(stmt)
+    summary.body = _ScopeExtractor(
+        FunctionFacts(name="<module>", line=1),
+        module_scope, None, module, None, state,
+    ).run()
+    summary.local_defs = sorted(state.local_defs)
+    summary.pool_names = sorted(state.pool_names)
     return summary
 
 
@@ -1072,6 +1166,13 @@ class Program:
             out.append(self.functions[current].display)
             current = parents.get(current)
         return list(reversed(out))
+
+    def scopes(self) -> Iterator[Tuple[ModuleSummary, FunctionFacts]]:
+        """Every scope of every module, by path: what site checks walk."""
+        for path in sorted(self.by_path):
+            summary = self.by_path[path]
+            for facts in summary.scopes():
+                yield summary, facts
 
     def task_classes(self) -> List[str]:
         """Class ids of ``EvalTask`` and every (transitive) subclass."""

@@ -1,4 +1,4 @@
-"""Metric-catalog parity and span-balance rules.
+"""Metric-catalog parity rules.
 
 The metric-name tables in ``docs/API.md`` / ``docs/OBSERVABILITY.md``
 are the contract dashboards and the run-ledger regression checker build
@@ -15,18 +15,13 @@ passed to ``counter( / gauge( / histogram( / inc( / observe( /
 set_gauge(`` and to ``span(``; f-string holes become wildcards and
 parity is decided by pattern intersection (see
 :mod:`repro.lint.catalog`).
-
-``span-balance`` rides along: spans must be opened via ``with span(...)``
-so the per-thread stack always unwinds -- a bare ``span(...)`` call (or
-manual ``record_span`` / span-stack plumbing outside ``repro.obs``)
-leaves the stack unbalanced and corrupts every enclosing span path.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.catalog import (
     CatalogEntry,
@@ -35,17 +30,12 @@ from repro.lint.catalog import (
     parse_catalog,
 )
 from repro.lint.core import Finding, ModuleSource, Rule
+from repro.lint.graph import is_span_call
 
-__all__ = ["MetricCatalogRule", "MetricStaleRule", "SpanBalanceRule", "iter_emissions"]
+__all__ = ["MetricCatalogRule", "MetricStaleRule", "iter_emissions"]
 
 #: Registry methods whose first string argument names a metric.
 _EMIT_METHODS = {"counter", "gauge", "histogram", "inc", "observe", "set_gauge"}
-
-#: Canonical paths that resolve to the span context manager.
-_SPAN_FUNCS = {"repro.obs.span", "repro.obs.spans.span"}
-
-#: Span-plumbing internals that only ``repro/obs`` itself may touch.
-_SPAN_INTERNALS = {"record_span", "adopt_span"}
 
 
 @dataclass(frozen=True)
@@ -77,13 +67,6 @@ def _literal_glob(node: ast.AST) -> Optional[tuple]:
     return None
 
 
-def _is_span_call(module: ModuleSource, call: ast.Call) -> bool:
-    if isinstance(call.func, ast.Name) and call.func.id == "span":
-        resolved = module.imports.resolve_call(call)
-        return resolved is None or resolved in _SPAN_FUNCS
-    return module.imports.resolve_call(call) in _SPAN_FUNCS
-
-
 def iter_emissions(module: ModuleSource) -> Iterable[Emission]:
     """Every metric-name emission in one module."""
     for node in ast.walk(module.tree):
@@ -98,7 +81,7 @@ def iter_emissions(module: ModuleSource) -> Iterable[Emission]:
             if name is not None:
                 glob, display = name
                 yield Emission(glob, display, module.path, node.lineno, node.col_offset)
-        elif _is_span_call(module, node):
+        elif is_span_call(node, module.imports.resolve_call(node)):
             name = _literal_glob(node.args[0])
             if name is not None:
                 glob, display = name
@@ -183,63 +166,4 @@ class MetricStaleRule(_CatalogMixin, Rule):
                     symbol=entry.name,
                 )
             )
-        return findings
-
-
-class SpanBalanceRule(Rule):
-    id = "span-balance"
-    summary = (
-        "spans open only via 'with span(...)'; bare span() calls or manual "
-        "record_span/stack plumbing outside repro.obs unbalance the "
-        "per-thread span stack"
-    )
-
-    @staticmethod
-    def _in_obs(path: str) -> bool:
-        return "/obs/" in path
-
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        with_contexts: Set[int] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    with_contexts.add(id(item.context_expr))
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if _is_span_call(module, node) and id(node) not in with_contexts:
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            "span(...) must be the context of a 'with' "
-                            "statement; a bare call never closes and corrupts "
-                            "the span stack"
-                        ),
-                        symbol="span",
-                    )
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SPAN_INTERNALS
-                and not self._in_obs(module.path)
-            ):
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            f"manual {node.func.attr}() outside repro.obs "
-                            "bypasses the span context manager; open spans "
-                            "with 'with span(...)'"
-                        ),
-                        symbol=node.func.attr,
-                    )
-                )
         return findings

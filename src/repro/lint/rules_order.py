@@ -17,11 +17,9 @@ import ast
 from typing import Iterable, List, Optional
 
 from repro.lint.core import Finding, ModuleSource, Rule
+from repro.lint.graph import HASHING_TAILS
 
 __all__ = ["UnorderedIterRule"]
-
-#: Importing any of these marks a module as fingerprint-reachable.
-_HASHING_NAMES = {"derive_seed", "stable_fingerprint", "canonical_bytes"}
 
 
 def _fingerprint_scoped(module: ModuleSource) -> bool:
@@ -30,7 +28,9 @@ def _fingerprint_scoped(module: ModuleSource) -> bool:
     for canonical in module.imports.names.values():
         if "repro.exec.hashing" in canonical:
             return True
-        if canonical.rsplit(".", 1)[-1] in _HASHING_NAMES and canonical.startswith(
+        # Importing any of the hashing API marks a module as
+        # fingerprint-reachable.
+        if canonical.rsplit(".", 1)[-1] in HASHING_TAILS and canonical.startswith(
             "repro."
         ):
             return True

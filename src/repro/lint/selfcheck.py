@@ -1,10 +1,10 @@
 """Analyzer self-check against the seeded bad-fixture corpus.
 
 ``tests/fixtures/lint_corpus`` contains one deliberately-broken module
-per interprocedural rule family, and ``expected.json`` pins the exact
-``(rule, file, line)`` triples the analyzer must produce over them.
-This runner diffs actual against expected in both directions, so CI
-catches the analyzer going blind (a fixture no longer flagged) as well
+per call-graph check, and ``expected.json`` pins the exact
+``(rule, file, line)`` triples the full rule battery must produce over
+them.  This runner diffs actual against expected in both directions, so
+CI catches the analyzer going blind (a fixture no longer flagged) as well
 as going noisy (a finding the corpus does not expect) -- on every
 supported python version, since AST shapes shift between releases.
 
@@ -26,18 +26,6 @@ __all__ = ["main", "run_selfcheck"]
 
 DEFAULT_CORPUS = "tests/fixtures/lint_corpus"
 
-#: The families the corpus seeds violations for.  Per-file rules outside
-#: this set are deliberately not run: the corpus pragmas some of them off
-#: to isolate the interprocedural finding (see ``wallclock_feed_bad``).
-SELECTED_RULES = {
-    "rng-taint",
-    "worker-state-mutation",
-    "pickle-reachability",
-    "wallclock-fingerprint",
-    "span-escape",
-    "pickle-safety",
-}
-
 
 def run_selfcheck(corpus_dir: str = DEFAULT_CORPUS) -> Tuple[bool, List[str]]:
     """(ok, report_lines) for one corpus run."""
@@ -50,12 +38,7 @@ def run_selfcheck(corpus_dir: str = DEFAULT_CORPUS) -> Tuple[bool, List[str]]:
         (e["rule"], e["file"], int(e["line"])) for e in payload["findings"]
     }
 
-    config = LintConfig(
-        select=set(SELECTED_RULES),
-        baseline_path=None,
-        stale_check=False,
-        cache_path=None,
-    )
+    config = LintConfig(baseline_path=None, stale_check=False)
     result = Linter(default_rules(config), config).run([corpus.as_posix()])
     actual: Set[Tuple[str, str, int]] = {
         (f.rule, Path(f.path).name, f.line) for f in result.findings

@@ -1,4 +1,4 @@
-"""pickle-reachability: task fields that cannot cross the pool boundary."""
+"""pickle-safety: task fields that cannot cross the pool boundary."""
 
 from dataclasses import dataclass
 from typing import Callable, Tuple

@@ -1,10 +1,10 @@
-"""span-escape: an open span returned from a helper, never entered."""
+"""span-balance: an open span returned from a helper, never entered."""
 
 from repro.obs import span
 
 
 def open_phase(name: str):
-    # The per-file span-balance rule is pragma'd off: returning the open
+    # The bare-span site check is pragma'd off: returning the open
     # context *is* this helper's contract.  Call sites must enter it.
     return span(f"phase:{name}")  # lint: ignore[span-balance]
 

@@ -1,4 +1,4 @@
-"""wallclock-fingerprint: a clock read feeding a fingerprint input."""
+"""wall-clock: a clock read feeding a fingerprint input."""
 
 import time
 
@@ -6,9 +6,9 @@ from repro.exec.hashing import derive_seed
 
 
 def now_tag() -> int:
-    # The per-file rule is pragma'd off: this module *means* to read the
-    # clock here.  The interprocedural rule must still flag the chain
-    # below, because a fingerprint input reaches this call.
+    # The read is pragma'd: this module *means* to read the clock here.
+    # The feed below must still be flagged, because a pragma at the
+    # read does not bless a fingerprint chain through it.
     return int(time.time())  # lint: ignore[wall-clock]
 
 

@@ -6,6 +6,7 @@ from repro.aggregation import BetaFilterScheme, PScheme, SimpleAveragingScheme
 from repro.attacks import AttackGenerator, AttackSpec, ProductTarget, UniformWindow
 from repro.attacks.strategies import bad_mouthing, ballot_stuffing
 from repro.marketplace import RatingChallenge
+from repro.obs import MetricsRegistry, set_registry
 
 
 @pytest.fixture(scope="module")
@@ -103,18 +104,31 @@ class TestCrossSchemePipeline:
         assert 0.0 < mp < 1.5
 
     def test_pscheme_cache_speeds_repeat_evaluation(self, challenge, generator):
-        import time
-
+        """The repeat evaluation is served from the scores cache and runs
+        no detector at all.  Work is counted, not timed, so the check
+        holds at any machine speed."""
         spec = AttackSpec(2.5, 0.5, 40, UniformWindow(20.0, 40.0))
         submission = generator.generate(four_targets(challenge), spec)
         scheme = PScheme()
-        t0 = time.perf_counter()
-        first = challenge.evaluate(submission, scheme).total
-        t1 = time.perf_counter()
-        second = challenge.evaluate(submission, scheme).total
-        t2 = time.perf_counter()
+
+        def evaluate():
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
+            try:
+                return challenge.evaluate(submission, scheme).total, registry
+            finally:
+                set_registry(previous)
+
+        first, cold = evaluate()
+        second, warm = evaluate()
         assert first == pytest.approx(second)
-        assert (t2 - t1) < 0.5 * (t1 - t0)
+        assert cold.counter_value("pscheme.scores_cache.misses") == 2
+        assert cold.counter_value("detector.batch.calls") == 2
+        assert cold.counter_value("detector.joint.calls") == 13
+        assert warm.counter_value("pscheme.scores_cache.hits") == 2
+        assert warm.counter_value("pscheme.scores_cache.misses") == 0
+        assert warm.counter_value("detector.batch.calls") == 0
+        assert warm.counter_value("detector.joint.calls") == 0
 
     def test_unattacked_products_mostly_unmoved(self, challenge, generator):
         spec = AttackSpec(3.0, 0.2, 50, UniformWindow(25.0, 30.0))

@@ -405,8 +405,45 @@ class TestLintCommand:
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "rng-unseeded" in out
+        assert "rng-taint" in out
         assert "unordered-iter" in out
+
+    @staticmethod
+    def _lint_tree(tmp_path):
+        """A clean module plus a one-row metric catalog it emits."""
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs/API.md").write_text(
+            "| metric | type | meaning |\n|---|---|---|\n"
+            "| `exec.tasks` | counter | tasks dispatched |\n"
+        )
+        (tmp_path / "good.py").write_text("registry.inc('exec.tasks')\n")
+        return "good.py"
+
+    def test_lint_alert_rules_reach_the_linter(self, tmp_path, capsys, monkeypatch):
+        # The observability globals include an --alert-rules of their
+        # own; it must not swallow the linter's option.
+        monkeypatch.chdir(tmp_path)
+        tree = self._lint_tree(tmp_path)
+        (tmp_path / "bad.toml").write_text(
+            '[[rule]]\nname = "r"\nmetric = "no.such.metric"\n'
+        )
+        assert main(["lint", tree, "--alert-rules", "bad.toml"]) == 1
+        assert "alert-unknown-metric" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["--list-rules"],
+        ["good.py", "--catalog", "docs/API.md", "-q"],
+        ["bad.py", "--json", "-", "--no-baseline"],
+    ])
+    def test_lint_matches_module_entry_point(self, args, tmp_path, capsys, monkeypatch):
+        from repro.lint import main as lint_main
+
+        monkeypatch.chdir(tmp_path)
+        self._lint_tree(tmp_path)
+        (tmp_path / "bad.py").write_text("import time\nstamp = time.time()\n")
+        via_cli = main(["lint", *args]), capsys.readouterr()
+        via_module = lint_main(args), capsys.readouterr()
+        assert via_cli == via_module
 
 
 class TestMetricsStreamFlag:

@@ -1,6 +1,6 @@
-"""repro.lint.flow: the four interprocedural rule families.
+"""repro.lint.flow: the interprocedural side of the fact-based rules.
 
-Each family gets a bad/good fixture pair built as a small multi-file
+Each rule gets bad/good fixture pairs built as a small multi-file
 package under tmp_path, run through the real Linter with only that rule
 selected -- the same path ``repro lint`` takes, so these tests cover the
 extract -> link -> check pipeline end to end rather than poking rule
@@ -99,10 +99,26 @@ class TestRngTaint:
 
 
                 def rehearse():
-                    return np.random.default_rng()
+                    return np.random.default_rng(42)
             """,
         }, {"rng-taint"})
         assert result.findings == []
+
+    def test_unseeded_site_is_flagged_anywhere_and_once(self, tmp_path):
+        result = run_rules(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/base.py": TASK_BASE,
+            "pkg/loose.py": """
+                import numpy as np
+
+
+                def rehearse():
+                    return np.random.default_rng()
+            """,
+        }, {"rng-taint"})
+        (finding,) = result.findings
+        assert finding.symbol == "numpy.random.default_rng"
+        assert "task-reachable" not in finding.message
 
     def test_site_pragma_suppresses(self, tmp_path):
         result = run_rules(tmp_path, {
@@ -217,7 +233,7 @@ class TestPickleReachability:
                     def run(self):
                         return self.payload
             """,
-        }, {"pickle-reachability"})
+        }, {"pickle-safety"})
         flagged = sorted(f.message for f in result.findings)
         assert len(flagged) == 3
         assert any("payload" in m for m in flagged)
@@ -252,7 +268,7 @@ class TestPickleReachability:
                     def run(self):
                         return float(self.values.sum())
             """,
-        }, {"pickle-reachability"})
+        }, {"pickle-safety"})
         assert result.findings == []
 
 
@@ -281,9 +297,9 @@ class TestWallclockFingerprint:
             def fingerprint(root):
                 return derive_seed(root, now_tag())
         """
-        result = run_rules(tmp_path, files, {"wallclock-fingerprint"})
+        result = run_rules(tmp_path, files, {"wall-clock"})
         (finding,) = result.findings
-        assert finding.rule == "wallclock-fingerprint"
+        assert finding.rule == "wall-clock"
         assert "now_tag" in finding.message
         assert finding.path.endswith("keys.py")
 
@@ -300,10 +316,13 @@ class TestWallclockFingerprint:
             def fingerprint(root):
                 return derive_seed(root, label(root))
         """
-        result = run_rules(tmp_path, files, {"wallclock-fingerprint"})
+        result = run_rules(tmp_path, files, {"wall-clock"})
         assert result.findings == []
 
     def test_interprocedural_pragma_at_clock_site_suppresses(self, tmp_path):
+        """Pragmas act per line: one at the clock read sanctions the read
+        only, and the fingerprint chain through it is suppressed at the
+        feed site or not at all."""
         files = dict(self.FILES)
         files["repro/keys.py"] = """
             import time
@@ -312,15 +331,24 @@ class TestWallclockFingerprint:
 
 
             def coarse_day():
-                # lint: ignore[wall-clock]
-                return int(time.time() // 86400)  # lint: ignore[wallclock-fingerprint]
+                return int(time.time() // 86400)  # lint: ignore[wall-clock]
 
 
             def fingerprint(root):
                 return derive_seed(root, coarse_day())
         """
-        result = run_rules(tmp_path, files, {"wallclock-fingerprint"})
+        result = run_rules(tmp_path, files, {"wall-clock"})
+        (finding,) = result.findings
+        assert "coarse_day" in finding.message
+        assert finding.line == 12
+
+        files["repro/keys.py"] = files["repro/keys.py"].replace(
+            "derive_seed(root, coarse_day())",
+            "derive_seed(root, coarse_day())  # lint: ignore[wall-clock]",
+        )
+        result = run_rules(tmp_path, files, {"wall-clock"})
         assert result.findings == []
+        assert result.pragma_suppressed == 2
 
 
 class TestSpanEscape:
@@ -353,9 +381,9 @@ class TestSpanEscape:
                 open_phase(name)
                 return name
         """
-        result = run_rules(tmp_path, files, {"span-escape"})
+        result = run_rules(tmp_path, files, {"span-balance"})
         (finding,) = result.findings
-        assert finding.rule == "span-escape"
+        assert finding.rule == "span-balance"
         assert "open_phase" in finding.message
 
     def test_with_consumed_helper_is_clean(self, tmp_path):
@@ -372,7 +400,7 @@ class TestSpanEscape:
                 with open_phase(name):
                     return name
         """
-        result = run_rules(tmp_path, files, {"span-escape"})
+        result = run_rules(tmp_path, files, {"span-balance"})
         assert result.findings == []
 
     def test_wrapper_chains_propagate_span_returning(self, tmp_path):
@@ -393,6 +421,6 @@ class TestSpanEscape:
                 open_wrapped(name)
                 return name
         """
-        result = run_rules(tmp_path, files, {"span-escape"})
+        result = run_rules(tmp_path, files, {"span-balance"})
         (finding,) = result.findings
         assert "open_wrapped" in finding.message

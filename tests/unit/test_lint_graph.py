@@ -1,26 +1,18 @@
-"""repro.lint.graph: summary extraction, linking, and the analysis store.
+"""repro.lint.graph: summary extraction and linking.
 
-The whole-program rules are only as good as the graph under them, so
-this suite pins the graph layer directly: what one module's summary
-records (calls, taint verdicts, writes, clock reads, span facts), that
-summaries survive the JSON round-trip the cache depends on, and how the
-linker binds names across modules -- imports, package re-exports,
-annotation- and constructor-driven method binding, subclass fan-out,
-and the unique-name fallback for dynamic dispatch.
+Every lint rule is only as good as the facts under it, so this suite
+pins the graph layer directly: what one module's summary records
+(calls, taint verdicts, writes, clock reads, span facts, module-scope
+code), and how the linker binds names across modules -- imports,
+package re-exports, annotation- and constructor-driven method binding,
+subclass fan-out, and the unique-name fallback for dynamic dispatch.
 """
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.lint.core import ModuleSource, walk_python_files
-from repro.lint.graph import (
-    ModuleSummary,
-    build_program,
-    extract_summary,
-    module_name_for,
-)
-from repro.lint.store import AnalysisStore, content_digest
+from repro.lint.graph import build_program, extract_summary, module_name_for
 
 
 def write_tree(tmp_path, files):
@@ -137,20 +129,6 @@ class TestExtraction:
         assert [w["name"] for w in mutate.shared_writes] == ["world"]
         assert not summary.functions["harmless"].global_writes
 
-    def test_wallclock_suppression_honors_only_interprocedural_pragma(self, tmp_path):
-        module = parse_one(tmp_path, """
-            import time
-
-            def per_file_blessed():
-                return time.time()  # lint: ignore[wall-clock]
-
-            def chain_blessed():
-                return time.time()  # lint: ignore[wallclock-fingerprint]
-        """)
-        summary = extract_summary(module)
-        assert not summary.functions["per_file_blessed"].wallclock[0]["suppressed"]
-        assert summary.functions["chain_blessed"].wallclock[0]["suppressed"]
-
     def test_hash_feed_collects_nested_call_targets(self, tmp_path):
         module = parse_one(tmp_path, """
             from repro.exec.hashing import derive_seed
@@ -185,29 +163,52 @@ class TestExtraction:
         assert summary.functions["via_name"].returns_span
         assert not summary.functions["unrelated"].returns_span
 
-    def test_summary_round_trips_through_json(self, tmp_path):
+    def test_module_scope_code_lands_in_body(self, tmp_path):
         module = parse_one(tmp_path, """
+            import time
             import numpy as np
-            from dataclasses import dataclass
+            from repro.obs import span
 
-            @dataclass(frozen=True)
-            class Probe:
-                seed: int
+            stamp = time.time()
 
-                def run(self):
-                    return np.random.default_rng(self.seed)
+            class Config:
+                created = time.time()
 
-            def outer():
-                def inner():
-                    return 1
-                return inner()
+                def reseed(self, rng=np.random.default_rng()):
+                    return rng
+
+            with span("setup"):
+                pass
+            opened = span("leak")
         """)
-        summary = extract_summary(module, digest="abc")
-        payload = json.loads(json.dumps(summary.to_dict()))
-        restored = ModuleSummary.from_dict(payload)
-        assert restored.to_dict() == summary.to_dict()
-        assert restored.classes["Probe"].is_dataclass
-        assert restored.local_defs == ["inner"]
+        summary = extract_summary(module)
+        body = summary.body
+        assert body.name == "<module>"
+        assert [c["line"] for c in body.wallclock] == [6, 9]
+        assert [s["seeded"] for s in body.rng_sites] == [False]
+        assert [s["line"] for s in body.span_sites] == [16]
+        assert not summary.classes["Config"].methods["reseed"].rng_sites
+
+    def test_local_defs_and_pool_names(self, tmp_path):
+        module = parse_one(tmp_path, """
+            class Top:
+                def method(self):
+                    class Inner:
+                        pass
+                    return Inner
+
+            def outer(tasks):
+                def score(x):
+                    return x
+                pool = ProcessPoolExecutor(2)
+                return pool.map(score, tasks)
+        """)
+        summary = extract_summary(module)
+        assert summary.local_defs == ["Inner", "score"]
+        assert "pool" in summary.pool_names
+        (payload,) = summary.functions["outer"].payloads
+        assert payload["sink"] == "pool.map(...)"
+        assert payload["args"][0]["candidates"] == [["locally-defined 'score'", "score"]]
 
 
 class TestLinking:
@@ -341,39 +342,3 @@ class TestLinking:
         assert names == {"core_mod.py", "mid_mod.py", "top_mod.py"}
         unknown = program.reverse_dependency_closure(["nowhere.py"])
         assert unknown == {"nowhere.py"}
-
-
-class TestAnalysisStore:
-    def test_warm_hit_and_digest_invalidation(self, tmp_path):
-        store_path = tmp_path / "cache.json"
-        module = parse_one(tmp_path, "def f():\n    return 1\n")
-        digest = content_digest(module.text)
-        store = AnalysisStore(store_path)
-        store.put(extract_summary(module, digest))
-        store.save()
-
-        warm = AnalysisStore(store_path)
-        assert warm.get(module.path, digest) is not None
-        assert warm.hits == [module.path]
-        assert warm.get(module.path, "other-digest") is None
-
-    def test_schema_version_mismatch_discards_entries(self, tmp_path):
-        store_path = tmp_path / "cache.json"
-        store_path.write_text(json.dumps({
-            "version": -1,
-            "entries": {"mod.py": {"digest": "d", "summary": {}}},
-        }))
-        assert AnalysisStore(store_path).entries == {}
-
-    def test_corrupt_store_is_ignored(self, tmp_path):
-        store_path = tmp_path / "cache.json"
-        store_path.write_text("{not json")
-        assert AnalysisStore(store_path).entries == {}
-
-    def test_prune_drops_vanished_files(self, tmp_path):
-        store_path = tmp_path / "cache.json"
-        module = parse_one(tmp_path, "def f():\n    return 1\n")
-        store = AnalysisStore(store_path)
-        store.put(extract_summary(module, content_digest(module.text)))
-        store.prune([])
-        assert store.entries == {}
