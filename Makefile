@@ -47,6 +47,6 @@ examples:
 	$(PYTHON) examples/challenge_simulation.py 30
 	$(PYTHON) examples/attack_optimization.py 3
 
-clean:
-	rm -rf benchmarks/results .pytest_cache
+clean:           ## generated files only; benchmarks/results/*.txt are tracked
+	rm -rf .pytest_cache benchmarks/results/detectors.speedscope.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

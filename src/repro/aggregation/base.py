@@ -8,9 +8,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.marketplace.mp import month_edges
-from repro.types import RatingDataset, RatingStream
+from repro.types import RatingDataset
 
-__all__ = ["month_windows", "AggregationScheme"]
+__all__ = ["month_windows", "window_cuts", "AggregationScheme"]
 
 
 def month_windows(
@@ -19,6 +19,20 @@ def month_windows(
     """Half-open ``[start, stop)`` period windows covering the time span."""
     edges = month_edges(start_day, end_day, period_days)
     return [(float(edges[i]), float(edges[i + 1])) for i in range(edges.size - 1)]
+
+
+def window_cuts(
+    dataset: RatingDataset, period_days: float, start_day: float, end_day: float
+) -> Dict[str, np.ndarray]:
+    """Per product, the offsets that cut its stream into the period windows.
+
+    Window ``w`` of product ``p`` is ``stream.values[cuts[p][w]:cuts[p][w + 1]]``.
+    Streams are time-sorted, so the slice holds the same ratings in the same
+    order as ``stream.between(*month_windows(...)[w])``, and its mean is the
+    same to the bit.
+    """
+    edges = month_edges(start_day, end_day, period_days)
+    return {pid: np.searchsorted(dataset[pid].times, edges) for pid in dataset}
 
 
 def dataset_fingerprint(dataset: RatingDataset) -> Tuple:
@@ -81,10 +95,3 @@ class AggregationScheme(ABC):
             finite = series[np.isfinite(series)]
             out[product_id] = float(finite[-1]) if finite.size else float("nan")
         return out
-
-    @staticmethod
-    def _windowed_streams(
-        stream: RatingStream, windows: List[Tuple[float, float]]
-    ) -> List[RatingStream]:
-        """The stream cut into the per-period sub-streams."""
-        return [stream.between(lo, hi) for lo, hi in windows]

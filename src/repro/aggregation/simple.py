@@ -12,7 +12,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.aggregation.base import AggregationScheme, month_windows
+from repro.aggregation.base import AggregationScheme, window_cuts
 from repro.types import RatingDataset
 
 __all__ = ["SimpleAveragingScheme"]
@@ -30,14 +30,14 @@ class SimpleAveragingScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
-        windows = month_windows(start_day, end_day, period_days)
         scores: Dict[str, np.ndarray] = {}
-        for product_id in dataset:
-            stream = dataset[product_id]
-            series = np.full(len(windows), np.nan)
-            for i, (lo, hi) in enumerate(windows):
-                window = stream.between(lo, hi)
-                if len(window):
-                    series[i] = window.values.mean()
+        for product_id, cuts in window_cuts(
+            dataset, period_days, start_day, end_day
+        ).items():
+            values = dataset[product_id].values
+            series = np.full(cuts.size - 1, np.nan)
+            for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+                if hi > lo:
+                    series[i] = values[lo:hi].mean()
             scores[product_id] = series
         return scores
