@@ -3,7 +3,7 @@
 PYTHON ?= python
 LEDGER ?= .repro/ledger.jsonl
 
-.PHONY: install test lint bench bench-quick bench-baseline bench-detectors bench-parallel ledger-check examples clean
+.PHONY: install test lint bench bench-quick reproduce bench-baseline bench-detectors bench-parallel ledger-check examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -26,6 +26,10 @@ bench:           ## full 251-submission reproduction of every figure
 
 bench-quick:     ## reduced population for a fast pass
 	REPRO_POPULATION=60 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+reproduce:       ## every figure at 251 submissions; fails on any diff against benchmarks/results
+	PYTHONPATH=src REPRO_POPULATION=251 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	git diff --exit-code -- benchmarks/results
 
 bench-baseline:  ## headline MP bench with metrics on -> BENCH_obs_baseline.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_obs_baseline.py

@@ -5,9 +5,11 @@ of every attacked dataset in a seeded challenge population, with a
 collecting registry and the span-attributed sampling profiler on, and
 writes ``BENCH_detectors.json`` at the repo root:
 
-- per sub-detector (MC, H-ARC, L-ARC, HC, ME): call count plus p50/p90
-  wall-clock seconds from the ``span.detector.<kind>.seconds`` span
-  histograms;
+- per sub-detector (MC, H-ARC, L-ARC, HC, ME) and for the
+  ``detector.batch`` precompute (which builds every stream's MC, HC and
+  ME curves): call count plus p50/p90 wall-clock seconds from the
+  ``span.detector.<kind>.seconds`` span histograms, so the regression
+  gate also sees the curve work that runs inside the batch;
 - aggregate ``analyze_batch`` wall time per population (the batching win,
   distinct from the per-detector incremental win);
 - the top self-time frames the profiler attributed to detector spans;
@@ -49,7 +51,7 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_detectors.json"
 SPEEDSCOPE_OUT = (
     Path(__file__).resolve().parent / "results" / "detectors.speedscope.json"
 )
-DETECTOR_KINDS = ("MC", "H-ARC", "L-ARC", "HC", "ME")
+DETECTOR_KINDS = ("batch", "MC", "H-ARC", "L-ARC", "HC", "ME")
 
 
 def main() -> int:

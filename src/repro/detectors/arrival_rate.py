@@ -22,7 +22,7 @@ import numpy as np
 from repro.detectors.base import DetectorConfig, TimeInterval
 from repro.errors import ValidationError
 from repro.signal.curves import Curve, arrival_rate_curve
-from repro.signal.peaks import Peak, UShape, detect_u_shape, find_peaks
+from repro.signal.peaks import Peak, UShape, find_peaks, u_shape_from_peaks
 from repro.signal.segmentation import segment_bounds_from_peaks
 from repro.types import RatingStream
 
@@ -100,28 +100,24 @@ class ArrivalRateDetector:
         counts, _ = np.histogram(selected, bins=edges)
         return days, counts.astype(int)
 
-    def curve(self, stream: RatingStream, half_width: Optional[int] = None) -> Curve:
-        """The ARC indicator curve over the daily-count series.
-
-        ``half_width`` defaults to half the configured (short) window.
-        """
-        days, counts = self.daily_counts(stream)
-        if half_width is None:
-            half_width = max(self.config.arc_window_days // 2, 1)
-        return arrival_rate_curve(
-            days.astype(float), counts.astype(float), half_width, kind=self.kind
-        )
+    def _curves_from_counts(
+        self, days: np.ndarray, counts: np.ndarray
+    ) -> List[Curve]:
+        """The indicator curves of one count series at every configured
+        scale: the short window, then the long one when configured."""
+        half_widths = [max(self.config.arc_window_days // 2, 1)]
+        if self.config.arc_long_window_days:
+            half_widths.append(max(self.config.arc_long_window_days // 2, 1))
+        days = days.astype(float)
+        counts = counts.astype(float)
+        return [
+            arrival_rate_curve(days, counts, half_width, kind=self.kind)
+            for half_width in half_widths
+        ]
 
     def curves(self, stream: RatingStream) -> List[Curve]:
         """The indicator curves at every configured scale (short, long)."""
-        out = [self.curve(stream)]
-        if self.config.arc_long_window_days:
-            out.append(
-                self.curve(
-                    stream, half_width=max(self.config.arc_long_window_days // 2, 1)
-                )
-            )
-        return out
+        return self._curves_from_counts(*self.daily_counts(stream))
 
     @staticmethod
     def _merge_peaks(peak_lists: List[List[Peak]], min_separation: int) -> List[Peak]:
@@ -172,16 +168,16 @@ class ArrivalRateDetector:
         return [tuple(b) for b in merged_bounds], out_rates
 
     def suspicious_segments(
-        self, stream: RatingStream, peaks: List[Peak]
+        self, days: np.ndarray, counts: np.ndarray, peaks: List[Peak]
     ) -> List[TimeInterval]:
         """Section IV-C.3: segments whose arrival rate rose sharply.
 
-        The daily-count series is cut at the curve peaks, similar-rate
-        neighbours are merged back together, and a (merged) segment whose
-        per-day rate exceeds the previous segment's by both the configured
-        ratio and the configured absolute increase is marked.
+        ``(days, counts)`` is the stream's :meth:`daily_counts` series.  It
+        is cut at the curve peaks, similar-rate neighbours are merged back
+        together, and a (merged) segment whose per-day rate exceeds the
+        previous segment's by both the configured ratio and the configured
+        absolute increase is marked.
         """
-        days, counts = self.daily_counts(stream)
         if counts.size == 0 or len(peaks) == 0:
             return []
         bounds = segment_bounds_from_peaks(counts.size, peaks)
@@ -203,14 +199,17 @@ class ArrivalRateDetector:
     def analyze(self, stream: RatingStream) -> ArrivalRateReport:
         """Full ARC-family analysis of one stream.
 
-        Peaks, the U-shape, and the alarm are evaluated at every configured
-        window scale (the short paper window plus the optional long window
-        for slow rate changes) and merged.  The *alarm* (used by Path 2 of
-        the joint detector) fires when any curve exceeds the alarm
-        threshold -- evidence of a rate anomaly -- regardless of whether a
-        clean U-shape exists.
+        The daily counts are built once and feed both scales and the
+        segment rule.  Peaks, the U-shape, and the alarm are evaluated at
+        every configured window scale (the short paper window plus the
+        optional long window for slow rate changes) and merged; each
+        scale's U-shape comes from the peaks already found on it.  The
+        *alarm* (used by Path 2 of the joint detector) fires when any
+        curve exceeds the alarm threshold -- evidence of a rate anomaly --
+        regardless of whether a clean U-shape exists.
         """
-        curves = self.curves(stream)
+        days, counts = self.daily_counts(stream)
+        curves = self._curves_from_counts(days, counts)
         peak_threshold = self.config.peak_threshold_for(self.kind)
         separation = self.config.peak_min_separation
         per_scale_peaks = [
@@ -219,10 +218,8 @@ class ArrivalRateDetector:
         ]
         peaks = self._merge_peaks(per_scale_peaks, separation)
         u_shape = None
-        for curve in curves:
-            u_shape = detect_u_shape(
-                curve, threshold=peak_threshold, min_separation=separation
-            )
+        for curve, scale_peaks in zip(curves, per_scale_peaks):
+            u_shape = u_shape_from_peaks(curve, scale_peaks)
             if u_shape is not None:
                 break
         alarm_threshold = self.config.alarm_threshold_for(self.kind)
@@ -230,7 +227,7 @@ class ArrivalRateDetector:
             curve.values.size and float(curve.values.max()) > alarm_threshold
             for curve in curves
         )
-        intervals = self.suspicious_segments(stream, peaks)
+        intervals = self.suspicious_segments(days, counts, peaks)
         return ArrivalRateReport(
             kind=self.kind,
             curve=curves[0],

@@ -4,20 +4,20 @@
 as numpy arrays, but a dataset is still a *collection* of per-product
 objects: any pass over all products pays one Python round-trip per
 stream.  :class:`StreamColumns` flattens a whole dataset into contiguous
-concatenated columns -- value / time / unfair plus integer rater codes --
-indexed by an offsets array, so cross-stream kernels (the joint
-detector's batched HC clustering and AR solves) can slice every product
-out of one allocation.
+concatenated value and time columns, indexed by an offsets array, so
+cross-stream kernels (the joint detector's batched MC window means, HC
+clustering and AR solves) can slice every product out of one
+allocation.
 
-This is a scoped slice of the ROADMAP's columnar-store refactor (item 1):
-the extraction is read-only and per-analysis, leaving the public
-``RatingStream`` representation untouched.
+It holds only what detection reads.  The extraction is read-only and
+per-analysis, leaving the public ``RatingStream`` representation
+untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,25 +35,16 @@ class StreamColumns:
     product_ids:
         Products in dataset iteration order; stream ``i`` occupies rows
         ``offsets[i]:offsets[i + 1]`` of every column.
-    times, values, unfair:
-        Concatenated per-rating columns (float, float, bool).
+    times, values:
+        Concatenated per-rating columns (float).
     offsets:
         ``(num_streams + 1,)`` int array of stream boundaries.
-    rater_codes:
-        Per-rating integer codes into ``rater_vocab`` (sorted unique
-        rater ids across the dataset), replacing the per-stream string
-        tuples for numeric passes.
-    rater_vocab:
-        Code -> rater id decoding table.
     """
 
     product_ids: Tuple[str, ...]
     times: np.ndarray
     values: np.ndarray
-    unfair: np.ndarray
     offsets: np.ndarray
-    rater_codes: np.ndarray
-    rater_vocab: Tuple[str, ...]
 
     @property
     def num_streams(self) -> int:
@@ -97,30 +88,14 @@ def extract_columns(dataset: RatingDataset) -> StreamColumns:
     )
     offsets = np.zeros(len(streams) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    if total:
+    if offsets[-1]:
         times = np.concatenate([s.times for s in streams])
         values = np.concatenate([s.values for s in streams])
-        unfair = np.concatenate([s.unfair for s in streams])
     else:
         times = np.empty(0, dtype=float)
         values = np.empty(0, dtype=float)
-        unfair = np.empty(0, dtype=bool)
-    vocab = sorted({r for s in streams for r in s.rater_ids})
-    code_of: Dict[str, int] = {rater: code for code, rater in enumerate(vocab)}
-    rater_codes = np.fromiter(
-        (code_of[r] for s in streams for r in s.rater_ids),
-        dtype=np.int64,
-        count=total,
-    )
-    for column in (times, values, unfair, offsets, rater_codes):
+    for column in (times, values, offsets):
         column.setflags(write=False)
     return StreamColumns(
-        product_ids=product_ids,
-        times=times,
-        values=values,
-        unfair=unfair,
-        offsets=offsets,
-        rater_codes=rater_codes,
-        rater_vocab=tuple(vocab),
+        product_ids=product_ids, times=times, values=values, offsets=offsets
     )

@@ -40,18 +40,18 @@ class HistogramChangeReport:
 
 
 def _mask_to_intervals(times: np.ndarray, mask: np.ndarray) -> List[TimeInterval]:
-    """Contiguous True runs of ``mask`` converted to time intervals."""
-    intervals: List[TimeInterval] = []
-    start_idx: Optional[int] = None
-    for i, flag in enumerate(mask):
-        if flag and start_idx is None:
-            start_idx = i
-        elif not flag and start_idx is not None:
-            intervals.append(TimeInterval(float(times[start_idx]), float(times[i - 1])))
-            start_idx = None
-    if start_idx is not None:
-        intervals.append(TimeInterval(float(times[start_idx]), float(times[-1])))
-    return intervals
+    """Contiguous True runs of ``mask`` converted to time intervals.
+
+    Runs are read off the mask's edges in one vectorized pass: padded
+    with ``False`` on both sides, the mask changes value exactly at each
+    run's first index and one past its last.
+    """
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [
+        TimeInterval(float(times[start]), float(times[stop - 1]))
+        for start, stop in zip(edges[0::2], edges[1::2])
+    ]
 
 
 class HistogramChangeDetector:

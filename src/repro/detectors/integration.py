@@ -18,6 +18,11 @@ ME-suspicious (HC-suspicious) interval are marked.
 Both paths always run; their marks are unioned (a product can be attacked
 more than once, Section IV-F).
 
+:meth:`JointDetector.analyze_batch` is the production path: it builds the
+MC, HC and ME curves of every stream of a dataset in one cross-stream
+pass each, then runs :meth:`JointDetector.analyze` per stream on those
+curves.  A stream analyzed alone builds the same curves as a batch of one.
+
 Every mark also records *provenance*: which path fired and which
 sub-detectors contributed, as ``PROV_*`` bit flags per rating
 (:mod:`repro.detectors.base`).  The mask travels on the
@@ -72,6 +77,7 @@ from repro.signal.ar import (
 from repro.signal.curves import (
     Curve,
     histogram_change_curve_from_stats,
+    mean_change_curves_by_time,
     model_error_curve_from_errors,
 )
 from repro.signal.rolling import sliding_vars, two_cluster_balance
@@ -237,9 +243,9 @@ class JointDetector:
         any trust has been established.
 
         ``precomputed`` optionally carries indicator curves (keyed by
-        detector kind) that :meth:`analyze_batch` already built in its
-        cross-stream pass; the matching sub-detectors then only threshold
-        the curve instead of recomputing it.  Detection output is
+        detector kind: MC, HC, ME) that :meth:`analyze_batch` already
+        built in its cross-stream pass; the matching sub-detectors then
+        take the curve instead of building it.  Detection output is
         bit-identical either way.
         """
         n = len(stream)
@@ -256,7 +262,10 @@ class JointDetector:
         low_mask = stream.values < threshold_b
 
         precomputed = precomputed or {}
-        mc_report = self._timed("MC", self.mean_change.analyze, stream, trust_lookup)
+        mc_report = self._timed(
+            "MC", self.mean_change.analyze, stream, trust_lookup,
+            precomputed.get("MC"),
+        )
         harc_report = self._timed("H-ARC", self.h_arc.analyze, stream)
         larc_report = self._timed("L-ARC", self.l_arc.analyze, stream)
         if "HC" in precomputed:
@@ -419,15 +428,17 @@ class JointDetector:
         """Run detection over every product of a dataset, batched.
 
         The dataset is first flattened into contiguous columnar arrays
-        (:func:`~repro.detectors.columns.extract_columns`); the HC and ME
-        indicator curves -- the two detectors that dominated the serial
-        profile -- are then precomputed for *all* streams in single
-        stacked numpy/LAPACK passes under the ``detector.batch`` span.
-        The per-stream :meth:`analyze` calls that follow consume the
-        precomputed curves, so every report (masks, provenance, curves,
-        ``quality.*`` scorecards) is bit-identical to the per-stream path
-        while the window-statistic work runs once per dataset instead of
-        once per product.
+        (:func:`~repro.detectors.columns.extract_columns`).  The MC, HC and
+        ME indicator curves of *all* eligible streams are then built in
+        single cross-stream passes under the ``detector.batch`` span: one
+        window-means pass (windows grouped by length across streams) for
+        MC, one clustering pass for HC and one stacked LAPACK solve for
+        ME.  The per-stream :meth:`analyze` calls that follow consume the
+        precomputed curves and build the H-/L-ARC curves themselves (one
+        prefix-sum pass per curve), so every report (masks, provenance,
+        curves, ``quality.*`` scorecards) is bit-identical to the
+        per-stream path while the window-statistic work runs once per
+        dataset instead of once per product.
 
         Batch telemetry: ``detector.batch.calls`` / ``.streams`` /
         ``.ratings`` counters, the ``detector.batch`` span for the
@@ -442,15 +453,25 @@ class JointDetector:
                 for i, length in enumerate(columns.lengths)
                 if length >= self.config.min_ratings
             ]
-            precomputed: Dict[str, Dict[str, Curve]] = {}
+            offsets = columns.offsets.tolist()
+            mc_curves = mean_change_curves_by_time(
+                columns.times,
+                columns.values,
+                [(offsets[i], offsets[i + 1]) for i in eligible],
+                self.config.mc_window_days,
+            )
+            precomputed: Dict[str, Dict[str, Curve]] = {
+                columns.product_ids[i]: {"MC": curve}
+                for i, curve in zip(eligible, mc_curves)
+            }
             for product_id, curve in self._batch_hc_curves(
                 columns, eligible
             ).items():
-                precomputed.setdefault(product_id, {})["HC"] = curve
+                precomputed[product_id]["HC"] = curve
             for product_id, curve in self._batch_me_curves(
                 columns, eligible, registry
             ).items():
-                precomputed.setdefault(product_id, {})["ME"] = curve
+                precomputed[product_id]["ME"] = curve
         registry.inc("detector.batch.calls")
         registry.inc("detector.batch.streams", columns.num_streams)
         registry.inc("detector.batch.ratings", columns.total_ratings)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.detectors.base import DetectorConfig, TimeInterval
 from repro.signal.curves import Curve, mean_change_curve_by_time
-from repro.signal.peaks import Peak, UShape, detect_u_shape, find_peaks
+from repro.signal.peaks import Peak, UShape, find_peaks, u_shape_from_peaks
 from repro.signal.segmentation import segment_bounds_from_peaks
 from repro.types import RatingStream
 
@@ -131,19 +131,21 @@ class MeanChangeDetector:
         self,
         stream: RatingStream,
         trust_lookup: Optional[TrustLookup] = None,
+        curve: Optional[Curve] = None,
     ) -> MeanChangeReport:
-        """Full MC analysis of one stream."""
-        curve = self.curve(stream)
+        """Full MC analysis of one stream.
+
+        ``curve`` is the stream's MC curve when the caller already built
+        it (the joint detector's batch builds every stream's curve in one
+        pass); otherwise it is built here.
+        """
+        if curve is None:
+            curve = self.curve(stream)
         peaks = self.peaks(curve)
-        u_shape = detect_u_shape(
-            curve,
-            threshold=self.config.mc_peak_threshold,
-            min_separation=self.config.peak_min_separation,
-        )
         intervals = self.suspicious_segments(stream, peaks, trust_lookup)
         return MeanChangeReport(
             curve=curve,
             peaks=tuple(peaks),
-            u_shape=u_shape,
+            u_shape=u_shape_from_peaks(curve, peaks),
             suspicious_intervals=tuple(intervals),
         )

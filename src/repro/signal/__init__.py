@@ -22,10 +22,11 @@ from repro.signal.curves import (
     histogram_change_curve,
     mean_change_curve_by_count,
     mean_change_curve_by_time,
+    mean_change_curves_by_time,
     model_error_curve,
 )
 from repro.signal.glrt import gaussian_mean_change_statistic, mean_change_decision
-from repro.signal.peaks import UShape, detect_u_shape, find_peaks
+from repro.signal.peaks import UShape, detect_u_shape, find_peaks, u_shape_from_peaks
 from repro.signal.poisson import poisson_rate_change_statistic, rate_change_decision
 from repro.signal.segmentation import segment_bounds_from_peaks, segment_labels
 
@@ -40,12 +41,14 @@ __all__ = [
     "histogram_change_curve",
     "mean_change_curve_by_count",
     "mean_change_curve_by_time",
+    "mean_change_curves_by_time",
     "model_error_curve",
     "gaussian_mean_change_statistic",
     "mean_change_decision",
     "UShape",
     "detect_u_shape",
     "find_peaks",
+    "u_shape_from_peaks",
     "poisson_rate_change_statistic",
     "rate_change_decision",
     "segment_bounds_from_peaks",

@@ -18,11 +18,19 @@ All constructors return a :class:`Curve`: aligned arrays of evaluation
 times, evaluation indices (index into the underlying series), and
 statistic values.
 
-Every builder runs on the vectorized fast path: windows are evaluated in
-batched passes (grouped by window size where sizes shrink at the edges)
-instead of one Python-level statistic call per centre, while producing
-**bit-identical** values to the per-window formulation -- see
-:mod:`repro.signal.rolling` for how that guarantee is kept and
+Every builder runs on the vectorized fast path, with no Python-level
+statistic call per centre, and produces **bit-identical** values to the
+per-window formulation:
+
+- MC means come from one window-means pass that groups windows by
+  length.  :func:`mean_change_curves_by_time` builds the curves of a
+  whole batch of streams in that one pass (the joint detector's batch
+  does so); a single stream is a batch of one.
+- ARC half-window sums come from one prefix sum of the daily counts,
+  exact because the counts are whole numbers.
+- HC and ME reduce ``sliding_window_view`` stacks row by row.
+
+See :mod:`repro.signal.rolling` for how the guarantee is kept and
 ``tests/property/test_incremental_curves.py`` for the exact-equality
 pinning against the retained naive references.
 """
@@ -30,6 +38,7 @@ pinning against the retained naive references.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,7 +47,7 @@ from repro.errors import ValidationError
 from repro.signal.ar import sliding_ar_normalized_errors
 from repro.signal.rolling import (
     centered_half_widths,
-    mean_change_stats_equal_halves,
+    mean_change_stats,
     rate_change_stats_equal_halves,
     two_cluster_balance,
 )
@@ -48,6 +57,7 @@ __all__ = [
     "Curve",
     "mean_change_curve_by_count",
     "mean_change_curve_by_time",
+    "mean_change_curves_by_time",
     "arrival_rate_curve",
     "histogram_change_curve",
     "histogram_change_curve_from_stats",
@@ -130,7 +140,7 @@ def mean_change_curve_by_count(
     if values.size < 2:
         return _empty_curve("MC")
     centers, halves = centered_half_widths(values.size, half_width)
-    stats = mean_change_stats_equal_halves(values, centers, halves)
+    stats = mean_change_stats(values, centers - halves, halves, centers, halves)
     return Curve(
         kind="MC",
         times=times[centers],
@@ -139,62 +149,75 @@ def mean_change_curve_by_count(
     )
 
 
-def mean_change_curve_by_time(
-    times: np.ndarray, values: np.ndarray, window_days: float
-) -> Curve:
-    """MC curve with fixed-duration windows of ``window_days`` days.
+def mean_change_curves_by_time(
+    times: np.ndarray,
+    values: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    window_days: float,
+) -> List[Curve]:
+    """MC curves of a batch of streams, with ``window_days``-day windows.
 
-    At each rating index ``k`` the two halves are the ratings in
+    ``times`` and ``values`` hold the streams back to back; stream ``j``
+    is rows ``bounds[j][0]:bounds[j][1]``.  At each rating index ``k`` of
+    a stream, the two halves are that stream's ratings in
     ``[t(k) - window_days/2, t(k))`` and ``[t(k), t(k) + window_days/2)``.
     Centres where either half is empty get statistic ``0`` (no evidence of
-    change is obtainable there).
+    change is obtainable there); a stream of fewer than two ratings gets
+    an empty curve.
 
-    The halves at each centre are located with two ``searchsorted`` sweeps
-    (equivalent to the historical two-pointer scan); the half means are
-    then computed per distinct half length by gathering exactly the needed
-    windows into a row matrix and reducing row-wise (bit-equal to the
-    per-slice mean, same pairwise reduction), so the whole curve is built
-    without a per-centre Python loop and without touching windows no
-    centre asked for.
+    The halves are located with two ``searchsorted`` sweeps per stream
+    (equivalent to the historical two-pointer scan).  The half means of
+    *all* streams then come from one :func:`~repro.signal.rolling.window_means`
+    call, which groups the windows by length across the batch; each row is
+    reduced on its own, so every curve is bit-identical to building it
+    from its stream alone.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     window_days = check_positive(window_days, "window_days")
-    n = values.size
-    if n < 2:
-        return _empty_curve("MC")
     half = window_days / 2.0
-    centers = np.arange(n)
-    lo = np.searchsorted(times, times - half, side="left")
-    hi = np.searchsorted(times, times + half, side="left")
-    first_len = centers - lo
-    second_len = hi - centers
+    los, his, centers = [], [], []
+    for start, stop in bounds:
+        t = times[start:stop]
+        los.append(np.searchsorted(t, t - half, side="left") + start)
+        his.append(np.searchsorted(t, t + half, side="left") + start)
+        centers.append(np.arange(start, stop))
+    if not centers:
+        return []
+    lo = np.concatenate(los)
+    hi = np.concatenate(his)
+    center = np.concatenate(centers)
+    first_len = center - lo
+    second_len = hi - center
     valid = (first_len > 0) & (second_len > 0)
-    stats = np.zeros(n, dtype=float)
-    if valid.any():
-        first_mean = np.empty(n, dtype=float)
-        second_mean = np.empty(n, dtype=float)
-        for length in np.unique(first_len[valid]):
-            length = int(length)
-            sel = valid & (first_len == length)
-            starts = centers[sel] - length
-            first_mean[sel] = values[starts[:, None] + np.arange(length)].mean(
-                axis=1
-            )
-        for length in np.unique(second_len[valid]):
-            length = int(length)
-            sel = valid & (second_len == length)
-            starts = centers[sel]
-            second_mean[sel] = values[starts[:, None] + np.arange(length)].mean(
-                axis=1
-            )
-        n1 = first_len[valid]
-        n2 = second_len[valid]
-        diff = first_mean[valid] - second_mean[valid]
-        # Same expression tree as gaussian_mean_change_statistic.
-        coefficient = 2.0 * (n1 * n2) / (n1 + n2)
-        stats[valid] = coefficient * diff * diff
-    return Curve(kind="MC", times=times.copy(), indices=centers, values=stats)
+    stats = np.zeros(times.size, dtype=float)
+    stats[center[valid]] = mean_change_stats(
+        values, lo[valid], first_len[valid], center[valid], second_len[valid]
+    )
+    return [
+        Curve(
+            kind="MC",
+            times=times[start:stop].copy(),
+            indices=np.arange(stop - start),
+            values=stats[start:stop],
+        )
+        if stop - start >= 2
+        else _empty_curve("MC")
+        for start, stop in bounds
+    ]
+
+
+def mean_change_curve_by_time(
+    times: np.ndarray, values: np.ndarray, window_days: float
+) -> Curve:
+    """MC curve of one stream with fixed-duration windows of
+    ``window_days`` days: :func:`mean_change_curves_by_time` over a batch
+    of one."""
+    times = np.asarray(times, dtype=float)
+    (curve,) = mean_change_curves_by_time(
+        times, values, [(0, times.size)], window_days
+    )
+    return curve
 
 
 def arrival_rate_curve(
@@ -214,6 +237,10 @@ def arrival_rate_curve(
     log-likelihood ratio of its window (statistic times window length),
     which keeps one absolute threshold valid across window sizes; with
     ``False`` it is the paper's per-day form (Eq. 5 left-hand side).
+
+    Raises :class:`~repro.errors.ValidationError` on negative counts, and
+    on counts that are not whole numbers or total ``2**53`` or more: the
+    half-window sums come from one prefix sum, which is exact only there.
     """
     days = np.asarray(days, dtype=float)
     counts = np.asarray(counts, dtype=float)

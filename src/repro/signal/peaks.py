@@ -6,20 +6,24 @@ the attack's start and another at its end -- the curve rises, falls back,
 and rises again, bracketing the suspicious interval.  The paper calls this
 configuration a "U-shape" (the valley between two significant peaks).
 
-:func:`find_peaks` extracts significant local maxima; :func:`detect_u_shape`
-returns the interval bracketed by the two strongest sufficiently separated
-peaks, if the curve has one.
+:func:`find_peaks` extracts significant local maxima;
+:func:`u_shape_from_peaks` returns the interval bracketed by the two
+strongest of them, if the curve has one.  The detectors find each curve's
+peaks once and derive the U-shape from them; :func:`detect_u_shape` does
+both steps for callers that hold only a curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.signal.curves import Curve
 from repro.utils.validation import check_non_negative, check_positive_int
 
-__all__ = ["Peak", "UShape", "find_peaks", "detect_u_shape"]
+__all__ = ["Peak", "UShape", "find_peaks", "u_shape_from_peaks", "detect_u_shape"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,10 @@ def find_peaks(curve: Curve, threshold: float, min_separation: int = 1) -> List[
     away from any previously accepted higher peak (greedy by height).
     Curve endpoints can be peaks (an attack touching the stream boundary
     produces only one interior flank).
+
+    Candidates come from vectorized neighbour comparisons (NaN compares
+    false, so a NaN point is never a peak); only the greedy suppression
+    loops, and only over the candidates.
     """
     check_non_negative(threshold, "threshold")
     min_separation = check_positive_int(min_separation, "min_separation")
@@ -81,17 +89,19 @@ def find_peaks(curve: Curve, threshold: float, min_separation: int = 1) -> List[
     n = v.size
     if n == 0:
         return []
-    candidates: List[int] = []
-    for i in range(n):
-        left_ok = i == 0 or v[i] >= v[i - 1]
-        right_ok = i == n - 1 or v[i] >= v[i + 1]
-        strict = (i > 0 and v[i] > v[i - 1]) or (i < n - 1 and v[i] > v[i + 1]) or n == 1
-        if left_ok and right_ok and strict and v[i] > threshold:
-            candidates.append(i)
-    # Greedy non-maximum suppression by height.
-    candidates.sort(key=lambda i: (-v[i], i))
+    # Each endpoint stands in for its missing neighbour, so that side is
+    # "at least equal" but never "strictly greater"; a lone point is a
+    # peak by itself.
+    padded = np.concatenate((v[:1], v, v[-1:]))
+    left, right = padded[:-2], padded[2:]
+    strict = (v > left) | (v > right) | (n == 1)
+    candidates = np.flatnonzero(
+        (v >= left) & (v >= right) & strict & (v > threshold)
+    )
+    # Greedy non-maximum suppression by height, ties by position.
+    ranked = candidates[np.argsort(-v[candidates], kind="stable")].tolist()
     accepted: List[int] = []
-    for i in candidates:
+    for i in ranked:
         if all(abs(i - j) >= min_separation for j in accepted):
             accepted.append(i)
     accepted.sort()
@@ -106,17 +116,15 @@ def find_peaks(curve: Curve, threshold: float, min_separation: int = 1) -> List[
     ]
 
 
-def detect_u_shape(
-    curve: Curve, threshold: float, min_separation: int = 2
-) -> Optional[UShape]:
-    """Detect a U-shape: two significant peaks with a valley between.
+def u_shape_from_peaks(curve: Curve, peaks: Sequence[Peak]) -> Optional[UShape]:
+    """The U-shape spanned by ``peaks`` of ``curve``, if any.
 
-    Returns the :class:`UShape` spanned by the two *highest* peaks that are
-    at least ``min_separation`` curve points apart and whose valley dips
-    below half the lower peak (so two samples of one wide plateau do not
-    qualify).  ``None`` when the curve has no such configuration.
+    ``peaks`` are the curve's significant peaks, as :func:`find_peaks`
+    returns them (so already ``min_separation`` apart).  Returns the
+    :class:`UShape` of the two *highest* peaks whose valley dips below
+    half the lower peak (so two samples of one wide plateau do not
+    qualify); ``None`` when no pair qualifies.
     """
-    peaks = find_peaks(curve, threshold, min_separation)
     if len(peaks) < 2:
         return None
     ranked = sorted(peaks, key=lambda p: -p.height)
@@ -132,3 +140,14 @@ def detect_u_shape(
             if valley <= 0.5 * lower_peak:
                 return UShape(left=left, right=right)
     return None
+
+
+def detect_u_shape(
+    curve: Curve, threshold: float, min_separation: int = 2
+) -> Optional[UShape]:
+    """Detect a U-shape: two significant peaks with a valley between.
+
+    :func:`u_shape_from_peaks` over the peaks :func:`find_peaks` finds
+    with ``threshold`` and ``min_separation``.
+    """
+    return u_shape_from_peaks(curve, find_peaks(curve, threshold, min_separation))

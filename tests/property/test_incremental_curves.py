@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.population import PopulationConfig, generate_population
 from repro.detectors import DetectorConfig, JointDetector, extract_columns
 from repro.errors import ValidationError
+from repro.marketplace.challenge import RatingChallenge
 from repro.obs import MetricsRegistry
 from repro.signal.ar import fit_ar_covariance
 from repro.signal.clustering import two_cluster_split_1d
@@ -144,10 +146,10 @@ def rating_streams(draw, min_size=0, max_size=120):
 
 
 @st.composite
-def count_series(draw, max_size=90):
+def count_series(draw, max_size=90, max_count=30):
     n = draw(st.integers(0, max_size))
     counts = draw(
-        st.lists(st.integers(0, 30), min_size=n, max_size=n)
+        st.lists(st.integers(0, max_count), min_size=n, max_size=n)
     )
     days = np.arange(n, dtype=float)
     return days, np.asarray(counts, dtype=float)
@@ -227,6 +229,23 @@ class TestArrivalRateExact:
             curve, naive_arrival_rate(days, counts, half_width, total_llr)
         )
 
+    @given(count_series(max_size=60, max_count=10**6), st.integers(1, 20),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_large_counts(self, series, half_width, total_llr):
+        # Whole-number counts keep every half-window sum exact, however
+        # large the counts are, so the prefix-sum means stay bit-equal.
+        days, counts = series
+        curve = arrival_rate_curve(
+            days, counts, half_width, kind="L-ARC", total_llr=total_llr
+        )
+        if counts.size < 2:
+            assert curve.is_empty
+            return
+        assert_curve_equals(
+            curve, naive_arrival_rate(days, counts, half_width, total_llr)
+        )
+
     def test_edge_cases(self):
         for n in (0, 1, 2, 3):
             days = np.arange(n, dtype=float)
@@ -238,6 +257,26 @@ class TestArrivalRateExact:
                 assert_curve_equals(
                     curve, naive_arrival_rate(days, counts, 15, True)
                 )
+
+    def test_spikes_of_a_million(self):
+        counts = np.zeros(80)
+        counts[[0, 17, 18, 40, 79]] = 10**6
+        counts[50:60] = 999_999
+        days = np.arange(counts.size, dtype=float)
+        for half_width in (1, 7, 15, 30):
+            curve = arrival_rate_curve(days, counts, half_width)
+            assert_curve_equals(
+                curve, naive_arrival_rate(days, counts, half_width, True)
+            )
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, 2.25, float("nan"), float("inf"), 2.0**53]
+    )
+    def test_rejects_counts_that_are_not_exact_whole_numbers(self, bad):
+        counts = np.array([1.0, 3.0, bad, 0.0, 2.0])
+        days = np.arange(counts.size, dtype=float)
+        with pytest.raises(ValidationError):
+            arrival_rate_curve(days, counts, 2)
 
 
 class TestHistogramChangeExact:
@@ -377,8 +416,83 @@ class TestAnalyzeBatchEquivalence:
             stream = dataset[pid]
             assert np.array_equal(columns.stream_times(i), stream.times)
             assert np.array_equal(columns.stream_values(i), stream.values)
-            decoded = tuple(
-                columns.rater_vocab[code]
-                for code in columns.rater_codes[columns.stream_slice(i)]
+
+
+def _assert_stream_curves_match_naive(detector, report, stream):
+    """MC and H-/L-ARC curves of one stream's batched report against the
+    naive references run on that stream alone (default config: both ARC
+    scales)."""
+    config = detector.config
+    if len(stream) < config.min_ratings:
+        assert report.curves == {}
+        return
+    assert_curve_equals(
+        report.curves["MC"],
+        naive_mean_change_by_time(stream.times, stream.values, config.mc_window_days),
+    )
+    half_widths = (config.arc_window_days // 2, config.arc_long_window_days // 2)
+    for arc in (detector.h_arc, detector.l_arc):
+        days, counts = (a.astype(float) for a in arc.daily_counts(stream))
+        naive = [naive_arrival_rate(days, counts, h, True) for h in half_widths]
+        assert_curve_equals(report.curves[arc.kind], naive[0])
+        curves = arc.curves(stream)
+        assert len(curves) == len(naive)
+        for curve, reference in zip(curves, naive):
+            assert_curve_equals(curve, reference)
+
+
+class TestBatchCurvesPerStream:
+    """Every stream's batched MC and ARC curves equal the naive per-stream
+    references: grouping windows by length across streams must never mix
+    one stream's ratings into another's windows."""
+
+    def test_mixed_batch(self):
+        rng = np.random.default_rng(17)
+        streams = [
+            RatingStream("empty", [], [], []),
+            RatingStream("one", [4.0], [3.0], ["r0"]),
+            RatingStream(
+                "short", np.arange(9.0), rng.uniform(0, 5, 9),
+                [f"r{i}" for i in range(9)],
+            ),
+            RatingStream(
+                "same-day", np.full(25, 12.0), rng.uniform(0, 5, 25),
+                [f"r{i}" for i in range(25)],
+            ),
+            RatingStream(
+                "sparse", np.arange(12) * 40.0, rng.uniform(0, 5, 12),
+                [f"r{i}" for i in range(12)],
+            ),
+            RatingStream(
+                "constant", np.sort(rng.uniform(0, 60, 50)), np.full(50, 4.0),
+                [f"r{i}" for i in range(50)],
+            ),
+        ]
+        for i in range(4):
+            n = int(rng.integers(10, 300))
+            times = np.sort(rng.uniform(0.0, 120.0, n))
+            values = np.clip(rng.normal(3.5, 1.0, n), 0.0, 5.0)
+            streams.append(
+                RatingStream(f"p{i}", times, values, [f"u{j}" for j in range(n)])
             )
-            assert decoded == stream.rater_ids
+        dataset = RatingDataset(streams)
+        detector = JointDetector(registry=MetricsRegistry())
+        reports = detector.analyze_batch(dataset)
+        assert list(reports) == list(dataset)
+        for pid in dataset:
+            _assert_stream_curves_match_naive(detector, reports[pid], dataset[pid])
+
+    @pytest.mark.parametrize("seed", [2008, 7])
+    def test_attacked_datasets(self, seed):
+        challenge = RatingChallenge(seed=seed)
+        population = generate_population(
+            challenge, PopulationConfig(size=4), seed=seed + 1
+        )
+        detector = JointDetector(registry=MetricsRegistry())
+        for submission in population:
+            dataset = challenge.attacked_dataset(submission)
+            reports = detector.analyze_batch(dataset)
+            for pid in dataset:
+                _assert_stream_curves_match_naive(
+                    detector, reports[pid], dataset[pid]
+                )
