@@ -3,7 +3,7 @@
 PYTHON ?= python
 LEDGER ?= .repro/ledger.jsonl
 
-.PHONY: install test lint bench bench-quick reproduce bench-baseline bench-detectors bench-parallel ledger-check examples clean
+.PHONY: install test lint bench bench-quick reproduce bench-baseline bench-detectors ledger-check examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -36,9 +36,6 @@ bench-baseline:  ## headline MP bench with metrics on -> BENCH_obs_baseline.json
 
 bench-detectors: ## detector hot path under the profiler -> BENCH_detectors.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_detectors.py
-
-bench-parallel:  ## serial vs parallel vs warm-cache headline bench -> BENCH_parallel.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_parallel.py
 
 ledger-check:    ## flag regressions in the newest recorded run (LEDGER=path)
 	PYTHONPATH=src $(PYTHON) -m repro.cli runs check --ledger $(LEDGER)

@@ -4,10 +4,11 @@
 as numpy arrays, but a dataset is still a *collection* of per-product
 objects: any pass over all products pays one Python round-trip per
 stream.  :class:`StreamColumns` flattens a whole dataset into contiguous
-concatenated value and time columns, indexed by an offsets array, so
-cross-stream kernels (the joint detector's batched MC window means, HC
-clustering and AR solves) can slice every product out of one
-allocation.
+concatenated value and time columns, indexed by an offsets array.  The
+joint detector hands those columns, with one ``(start, stop)`` row range
+per stream, to the batch curve builders of :mod:`repro.signal.curves`
+(MC window means, HC clustering, ME AR solves), which slice every
+product out of one allocation.
 
 It holds only what detection reads.  The extraction is read-only and
 per-analysis, leaving the public ``RatingStream`` representation
@@ -60,18 +61,6 @@ class StreamColumns:
     def lengths(self) -> np.ndarray:
         """Per-stream rating counts, aligned with ``product_ids``."""
         return np.diff(self.offsets)
-
-    def stream_slice(self, index: int) -> slice:
-        """Row slice of stream ``index`` into every column."""
-        return slice(int(self.offsets[index]), int(self.offsets[index + 1]))
-
-    def stream_times(self, index: int) -> np.ndarray:
-        """Time column of stream ``index`` (zero-copy view)."""
-        return self.times[self.stream_slice(index)]
-
-    def stream_values(self, index: int) -> np.ndarray:
-        """Value column of stream ``index`` (zero-copy view)."""
-        return self.values[self.stream_slice(index)]
 
 
 def extract_columns(dataset: RatingDataset) -> StreamColumns:

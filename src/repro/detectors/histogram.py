@@ -70,8 +70,9 @@ class HistogramChangeDetector:
         """Build the HC report from an already-computed curve.
 
         This is the thresholding/interval half of :meth:`analyze`; the
-        joint detector's batch path precomputes HC curves for a whole
-        dataset in one clustering pass and feeds them through here.
+        joint detector builds its HC curves with
+        :func:`~repro.signal.curves.histogram_change_curves` and feeds
+        them through here.
         """
         if curve.is_empty:
             return HistogramChangeReport(curve=curve, suspicious_intervals=())

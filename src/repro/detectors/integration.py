@@ -19,9 +19,11 @@ Both paths always run; their marks are unioned (a product can be attacked
 more than once, Section IV-F).
 
 :meth:`JointDetector.analyze_batch` is the production path: it builds the
-MC, HC and ME curves of every stream of a dataset in one cross-stream
-pass each, then runs :meth:`JointDetector.analyze` per stream on those
-curves.  A stream analyzed alone builds the same curves as a batch of one.
+MC, HC and ME curves of every stream of a dataset with the batch builders
+of :mod:`repro.signal.curves`, one cross-stream pass each, then runs
+:meth:`JointDetector.analyze` per stream on those curves.  A stream
+analyzed alone gets its curves from the same builders over a batch of
+one, so both calls run the same code and give the same report.
 
 Every mark also records *provenance*: which path fired and which
 sub-detectors contributed, as ``PROV_*`` bit flags per rating
@@ -44,10 +46,9 @@ misses (e.g. an MC curve flattened by a high-variance attack).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.detectors.arrival_rate import ArrivalRateDetector, ArrivalRateReport
 from repro.detectors.base import (
@@ -62,25 +63,19 @@ from repro.detectors.base import (
     DetectorConfig,
     TimeInterval,
 )
-from repro.detectors.columns import StreamColumns, extract_columns
+from repro.detectors.columns import extract_columns
 from repro.detectors.histogram import HistogramChangeDetector
 from repro.detectors.mean_change import MeanChangeDetector, MeanChangeReport
 from repro.detectors.model_error import ModelErrorDetector
 from repro.obs import get_logger
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import span
-from repro.signal.ar import (
-    normalized_errors_from_operands,
-    sliding_ar_normalized_errors,
-    sliding_ar_operands,
-)
 from repro.signal.curves import (
     Curve,
-    histogram_change_curve_from_stats,
+    histogram_change_curves,
     mean_change_curves_by_time,
-    model_error_curve_from_errors,
+    model_error_curves,
 )
-from repro.signal.rolling import sliding_vars, two_cluster_balance
 from repro.types import RatingStream
 
 __all__ = ["JointDetector"]
@@ -230,11 +225,26 @@ class JointDetector:
         registry.inc(f"detector.{kind}.calls")
         return report
 
+    def _curves(
+        self, times: np.ndarray, values: np.ndarray, bounds: Sequence[Tuple[int, int]]
+    ) -> Tuple[List[Dict[str, Curve]], bool]:
+        """The MC, HC and ME curves of a batch of streams, keyed by kind,
+        one dict per ``bounds`` entry, and whether the stacked ME solve
+        fell back (see :func:`~repro.signal.curves.model_error_curves`)."""
+        cfg = self.config
+        mc = mean_change_curves_by_time(times, values, bounds, cfg.mc_window_days)
+        hc = histogram_change_curves(times, values, bounds, cfg.hc_window_ratings)
+        me, fell_back = model_error_curves(
+            times, values, bounds, cfg.me_window_ratings, cfg.ar_order
+        )
+        curves = [{"MC": a, "HC": b, "ME": c} for a, b, c in zip(mc, hc, me)]
+        return curves, fell_back
+
     def analyze(
         self,
         stream: RatingStream,
         trust_lookup: Optional[TrustLookup] = None,
-        precomputed: Optional[Dict[str, Curve]] = None,
+        curves: Optional[Dict[str, Curve]] = None,
     ) -> DetectionReport:
         """Run both detection paths over one product stream.
 
@@ -242,11 +252,10 @@ class JointDetector:
         trust-moderated MC segment rule; omit it on the first pass, before
         any trust has been established.
 
-        ``precomputed`` optionally carries indicator curves (keyed by
-        detector kind: MC, HC, ME) that :meth:`analyze_batch` already
-        built in its cross-stream pass; the matching sub-detectors then
-        take the curve instead of building it.  Detection output is
-        bit-identical either way.
+        ``curves`` holds the stream's MC, HC and ME curves, keyed by kind,
+        when :meth:`analyze_batch` built them in its cross-stream pass.
+        Without it they are built here, by the same builders over a batch
+        of one.  The H-/L-ARC detectors build their own curves.
         """
         n = len(stream)
         if n < self.config.min_ratings:
@@ -255,31 +264,21 @@ class JointDetector:
                 product_id=stream.product_id,
                 suspicious=np.zeros(n, dtype=bool),
             )
+        if curves is None:
+            (curves,), _ = self._curves(stream.times, stream.values, [(0, n)])
         mean_value = float(stream.values.mean())
         threshold_a = self.config.high_value_threshold(mean_value)
         threshold_b = self.config.low_value_threshold(mean_value)
         high_mask = stream.values > threshold_a
         low_mask = stream.values < threshold_b
 
-        precomputed = precomputed or {}
         mc_report = self._timed(
-            "MC", self.mean_change.analyze, stream, trust_lookup,
-            precomputed.get("MC"),
+            "MC", self.mean_change.analyze, stream, trust_lookup, curves["MC"]
         )
         harc_report = self._timed("H-ARC", self.h_arc.analyze, stream)
         larc_report = self._timed("L-ARC", self.l_arc.analyze, stream)
-        if "HC" in precomputed:
-            hc_report = self._timed(
-                "HC", self.histogram.report_from_curve, precomputed["HC"]
-            )
-        else:
-            hc_report = self._timed("HC", self.histogram.analyze, stream)
-        if "ME" in precomputed:
-            me_report = self._timed(
-                "ME", self.model_error.report_from_curve, precomputed["ME"]
-            )
-        else:
-            me_report = self._timed("ME", self.model_error.analyze, stream)
+        hc_report = self._timed("HC", self.histogram.report_from_curve, curves["HC"])
+        me_report = self._timed("ME", self.model_error.report_from_curve, curves["ME"])
 
         mask = np.zeros(n, dtype=bool)
         provenance = np.zeros(n, dtype=np.uint8)
@@ -310,20 +309,19 @@ class JointDetector:
                 "product=%s marked=%d path1_intervals=%d path2_intervals=%d",
                 stream.product_id, int(mask.sum()), len(path1), len(path2),
             )
-        curves = {
-            "MC": mc_report.curve,
-            "H-ARC": harc_report.curve,
-            "L-ARC": larc_report.curve,
-            "HC": hc_report.curve,
-            "ME": me_report.curve,
-        }
         report = DetectionReport(
             product_id=stream.product_id,
             suspicious=mask,
             path1_intervals=tuple(path1),
             path2_intervals=tuple(path2),
             provenance=provenance,
-            curves=curves,
+            curves={
+                "MC": mc_report.curve,
+                "H-ARC": harc_report.curve,
+                "L-ARC": larc_report.curve,
+                "HC": hc_report.curve,
+                "ME": me_report.curve,
+            },
             alarms={"H-ARC": harc_report.alarm, "L-ARC": larc_report.alarm},
         )
         if registry.enabled:
@@ -338,88 +336,6 @@ class JointDetector:
             emit_scorecard(score_detection(stream, report), registry)
         return report
 
-    # ------------------------------------------------------------------ #
-    # Batched cross-stream fast path
-    # ------------------------------------------------------------------ #
-
-    def _batch_hc_curves(
-        self, columns: StreamColumns, eligible: List[int]
-    ) -> Dict[str, Curve]:
-        """Precompute HC curves for every eligible stream in one pass.
-
-        All streams' sliding windows are stacked into a single matrix and
-        clustered with one :func:`two_cluster_balance` call -- each row is
-        independent, so the stacked results match the per-stream ones
-        bit-for-bit.
-        """
-        window = self.config.hc_window_ratings
-        lengths = columns.lengths
-        indices = [i for i in eligible if lengths[i] >= window]
-        if not indices:
-            return {}
-        stacks = [
-            sliding_window_view(columns.stream_values(i), window) for i in indices
-        ]
-        balances = two_cluster_balance(np.concatenate(stacks))
-        curves: Dict[str, Curve] = {}
-        cursor = 0
-        for i, stack in zip(indices, stacks):
-            count = stack.shape[0]
-            curves[columns.product_ids[i]] = histogram_change_curve_from_stats(
-                columns.stream_times(i), balances[cursor : cursor + count], window
-            )
-            cursor += count
-        return curves
-
-    def _batch_me_curves(
-        self, columns: StreamColumns, eligible: List[int], registry: MetricsRegistry
-    ) -> Dict[str, Curve]:
-        """Precompute ME curves for every eligible stream in one pass.
-
-        Every stream's AR design matrices and targets are concatenated and
-        the covariance normal equations are solved as one stacked LAPACK
-        batch.  A singular window anywhere in the batch falls back to the
-        per-stream solver (which handles singularity with the
-        pseudo-inverse), counted under ``detector.batch.fallbacks``.
-        """
-        window = self.config.me_window_ratings
-        order = self.config.ar_order
-        lengths = columns.lengths
-        indices = [i for i in eligible if lengths[i] >= window]
-        if not indices:
-            return {}
-        designs = []
-        targets = []
-        variances = []
-        counts = []
-        for i in indices:
-            values = columns.stream_values(i)
-            d, t = sliding_ar_operands(values, window, order)
-            designs.append(d)
-            targets.append(t)
-            variances.append(sliding_vars(values, window))
-            counts.append(d.shape[0])
-        try:
-            errors = normalized_errors_from_operands(
-                np.concatenate(designs),
-                np.concatenate(targets),
-                np.concatenate(variances),
-                order,
-            )
-            per_stream = np.split(errors, np.cumsum(counts)[:-1])
-        except np.linalg.LinAlgError:
-            registry.inc("detector.batch.fallbacks")
-            per_stream = [
-                sliding_ar_normalized_errors(columns.stream_values(i), window, order)
-                for i in indices
-            ]
-        return {
-            columns.product_ids[i]: model_error_curve_from_errors(
-                columns.stream_times(i), stream_errors, window
-            )
-            for i, stream_errors in zip(indices, per_stream)
-        }
-
     def analyze_batch(
         self,
         dataset,
@@ -428,56 +344,50 @@ class JointDetector:
         """Run detection over every product of a dataset, batched.
 
         The dataset is first flattened into contiguous columnar arrays
-        (:func:`~repro.detectors.columns.extract_columns`).  The MC, HC and
-        ME indicator curves of *all* eligible streams are then built in
-        single cross-stream passes under the ``detector.batch`` span: one
-        window-means pass (windows grouped by length across streams) for
-        MC, one clustering pass for HC and one stacked LAPACK solve for
-        ME.  The per-stream :meth:`analyze` calls that follow consume the
-        precomputed curves and build the H-/L-ARC curves themselves (one
-        prefix-sum pass per curve), so every report (masks, provenance,
-        curves, ``quality.*`` scorecards) is bit-identical to the
-        per-stream path while the window-statistic work runs once per
-        dataset instead of once per product.
+        (:func:`~repro.detectors.columns.extract_columns`).  Under the
+        ``detector.batch`` span, the MC, HC and ME curves of *all*
+        eligible streams are then built with the batch builders of
+        :mod:`repro.signal.curves`: one window-means pass (windows grouped
+        by length across streams) for MC, one clustering pass for HC and
+        one stacked LAPACK solve for ME.  The per-stream :meth:`analyze`
+        calls that follow take those curves and build the H-/L-ARC curves
+        themselves (one prefix-sum pass per curve).  Every report (masks,
+        provenance, curves, ``quality.*`` scorecards) is bit-identical to
+        analyzing each stream alone, while the window-statistic work runs
+        once per dataset instead of once per product.
 
         Batch telemetry: ``detector.batch.calls`` / ``.streams`` /
         ``.ratings`` counters, the ``detector.batch`` span for the
         precompute wall time, and ``detector.batch.fallbacks`` when a
-        singular AR batch drops to the per-stream solver.
+        singular window makes the stacked ME solve fall back to solving
+        stream by stream.
         """
         registry = self.registry
         with span("detector.batch", registry):
             columns = extract_columns(dataset)
+            offsets = columns.offsets.tolist()
             eligible = [
                 i
                 for i, length in enumerate(columns.lengths)
                 if length >= self.config.min_ratings
             ]
-            offsets = columns.offsets.tolist()
-            mc_curves = mean_change_curves_by_time(
+            curves, fell_back = self._curves(
                 columns.times,
                 columns.values,
                 [(offsets[i], offsets[i + 1]) for i in eligible],
-                self.config.mc_window_days,
             )
-            precomputed: Dict[str, Dict[str, Curve]] = {
-                columns.product_ids[i]: {"MC": curve}
-                for i, curve in zip(eligible, mc_curves)
+            if fell_back:
+                registry.inc("detector.batch.fallbacks")
+            by_product = {
+                columns.product_ids[i]: stream_curves
+                for i, stream_curves in zip(eligible, curves)
             }
-            for product_id, curve in self._batch_hc_curves(
-                columns, eligible
-            ).items():
-                precomputed[product_id]["HC"] = curve
-            for product_id, curve in self._batch_me_curves(
-                columns, eligible, registry
-            ).items():
-                precomputed[product_id]["ME"] = curve
         registry.inc("detector.batch.calls")
         registry.inc("detector.batch.streams", columns.num_streams)
         registry.inc("detector.batch.ratings", columns.total_ratings)
         return {
             product_id: self.analyze(
-                dataset[product_id], trust_lookup, precomputed.get(product_id)
+                dataset[product_id], trust_lookup, by_product.get(product_id)
             )
             for product_id in dataset
         }

@@ -136,8 +136,9 @@ class MeanChangeDetector:
         """Full MC analysis of one stream.
 
         ``curve`` is the stream's MC curve when the caller already built
-        it (the joint detector's batch builds every stream's curve in one
-        pass); otherwise it is built here.
+        it (the joint detector always does, with
+        :func:`~repro.signal.curves.mean_change_curves_by_time`);
+        otherwise it is built here.
         """
         if curve is None:
             curve = self.curve(stream)

@@ -57,9 +57,10 @@ class ModelErrorDetector:
     def report_from_curve(self, curve: Curve) -> ModelErrorReport:
         """Build the ME report from an already-computed curve.
 
-        The joint detector's batch path solves every stream's AR normal
-        equations in one stacked pass and feeds the resulting curves
-        through here, skipping the per-stream fit entirely.
+        This is the thresholding/interval half of :meth:`analyze`; the
+        joint detector builds its ME curves with
+        :func:`~repro.signal.curves.model_error_curves` and feeds them
+        through here.
         """
         if curve.is_empty:
             return ModelErrorReport(curve=curve, suspicious_intervals=())

@@ -253,7 +253,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.alert_rules is not None
             else _default_alert_rules()
         ),
-        stale_check=not (args.no_stale or args.changed_only),
         changed_paths=changed_paths,
     )
     rules = default_rules(config)

@@ -219,9 +219,6 @@ class LintConfig:
     catalog_paths: Sequence[str] = ()
     #: Alert-rule files (TOML/JSON) whose metrics must be catalogued.
     alert_rule_paths: Sequence[str] = ()
-    #: Whether to report catalog entries no code emits (disable when
-    #: linting a partial tree, where "nothing emits X" is vacuous).
-    stale_check: bool = True
     #: When set, only these paths plus their reverse-dependency closure
     #: over the import graph are checked (``--changed-only`` mode).
     changed_paths: Optional[Sequence[str]] = None

@@ -38,7 +38,7 @@ def run_selfcheck(corpus_dir: str = DEFAULT_CORPUS) -> Tuple[bool, List[str]]:
         (e["rule"], e["file"], int(e["line"])) for e in payload["findings"]
     }
 
-    config = LintConfig(baseline_path=None, stale_check=False)
+    config = LintConfig(baseline_path=None)
     result = Linter(default_rules(config), config).run([corpus.as_posix()])
     actual: Set[Tuple[str, str, int]] = {
         (f.rule, Path(f.path).name, f.line) for f in result.findings

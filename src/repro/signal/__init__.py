@@ -20,10 +20,11 @@ from repro.signal.curves import (
     Curve,
     arrival_rate_curve,
     histogram_change_curve,
-    mean_change_curve_by_count,
+    histogram_change_curves,
     mean_change_curve_by_time,
     mean_change_curves_by_time,
     model_error_curve,
+    model_error_curves,
 )
 from repro.signal.glrt import gaussian_mean_change_statistic, mean_change_decision
 from repro.signal.peaks import UShape, detect_u_shape, find_peaks, u_shape_from_peaks
@@ -39,10 +40,11 @@ __all__ = [
     "Curve",
     "arrival_rate_curve",
     "histogram_change_curve",
-    "mean_change_curve_by_count",
+    "histogram_change_curves",
     "mean_change_curve_by_time",
     "mean_change_curves_by_time",
     "model_error_curve",
+    "model_error_curves",
     "gaussian_mean_change_statistic",
     "mean_change_decision",
     "UShape",

@@ -36,7 +36,6 @@ __all__ = [
     "model_error",
     "sliding_ar_operands",
     "normalized_errors_from_operands",
-    "sliding_ar_normalized_errors",
 ]
 
 
@@ -205,36 +204,3 @@ def normalized_errors_from_operands(
         normalized = error_powers / ((window - order) * variances)
     return np.where(variances <= 1e-12, 1.0, normalized)
 
-
-def sliding_ar_normalized_errors(
-    x: np.ndarray, window: int, order: int
-) -> np.ndarray:
-    """Normalized model error of every length-``window`` window of ``x``.
-
-    ``out[s]`` equals ``fit_ar_covariance(x[s:s+window], order)
-    .normalized_error`` bit-for-bit.  Streams containing a singular
-    window (e.g. constant values) fall back to the per-window fit, which
-    handles singularity with the pseudo-inverse.
-    """
-    x = np.asarray(x, dtype=float)
-    order = check_positive_int(order, "order")
-    if window < 2 * order:
-        raise ValidationError(
-            f"AR({order}) covariance fit needs windows of at least "
-            f"{2 * order} samples, got {window}"
-        )
-    num_windows = x.size - window + 1
-    if num_windows <= 0:
-        return np.empty(0, dtype=float)
-    designs, targets = sliding_ar_operands(x, window, order)
-    variances = np.lib.stride_tricks.sliding_window_view(x, window).var(axis=1)
-    try:
-        return normalized_errors_from_operands(designs, targets, variances, order)
-    except np.linalg.LinAlgError:
-        return np.asarray(
-            [
-                fit_ar_covariance(x[s : s + window], order).normalized_error
-                for s in range(num_windows)
-            ],
-            dtype=float,
-        )

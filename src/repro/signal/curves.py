@@ -3,10 +3,10 @@
 Each detector in the paper produces a curve of a test statistic versus
 time, built by sliding a window over the rating stream:
 
-- **MC curve** (Section IV-B.2): Gaussian mean-change statistic.  The paper
-  states windows are constructed "either by making them contain the same
-  number of ratings or have the same time duration"; the challenge deploy
-  used 30-*day* MC windows, so both variants are provided.
+- **MC curve** (Section IV-B.2): Gaussian mean-change statistic over
+  fixed-duration windows.  The paper allows windows of equal rating count
+  or equal duration; the challenge deploy used 30-*day* MC windows, which
+  is the variant built here.
 - **ARC curve** (Section IV-C.2): Poisson rate-change statistic over the
   daily-count series, centre ``k' = k + D``, shrinking windows at edges.
 - **HC curve** (Section IV-D): two-cluster balance ``min(n1/n2, n2/n1)``
@@ -20,15 +20,22 @@ statistic values.
 
 Every builder runs on the vectorized fast path, with no Python-level
 statistic call per centre, and produces **bit-identical** values to the
-per-window formulation:
+per-window formulation.  MC, HC and ME each have one builder that takes
+a whole batch of streams, held back to back in one pair of columns with
+one ``(start, stop)`` row range per stream; the single-stream functions
+are that builder over a batch of one:
 
-- MC means come from one window-means pass that groups windows by
-  length.  :func:`mean_change_curves_by_time` builds the curves of a
-  whole batch of streams in that one pass (the joint detector's batch
-  does so); a single stream is a batch of one.
+- :func:`mean_change_curves_by_time` gets every half-window mean of the
+  batch from one window-means pass that groups windows by length.
+- :func:`histogram_change_curves` clusters the windows of every stream
+  in one stacked :func:`~repro.signal.rolling.two_cluster_balance` call.
+- :func:`model_error_curves` solves the AR normal equations of every
+  window of every stream as one stacked LAPACK batch.
 - ARC half-window sums come from one prefix sum of the daily counts,
   exact because the counts are whole numbers.
-- HC and ME reduce ``sliding_window_view`` stacks row by row.
+
+Each window is reduced on its own, so a stream's curve does not depend
+on the other streams of its batch.
 
 See :mod:`repro.signal.rolling` for how the guarantee is kept and
 ``tests/property/test_incremental_curves.py`` for the exact-equality
@@ -44,25 +51,29 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ValidationError
-from repro.signal.ar import sliding_ar_normalized_errors
+from repro.signal.ar import (
+    fit_ar_covariance,
+    normalized_errors_from_operands,
+    sliding_ar_operands,
+)
 from repro.signal.rolling import (
     centered_half_widths,
     mean_change_stats,
     rate_change_stats_equal_halves,
+    sliding_vars,
     two_cluster_balance,
 )
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "Curve",
-    "mean_change_curve_by_count",
     "mean_change_curve_by_time",
     "mean_change_curves_by_time",
     "arrival_rate_curve",
     "histogram_change_curve",
-    "histogram_change_curve_from_stats",
+    "histogram_change_curves",
     "model_error_curve",
-    "model_error_curve_from_errors",
+    "model_error_curves",
 ]
 
 
@@ -122,30 +133,6 @@ def _empty_curve(kind: str) -> Curve:
         times=np.array([], dtype=float),
         indices=np.array([], dtype=int),
         values=np.array([], dtype=float),
-    )
-
-
-def mean_change_curve_by_count(
-    times: np.ndarray, values: np.ndarray, half_width: int
-) -> Curve:
-    """MC curve with rating-count windows of half-width ``half_width``.
-
-    ``MC(k)`` tests a mean change between ratings ``[k-W, k)`` and
-    ``[k, k+W)`` (shrinking symmetrically near the edges), evaluated for
-    every centre ``k`` in ``1 .. n-1``.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    half_width = check_positive_int(half_width, "half_width")
-    if values.size < 2:
-        return _empty_curve("MC")
-    centers, halves = centered_half_widths(values.size, half_width)
-    stats = mean_change_stats(values, centers - halves, halves, centers, halves)
-    return Curve(
-        kind="MC",
-        times=times[centers],
-        indices=centers,
-        values=stats,
     )
 
 
@@ -261,81 +248,129 @@ def arrival_rate_curve(
     )
 
 
-def _full_window_centers(n: int, window: int) -> np.ndarray:
-    """Centre indices of the length-``window`` sliding windows of a
-    length-``n`` series (window start + ``window // 2``)."""
-    return np.arange(0, n - window + 1) + window // 2
+def _window_curves(
+    kind: str,
+    times: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    window: int,
+    stats: np.ndarray,
+) -> List[Curve]:
+    """One curve per ``bounds`` entry from per-window statistics.
+
+    ``stats`` holds one value per length-``window`` window of each stream
+    at least ``window`` ratings long, stream after stream.  Each point
+    sits at its window's centre rating (window start + ``window // 2``);
+    a shorter stream gets an empty curve.
+    """
+    curves = []
+    cursor = 0
+    for start, stop in bounds:
+        count = stop - start - window + 1
+        if count <= 0:
+            curves.append(_empty_curve(kind))
+            continue
+        centers = np.arange(count) + window // 2
+        curves.append(
+            Curve(
+                kind=kind,
+                times=times[start + centers],
+                indices=centers,
+                values=stats[cursor : cursor + count],
+            )
+        )
+        cursor += count
+    return curves
 
 
-def histogram_change_curve_from_stats(
-    times: np.ndarray, stats: np.ndarray, window_ratings: int
-) -> Curve:
-    """Assemble an HC :class:`Curve` from precomputed balance statistics.
+def histogram_change_curves(
+    times: np.ndarray,
+    values: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    window_ratings: int,
+) -> List[Curve]:
+    """HC curves of a batch of streams: two-cluster balance over
+    rating-count windows.
 
-    ``stats[i]`` is the balance of the window starting at rating ``i``;
-    used by the per-stream builder below and by the joint detector's
-    cross-stream batch, which computes all streams' balances in one
-    clustering pass.
+    ``times`` and ``values`` hold the streams back to back; stream ``j``
+    is rows ``bounds[j][0]:bounds[j][1]``.  Within each window of
+    ``window_ratings`` ratings of a stream (sliding by one), the values
+    are split into two single-linkage clusters of sizes ``n1, n2`` and
+    ``HC = min(n1/n2, n2/n1)``; a window whose values collapse into a
+    single cluster gets ``HC = 0``.  Each point sits at its window's
+    centre rating, and a stream shorter than the window gets an empty
+    curve.  Values near ``1`` mean a balanced bimodal histogram -- the
+    signature of a sizeable block of unfair ratings far from the fair
+    mode.
+
+    The windows of every stream are stacked into one matrix and clustered
+    in one :func:`~repro.signal.rolling.two_cluster_balance` call, which
+    reduces each row on its own.
     """
     times = np.asarray(times, dtype=float)
-    centers = _full_window_centers(times.size, window_ratings)
-    return Curve(
-        kind="HC",
-        times=times[centers],
-        indices=centers,
-        values=np.asarray(stats, dtype=float),
-    )
+    values = np.asarray(values, dtype=float)
+    window_ratings = check_positive_int(window_ratings, "window_ratings", minimum=2)
+    stacks = [
+        sliding_window_view(values[start:stop], window_ratings)
+        for start, stop in bounds
+        if stop - start >= window_ratings
+    ]
+    balances = two_cluster_balance(np.concatenate(stacks)) if stacks else np.empty(0)
+    return _window_curves("HC", times, bounds, window_ratings, balances)
 
 
 def histogram_change_curve(
     times: np.ndarray, values: np.ndarray, window_ratings: int
 ) -> Curve:
-    """HC curve: two-cluster balance over rating-count windows.
-
-    Within each window of ``window_ratings`` ratings (sliding by one), the
-    values are split into two single-linkage clusters of sizes ``n1, n2``
-    and ``HC = min(n1/n2, n2/n1)``.  A window whose values collapse into a
-    single cluster gets ``HC = 0``.  The curve is indexed by the window's
-    centre rating.  Values near ``1`` mean a balanced bimodal histogram --
-    the signature of a sizeable block of unfair ratings far from the fair
-    mode.
-    """
+    """HC curve of one stream: :func:`histogram_change_curves` over a
+    batch of one."""
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    window_ratings = check_positive_int(window_ratings, "window_ratings", minimum=2)
-    n = values.size
-    if n < window_ratings:
-        return _empty_curve("HC")
-    stats = two_cluster_balance(sliding_window_view(values, window_ratings))
-    return histogram_change_curve_from_stats(times, stats, window_ratings)
-
-
-def model_error_curve_from_errors(
-    times: np.ndarray, errors: np.ndarray, window_ratings: int
-) -> Curve:
-    """Assemble an ME :class:`Curve` from precomputed normalized errors.
-
-    ``errors[i]`` belongs to the window starting at rating ``i``; the
-    joint detector's cross-stream batch solves every stream's AR normal
-    equations in one pass and hands the per-stream error slices here.
-    """
-    times = np.asarray(times, dtype=float)
-    centers = _full_window_centers(times.size, window_ratings)
-    return Curve(
-        kind="ME",
-        times=times[centers],
-        indices=centers,
-        values=np.asarray(errors, dtype=float),
+    (curve,) = histogram_change_curves(
+        times, values, [(0, times.size)], window_ratings
     )
+    return curve
 
 
-def model_error_curve(
-    times: np.ndarray, values: np.ndarray, window_ratings: int, order: int = 4
-) -> Curve:
-    """ME curve: normalized AR model error over rating-count windows.
+def _stream_model_errors(x, operands, window: int, order: int) -> np.ndarray:
+    """Normalized model errors of one stream's windows: one stacked solve,
+    else one pseudo-inverse-safe fit per window."""
+    try:
+        return normalized_errors_from_operands(*operands, order)
+    except np.linalg.LinAlgError:
+        return np.asarray(
+            [
+                fit_ar_covariance(x[s : s + window], order).normalized_error
+                for s in range(x.size - window + 1)
+            ],
+            dtype=float,
+        )
 
-    Low model error means the window contains a predictable signal, i.e.
-    likely collaborative unfair ratings (Section IV-E).
+
+def model_error_curves(
+    times: np.ndarray,
+    values: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    window_ratings: int,
+    order: int,
+) -> Tuple[List[Curve], bool]:
+    """ME curves of a batch of streams: normalized AR model error over
+    rating-count windows.
+
+    Streams are laid out as for :func:`histogram_change_curves`.  Each
+    window of ``window_ratings`` ratings is fit with an AR(``order``)
+    model by the covariance method; low model error means the window
+    contains a predictable signal, i.e. likely collaborative unfair
+    ratings (Section IV-E).  Each point sits at its window's centre
+    rating, and a stream shorter than the window gets an empty curve.
+
+    The normal equations of every window of every stream are solved as
+    one stacked LAPACK batch.  When any window is singular (e.g. constant
+    values), that batch fails and each stream is solved on its own; a
+    stream with a singular window is then fit window by window, where the
+    pseudo-inverse handles the singularity.  Every value equals the
+    per-window :func:`~repro.signal.ar.fit_ar_covariance` bit for bit.
+
+    Returns the curves, one per ``bounds`` entry, and whether the stacked
+    solve fell back.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -345,7 +380,41 @@ def model_error_curve(
         raise ValidationError(
             f"window_ratings={window_ratings} too small for AR({order}) covariance fit"
         )
-    if values.size < window_ratings:
-        return _empty_curve("ME")
-    errors = sliding_ar_normalized_errors(values, window_ratings, order)
-    return model_error_curve_from_errors(times, errors, window_ratings)
+    streams = [
+        values[start:stop] for start, stop in bounds if stop - start >= window_ratings
+    ]
+    if not streams:
+        return _window_curves("ME", times, bounds, window_ratings, np.empty(0)), False
+    operands = [
+        (
+            *sliding_ar_operands(x, window_ratings, order),
+            sliding_vars(x, window_ratings),
+        )
+        for x in streams
+    ]
+    try:
+        errors = normalized_errors_from_operands(
+            *(np.concatenate(column) for column in zip(*operands)), order
+        )
+        fell_back = False
+    except np.linalg.LinAlgError:
+        errors = np.concatenate(
+            [
+                _stream_model_errors(x, stream_operands, window_ratings, order)
+                for x, stream_operands in zip(streams, operands)
+            ]
+        )
+        fell_back = True
+    return _window_curves("ME", times, bounds, window_ratings, errors), fell_back
+
+
+def model_error_curve(
+    times: np.ndarray, values: np.ndarray, window_ratings: int, order: int = 4
+) -> Curve:
+    """ME curve of one stream: :func:`model_error_curves` over a batch of
+    one."""
+    times = np.asarray(times, dtype=float)
+    (curve,), _ = model_error_curves(
+        times, values, [(0, times.size)], window_ratings, order
+    )
+    return curve

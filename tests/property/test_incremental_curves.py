@@ -26,7 +26,6 @@ from repro.signal.clustering import two_cluster_split_1d
 from repro.signal.curves import (
     arrival_rate_curve,
     histogram_change_curve,
-    mean_change_curve_by_count,
     mean_change_curve_by_time,
     model_error_curve,
 )
@@ -39,17 +38,6 @@ from repro.utils.windows import centered_windows
 # --------------------------------------------------------------------- #
 # Naive references: the pre-rewrite per-window loops, kept verbatim.
 # --------------------------------------------------------------------- #
-
-
-def naive_mean_change_by_count(times, values, half_width):
-    centers, stats = [], []
-    for center, start, stop in centered_windows(values.size, half_width):
-        stats.append(
-            gaussian_mean_change_statistic(values[start:center], values[center:stop])
-        )
-        centers.append(center)
-    centers_arr = np.asarray(centers, dtype=int)
-    return times[centers_arr], centers_arr, np.asarray(stats, dtype=float)
 
 
 def naive_mean_change_by_time(times, values, window_days):
@@ -153,35 +141,6 @@ def count_series(draw, max_size=90, max_count=30):
     )
     days = np.arange(n, dtype=float)
     return days, np.asarray(counts, dtype=float)
-
-
-class TestMeanChangeByCountExact:
-    @given(rating_streams(), st.integers(1, 25))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_naive(self, stream, half_width):
-        times, values = stream
-        curve = mean_change_curve_by_count(times, values, half_width)
-        if values.size < 2:
-            assert curve.is_empty
-            return
-        assert_curve_equals(
-            curve, naive_mean_change_by_count(times, values, half_width)
-        )
-
-    def test_edge_cases(self):
-        for times, values in [
-            (np.array([]), np.array([])),                      # empty
-            (np.array([3.0]), np.array([4.0])),                # single rating
-            (np.zeros(20), np.linspace(0, 5, 20)),             # all same day
-            (np.arange(20.0), np.full(20, 4.0)),               # constant values
-        ]:
-            curve = mean_change_curve_by_count(times, values, 7)
-            if values.size < 2:
-                assert curve.is_empty
-            else:
-                assert_curve_equals(
-                    curve, naive_mean_change_by_count(times, values, 7)
-                )
 
 
 class TestMeanChangeByTimeExact:
@@ -414,14 +373,15 @@ class TestAnalyzeBatchEquivalence:
         assert columns.total_ratings == dataset.total_ratings()
         for i, pid in enumerate(columns.product_ids):
             stream = dataset[pid]
-            assert np.array_equal(columns.stream_times(i), stream.times)
-            assert np.array_equal(columns.stream_values(i), stream.values)
+            rows = slice(columns.offsets[i], columns.offsets[i + 1])
+            assert np.array_equal(columns.times[rows], stream.times)
+            assert np.array_equal(columns.values[rows], stream.values)
 
 
 def _assert_stream_curves_match_naive(detector, report, stream):
-    """MC and H-/L-ARC curves of one stream's batched report against the
-    naive references run on that stream alone (default config: both ARC
-    scales)."""
+    """MC, H-/L-ARC, HC and ME curves of one stream's batched report
+    against the naive references run on that stream alone (default
+    config: both ARC scales)."""
     config = detector.config
     if len(stream) < config.min_ratings:
         assert report.curves == {}
@@ -429,6 +389,19 @@ def _assert_stream_curves_match_naive(detector, report, stream):
     assert_curve_equals(
         report.curves["MC"],
         naive_mean_change_by_time(stream.times, stream.values, config.mc_window_days),
+    )
+    assert_curve_equals(
+        report.curves["HC"],
+        naive_histogram_change(
+            stream.times, stream.values, config.hc_window_ratings
+        ),
+    )
+    assert_curve_equals(
+        report.curves["ME"],
+        naive_model_error(
+            stream.times, stream.values, config.me_window_ratings,
+            config.ar_order,
+        ),
     )
     half_widths = (config.arc_window_days // 2, config.arc_long_window_days // 2)
     for arc in (detector.h_arc, detector.l_arc):
@@ -442,9 +415,10 @@ def _assert_stream_curves_match_naive(detector, report, stream):
 
 
 class TestBatchCurvesPerStream:
-    """Every stream's batched MC and ARC curves equal the naive per-stream
-    references: grouping windows by length across streams must never mix
-    one stream's ratings into another's windows."""
+    """Every stream's batched curves equal the naive per-stream
+    references: grouping windows by length (MC), stacking windows (HC)
+    or stacking AR solves (ME) across streams must never mix one
+    stream's ratings into another's windows."""
 
     def test_mixed_batch(self):
         rng = np.random.default_rng(17)
@@ -476,11 +450,18 @@ class TestBatchCurvesPerStream:
                 RatingStream(f"p{i}", times, values, [f"u{j}" for j in range(n)])
             )
         dataset = RatingDataset(streams)
-        detector = JointDetector(registry=MetricsRegistry())
+        registry = MetricsRegistry()
+        detector = JointDetector(registry=registry)
         reports = detector.analyze_batch(dataset)
         assert list(reports) == list(dataset)
         for pid in dataset:
             _assert_stream_curves_match_naive(detector, reports[pid], dataset[pid])
+        # The constant stream's windows make the stacked AR solve
+        # singular, so the batch falls back once, to per-stream solves.
+        # Analyzing that stream alone is no batch and counts nothing.
+        assert registry.counter_value("detector.batch.fallbacks") == 1
+        detector.analyze(dataset["constant"])
+        assert registry.counter_value("detector.batch.fallbacks") == 1
 
     @pytest.mark.parametrize("seed", [2008, 7])
     def test_attacked_datasets(self, seed):

@@ -9,6 +9,7 @@ from repro.aggregation.pscheme import PScheme, PSchemeConfig
 from repro.aggregation.simple import SimpleAveragingScheme
 from repro.aggregation.weighted import trust_weighted_average
 from repro.errors import EmptyDataError, ValidationError
+from repro.experiments.context import ExperimentContext
 from repro.types import RatingDataset, RatingStream
 
 
@@ -180,6 +181,23 @@ class TestPScheme:
             PSchemeConfig(filter_trust_threshold=-0.1)
         with pytest.raises(ValidationError):
             PSchemeConfig(cache_size=-1)
+
+    def test_two_pass_changes_mp(self):
+        # Condition 2 of the MC segment rule (Section IV-B.3: a moderate
+        # mean shift by less-trusted raters) needs trust, so only the
+        # two_pass feedback pass can fire it.  On this submission it cuts
+        # the MP from about 0.537 to about 0.111.
+        context = ExperimentContext(seed=7, population_size=251)
+        (submission,) = [
+            s for s in context.population if s.submission_id == "sub_040"
+        ]
+        default = context.challenge.evaluate(
+            submission, PScheme(), validate=False
+        ).total
+        two_pass = context.challenge.evaluate(
+            submission, PScheme(PSchemeConfig(two_pass=True)), validate=False
+        ).total
+        assert abs(default - two_pass) > 0.1
 
     def test_name(self):
         assert PScheme().name == "P"

@@ -251,7 +251,6 @@ class TestMetricRules:
             "registry.inc('exec.tasks')\n"
             "registry.inc('exec.surprise')\n",
             catalog_paths=[catalog],
-            stale_check=False,
             ignore={"metric-stale"},
         )
         uncataloged = [
@@ -575,8 +574,7 @@ def test_each_rule_family_fails_structurally(rule_id, tmp_path):
     target = tmp_path / f"{rule_id.replace('-', '_')}_fixture.py"
     target.write_text(ACCEPTANCE_FIXTURES[rule_id])
     catalogs = [str(REPO_ROOT / "docs/API.md")]
-    config = LintConfig(catalog_paths=catalogs, stale_check=False,
-                        ignore={"metric-stale"})
+    config = LintConfig(catalog_paths=catalogs, ignore={"metric-stale"})
     result = run_lint([str(target)], config)
     payload = result.to_json()
     matches = [f for f in payload["findings"] if f["rule"] == rule_id]

@@ -18,9 +18,7 @@ def run_rules(tmp_path, files, select):
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(text))
-    config = LintConfig(
-        select=set(select), baseline_path=None, stale_check=False,
-    )
+    config = LintConfig(select=set(select), baseline_path=None)
     return Linter(default_rules(config), config).run([tmp_path.as_posix()])
 
 

@@ -7,7 +7,6 @@ from repro.errors import ValidationError
 from repro.signal.curves import (
     arrival_rate_curve,
     histogram_change_curve,
-    mean_change_curve_by_count,
     mean_change_curve_by_time,
     model_error_curve,
 )
@@ -18,28 +17,6 @@ def step_series(n=100, change_at=50, low=4.0, high=1.0):
     times = np.arange(n, dtype=float)
     values = np.where(times < change_at, low, high)
     return times, values
-
-
-class TestMeanChangeCurveByCount:
-    def test_peak_at_change_point(self):
-        times, values = step_series()
-        curve = mean_change_curve_by_count(times, values, half_width=10)
-        peak_index = curve.indices[int(np.argmax(curve.values))]
-        assert peak_index == 50
-
-    def test_flat_series_is_zero(self):
-        times = np.arange(30, dtype=float)
-        curve = mean_change_curve_by_count(times, np.full(30, 4.0), 5)
-        np.testing.assert_allclose(curve.values, 0.0)
-
-    def test_short_series_empty_curve(self):
-        curve = mean_change_curve_by_count(np.array([0.0]), np.array([4.0]), 5)
-        assert curve.is_empty
-
-    def test_curve_arrays_aligned(self):
-        times, values = step_series(40)
-        curve = mean_change_curve_by_count(times, values, 8)
-        assert len(curve.times) == len(curve.values) == len(curve.indices)
 
 
 class TestMeanChangeCurveByTime:
@@ -151,7 +128,7 @@ class TestModelErrorCurve:
 class TestCurveHelpers:
     def test_above_below(self):
         times, values = step_series(60, 30)
-        curve = mean_change_curve_by_count(times, values, 10)
+        curve = mean_change_curve_by_time(times, values, 20.0)
         assert curve.above(curve.max_value() - 1e-9).sum() >= 1
         assert curve.below(0.0).sum() == 0
 
