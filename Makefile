@@ -9,7 +9,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 lint:            ## compileall + ruff (when installed) + repro.lint invariants
 	$(PYTHON) -m compileall -q src
@@ -22,10 +22,10 @@ lint:            ## compileall + ruff (when installed) + repro.lint invariants
 	PYTHONPATH=src $(PYTHON) -m repro.lint.selfcheck
 
 bench:           ## full 251-submission reproduction of every figure
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-quick:     ## reduced population for a fast pass
-	REPRO_POPULATION=60 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src REPRO_POPULATION=60 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 reproduce:       ## every figure at 251 submissions; fails on any diff against benchmarks/results
 	PYTHONPATH=src REPRO_POPULATION=251 $(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -41,12 +41,12 @@ ledger-check:    ## flag regressions in the newest recorded run (LEDGER=path)
 	PYTHONPATH=src $(PYTHON) -m repro.cli runs check --ledger $(LEDGER)
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/detector_tour.py
-	$(PYTHON) examples/advanced_attacks.py
-	$(PYTHON) examples/online_monitoring.py
-	$(PYTHON) examples/challenge_simulation.py 30
-	$(PYTHON) examples/attack_optimization.py 3
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/detector_tour.py
+	PYTHONPATH=src $(PYTHON) examples/advanced_attacks.py
+	PYTHONPATH=src $(PYTHON) examples/online_monitoring.py
+	PYTHONPATH=src $(PYTHON) examples/challenge_simulation.py 30
+	PYTHONPATH=src $(PYTHON) examples/attack_optimization.py 3
 
 clean:           ## generated files only; benchmarks/results/*.txt are tracked
 	rm -rf .pytest_cache benchmarks/results/detectors.speedscope.json

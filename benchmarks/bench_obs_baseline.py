@@ -4,11 +4,10 @@ Runs the E7 headline comparison (P vs SA vs BF over one challenge world
 and synthetic population) three times -- once with the no-op metrics
 sink to measure the uninstrumented wall clock, once with a collecting
 registry, once with the registry plus the sampling profiler -- and
-writes timings, counters, the instrumentation overhead ratio, and the
-profiler overhead ratio (instrumented+profiled over instrumented) to
-``BENCH_obs_baseline.json`` at the repo root.  This file seeds the perf
-trajectory: future PRs compare their stage timings and cache hit rates
-against it.
+writes the timings, the instrumentation overhead ratio, the profiler
+overhead ratio (instrumented+profiled over instrumented) and the
+P-scheme report-cache hit counts to ``BENCH_obs_baseline.json`` at the
+repo root.
 
 A fourth pass measures the time-series recording path: the online
 challenge replay (epoch closes snapshotting the registry, streaming
@@ -44,12 +43,14 @@ from repro.obs import (
     SpanProfiler,
     TimeSeriesRecorder,
     load_rules,
-    registry_to_dict,
     use_registry,
 )
 from repro.obs.profile import attributed_fraction
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_obs_baseline.json"
+
+#: Shortest timed sample of the series-overhead measurement, in seconds.
+MIN_SAMPLE_SECONDS = 0.5
 
 
 def _run(population: int, registry=None, profile: bool = False) -> float:
@@ -94,31 +95,40 @@ def _replay_once(challenge, with_series: bool) -> float:
     return elapsed
 
 
+def _paired_sample(challenge) -> tuple:
+    """Plain and recorded replays, alternating, until each variant has
+    run for at least ``MIN_SAMPLE_SECONDS``; returns both variants'
+    mean wall seconds per replay as ``(plain, recorded)``."""
+    seconds = {False: 0.0, True: 0.0}
+    pairs = 0
+    while min(seconds.values()) < MIN_SAMPLE_SECONDS:
+        order = (False, True) if pairs % 2 == 0 else (True, False)
+        for with_series in order:
+            seconds[with_series] += _replay_once(challenge, with_series)
+        pairs += 1
+    return seconds[False] / pairs, seconds[True] / pairs
+
+
 def measure_series_overhead(repeats: int = 5) -> dict:
     """Best-of-``repeats`` online-replay timings with and without the
     series recorder; the ratio is what ``--metrics-stream`` costs.
 
-    The two variants run *interleaved* (plain, series, plain, series,
-    ...) so slow machine-load drift hits both equally instead of
-    biasing whichever variant ran last, and each timed sample sums two
-    back-to-back replays so scheduler jitter averages out: the true
-    recording cost is microseconds per epoch, far below the run-to-run
-    noise of a single ~0.25s replay.
+    The two variants run *interleaved* replay by replay (plain, series,
+    series, plain, ...), and each timed sample sums at least
+    ``MIN_SAMPLE_SECONDS`` of replays per variant.  Host load drifts in
+    phases: on a shared 2-vCPU container, replays ran 40-60% slower for
+    one to two seconds at a time, so a variant timed in a block of its
+    own could land in a slow phase the other missed.  Replay-level
+    interleaving puts both variants in the same phases.  The true
+    recording cost, about 0.2 ms per epoch close, is far below that
+    noise.  Timings are seconds per replay.
     """
     challenge = RatingChallenge(seed=2008)
     _replay_once(challenge, False)  # warm caches outside the timings
     _replay_once(challenge, True)
-    plain_times = []
-    recorded_times = []
-    for _ in range(repeats):
-        plain_times.append(
-            _replay_once(challenge, False) + _replay_once(challenge, False)
-        )
-        recorded_times.append(
-            _replay_once(challenge, True) + _replay_once(challenge, True)
-        )
-    plain = min(plain_times)
-    recorded = min(recorded_times)
+    samples = [_paired_sample(challenge) for _ in range(repeats)]
+    plain = min(sample[0] for sample in samples)
+    recorded = min(sample[1] for sample in samples)
     return {
         "replay_seconds": plain,
         "replay_with_series_seconds": recorded,
@@ -161,10 +171,12 @@ def main() -> int:
             profiled_registry.profile
         ),
         **series,
-        "metrics": registry_to_dict(registry),
+        "report_cache": {
+            "hits": registry.counter_value("pscheme.report_cache.hits"),
+            "misses": registry.counter_value("pscheme.report_cache.misses"),
+        },
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    counters = payload["metrics"]["counters"]
     print(f"population={population}")
     print(f"baseline      : {baseline_seconds:.2f}s (no metrics sink)")
     print(f"instrumented  : {instrumented_seconds:.2f}s "
@@ -172,11 +184,11 @@ def main() -> int:
     print(f"profiled      : {profiled_seconds:.2f}s "
           f"(x{payload['profiler_overhead_ratio']:.3f} over instrumented, "
           f"{payload['profile_attributed_fraction']:.1%} attributed)")
-    print(f"online replay : {series['replay_seconds']:.2f}s plain, "
-          f"{series['replay_with_series_seconds']:.2f}s with series "
+    print(f"online replay : {series['replay_seconds']:.3f}s plain, "
+          f"{series['replay_with_series_seconds']:.3f}s with series "
           f"(x{series['series_overhead_ratio']:.3f})")
-    hits = counters.get("pscheme.report_cache.hits", 0)
-    misses = counters.get("pscheme.report_cache.misses", 0)
+    hits = payload["report_cache"]["hits"]
+    misses = payload["report_cache"]["misses"]
     total = hits + misses
     if total:
         print(f"report cache  : {hits:.0f}/{total:.0f} hits "

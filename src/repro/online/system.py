@@ -1,23 +1,29 @@
 """Streaming facade over the batch aggregation pipeline.
 
-Design: the system buffers incoming :class:`~repro.types.Rating` records
-per product.  When an epoch closes (every ``period_days`` of rating time,
-or explicitly via :meth:`OnlineRatingSystem.close_epoch`), the buffered
-data is compiled into immutable streams and the configured scheme's
-``monthly_scores`` is evaluated over the *full* history -- detection is a
-whole-stream operation (windows straddle epoch boundaries), so published
-scores must be recomputed from history, not incrementally patched.  The
-P-scheme's internal fingerprint caches keep the recomputation cost
-proportional to what actually changed.
+Design: the system keeps each product's ratings as four columns (time,
+value, rater id, unfair flag).  History streams extend the columns from
+their arrays, and :meth:`OnlineRatingSystem.submit` appends one row per
+:class:`~repro.types.Rating`.  When an epoch closes (every ``period_days``
+of rating time, or explicitly via :meth:`OnlineRatingSystem.close_epoch`),
+each product's columns become one immutable stream and the configured
+scheme's ``monthly_scores`` is evaluated over the *full* history --
+detection is a whole-stream operation (windows straddle epoch
+boundaries), so published scores must be recomputed from history, not
+incrementally patched.  The P-scheme's internal fingerprint caches keep
+the recomputation cost proportional to what actually changed.
 
-Late ratings (timestamps before an already-published epoch) are accepted
-into the history and attributed to the epoch their *timestamp* lands in,
-not the epoch that happened to be accumulating when they arrived -- a
-late rating arriving after a far-future rating auto-closed several epochs
-would otherwise be charged to an unrelated report (or, for the skipped
-epochs, to none at all).  Published ``EpochReport`` objects are immutable,
-so the :attr:`OnlineRatingSystem.reports` view restates ``late_ratings``
-with everything learned since publication, consistent with this system's
+A rating is late when at least one epoch is already published and its
+timestamp precedes the accumulating epoch.  Before the first close
+nothing is published, so a rating timestamped before ``start_day`` is
+not late then.  Late ratings are accepted into the history and
+attributed to the epoch their *timestamp* lands in (pre-origin times
+clamp to epoch 0), not the epoch that happened to be accumulating when
+they arrived -- a late rating arriving after a far-future rating
+auto-closed several epochs would otherwise be charged to an unrelated
+report (or, for the skipped epochs, to none at all).  Published
+``EpochReport`` objects are immutable, so the
+:attr:`OnlineRatingSystem.reports` view restates ``late_ratings`` with
+everything learned since publication, consistent with this system's
 recompute-from-history policy; the snapshot returned by
 :meth:`close_epoch` keeps the counts known at publish time.
 
@@ -51,6 +57,8 @@ from repro.types import Rating, RatingDataset, RatingStream
 __all__ = ["EpochReport", "OnlineRatingSystem"]
 
 logger = get_logger(__name__)
+
+_Columns = Tuple[List[float], List[float], List[str], List[bool]]
 
 
 @dataclass(frozen=True)
@@ -132,15 +140,16 @@ class OnlineRatingSystem:
         self.start_day = float(start_day)
         self.period_days = float(period_days)
         self._registry = registry
-        self._buffers: Dict[str, List[Rating]] = {}
-        self._history_floor = self.start_day
+        # Per product, in first-sighting order: time, value, rater id and
+        # unfair columns, the arguments of ``RatingStream``.
+        self._columns: Dict[str, _Columns] = {}
         if history is not None:
             for stream in history.streams():
-                self._buffers.setdefault(stream.product_id, []).extend(stream)
-                if len(stream):
-                    self._history_floor = min(
-                        self._history_floor, float(stream.times[0])
-                    )
+                times, values, raters, unfair = self._columns_of(stream.product_id)
+                times.extend(stream.times.tolist())
+                values.extend(stream.values.tolist())
+                raters.extend(stream.rater_ids)
+                unfair.extend(stream.unfair.tolist())
         self.drift_monitor: Optional[DriftMonitor] = None
         if monitor_drift:
             self.drift_monitor = DriftMonitor(
@@ -175,6 +184,13 @@ class OnlineRatingSystem:
         """End time (exclusive) of the epoch currently accumulating."""
         return self.current_epoch_start + self.period_days
 
+    def _columns_of(self, product_id: str) -> _Columns:
+        """The column lists of ``product_id``, created on first sighting."""
+        columns = self._columns.get(product_id)
+        if columns is None:
+            columns = self._columns[product_id] = ([], [], [], [])
+        return columns
+
     def _epoch_index_of(self, time: float) -> int:
         """The scoring epoch a timestamp lands in (pre-start clamps to 0)."""
         return max(0, int((time - self.start_day) // self.period_days))
@@ -184,16 +200,22 @@ class OnlineRatingSystem:
 
         Returns the (possibly empty) list of epoch reports published as a
         consequence -- a rating far in the future closes several epochs.
+        Once an epoch is published, a rating timestamped before the
+        accumulating epoch counts as late (see the module docstring).
         """
         published: List[EpochReport] = []
         while rating.time >= self.current_epoch_end:
             published.append(self.close_epoch())
-        if rating.time < self.current_epoch_start:
+        if self._epochs_closed and rating.time < self.current_epoch_start:
             landing = self._epoch_index_of(rating.time)
             self._late_by_epoch[landing] = self._late_by_epoch.get(landing, 0) + 1
             self._late_total += 1
             self.registry.inc("online.late_ratings")
-        self._buffers.setdefault(rating.product_id, []).append(rating)
+        times, values, raters, unfair = self._columns_of(rating.product_id)
+        times.append(rating.time)
+        values.append(rating.value)
+        raters.append(rating.rater_id)
+        unfair.append(rating.unfair)
         self._ingested_this_epoch += 1
         self.registry.inc("online.ratings_ingested")
         return published
@@ -211,11 +233,10 @@ class OnlineRatingSystem:
 
     def dataset(self) -> RatingDataset:
         """Immutable snapshot of everything ingested so far."""
-        streams = [
-            RatingStream.from_ratings(product_id, ratings)
-            for product_id, ratings in self._buffers.items()
-        ]
-        return RatingDataset(streams)
+        return RatingDataset(
+            RatingStream(product_id, *columns)
+            for product_id, columns in self._columns.items()
+        )
 
     def close_epoch(self) -> EpochReport:
         """Close the current epoch and publish its scores."""
@@ -255,7 +276,7 @@ class OnlineRatingSystem:
         registry = self.registry
         registry.inc("online.epochs_closed")
         registry.observe("online.scheme_seconds", scheme_seconds)
-        registry.set_gauge("online.products", float(len(self._buffers)))
+        registry.set_gauge("online.products", float(len(self._columns)))
         # Snapshot the registry *after* this epoch's own telemetry landed
         # so the recorded series reflect the epoch being published; the
         # recorder also drives the alert engine, whose events ride on the

@@ -19,6 +19,7 @@ metric over 30-day months.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -85,9 +86,9 @@ class Rating:
     unfair: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.time):
+        if not math.isfinite(self.time):
             raise ValidationError(f"rating time must be finite, got {self.time!r}")
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ValidationError(f"rating value must be finite, got {self.value!r}")
 
 
@@ -188,8 +189,14 @@ class RatingStream:
         return int(self.times.size)
 
     def __iter__(self) -> Iterator[Rating]:
-        for i in range(len(self)):
-            yield self.rating_at(i)
+        columns = zip(
+            self.times.tolist(),
+            self.rater_ids,
+            self.values.tolist(),
+            self.unfair.tolist(),
+        )
+        for time, rater_id, value, unfair in columns:
+            yield Rating(time, rater_id, self.product_id, value, unfair)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -72,6 +72,25 @@ class TestIngestion:
         system.submit(make_rating(-5.0, 2.0))  # before the time origin
         assert system.reports[0].late_ratings == 1
 
+    def test_pre_start_rating_is_not_late_before_any_close(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        system = OnlineRatingSystem(
+            SimpleAveragingScheme(), start_day=0.0, period_days=30.0,
+            registry=registry,
+        )
+        system.submit(make_rating(-5.0, 2.0))  # nothing published yet
+        system.submit(make_rating(5.0, 4.0))
+        report = system.close_epoch()
+        assert report.late_ratings == 0
+        assert report.telemetry["late_ratings_total"] == 0.0
+        assert system.reports[0].late_ratings == 0
+        assert system.late_ratings_by_epoch() == {}
+        assert registry.counter_value("online.late_ratings") == 0
+        # The pre-origin rating is still history the scheme scores.
+        assert system.dataset()["p"].times.tolist() == [-5.0, 5.0]
+
 
 class TestPublishing:
     def test_epoch_scores_match_batch_sa(self):
