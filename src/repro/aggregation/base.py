@@ -1,16 +1,23 @@
-"""Aggregation scheme interface and shared window plumbing."""
+"""Aggregation scheme interface, shared window plumbing and the scores cache."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.marketplace.mp import month_edges
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.types import RatingDataset
 
-__all__ = ["month_windows", "window_cuts", "AggregationScheme"]
+__all__ = [
+    "month_windows",
+    "window_cuts",
+    "dataset_fingerprint",
+    "AggregationScheme",
+]
 
 
 def month_windows(
@@ -36,37 +43,38 @@ def window_cuts(
 
 
 def dataset_fingerprint(dataset: RatingDataset) -> Tuple:
-    """A cheap, content-based cache key for a dataset.
+    """A cheap, content-based cache key for a dataset: its streams'
+    :attr:`~repro.types.RatingStream.fingerprint`, in product order."""
+    return tuple(dataset[pid].fingerprint for pid in dataset)
 
-    Streams are immutable snapshots (their arrays are write-protected), so
-    hashing the raw bytes of times and values identifies the data reliably.
-    Rater identities matter to trust-based schemes, so they are included.
-    """
-    parts = []
-    for product_id in dataset:
-        stream = dataset[product_id]
-        parts.append(
-            (
-                product_id,
-                len(stream),
-                hash(stream.times.tobytes()),
-                hash(stream.values.tobytes()),
-                hash(stream.rater_ids),
-            )
-        )
-    return tuple(parts)
+
+#: ``monthly_scores`` results each SA and BF instance keeps (FIFO); the
+#: P-scheme keeps ``PSchemeConfig.cache_size``.
+SCORES_CACHE_SIZE = 32
 
 
 class AggregationScheme(ABC):
     """Base class: turns a dataset into per-product monthly score series.
 
-    Subclasses must set :attr:`name` and implement
-    :meth:`monthly_scores`.  Scores use NaN for months with no publishable
+    Subclasses must set :attr:`name` and :attr:`metric_prefix` and
+    implement :meth:`monthly_scores`, normally as a call of
+    :meth:`cached_scores`.  Scores use NaN for months with no publishable
     value (no ratings, or everything filtered); the MP metric treats those
     months as contributing zero manipulation.
     """
 
     name: str = "abstract"
+    #: Counter namespace: ``<prefix>.scores_cache.{hits,misses,evictions}``.
+    metric_prefix: str = "abstract"
+
+    def __init__(self) -> None:
+        self._registry: Optional[MetricsRegistry] = None
+        self._scores_cache: "OrderedDict[tuple, Dict[str, np.ndarray]]" = OrderedDict()
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The metrics sink in effect (injected, else the global one)."""
+        return self._registry if self._registry is not None else get_registry()
 
     @abstractmethod
     def monthly_scores(
@@ -77,6 +85,44 @@ class AggregationScheme(ABC):
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
         """Per-product arrays of one aggregated score per period."""
+
+    def cached_scores(
+        self,
+        dataset: RatingDataset,
+        period_days: float,
+        start_day: float,
+        end_day: float,
+        compute: Callable[[], Dict[str, np.ndarray]],
+        size: int = SCORES_CACHE_SIZE,
+    ) -> Dict[str, np.ndarray]:
+        """``compute()``, memoized by dataset content and window.
+
+        The key is :func:`dataset_fingerprint` plus the window, so an
+        equal dataset hits even as a new object: the MP metric scores the
+        same fair world on every evaluation.  Each instance keeps its own
+        first-in-first-out cache of ``size`` results (0 disables it), and
+        stores and returns copies, so a caller that mutates its scores
+        corrupts nothing.
+        """
+        registry = self.registry
+        key = (
+            dataset_fingerprint(dataset),
+            float(period_days),
+            float(start_day),
+            float(end_day),
+        )
+        cache = self._scores_cache
+        if size and key in cache:
+            registry.inc(f"{self.metric_prefix}.scores_cache.hits")
+            return {pid: series.copy() for pid, series in cache[key].items()}
+        registry.inc(f"{self.metric_prefix}.scores_cache.misses")
+        scores = compute()
+        if size:
+            cache[key] = {pid: series.copy() for pid, series in scores.items()}
+            while len(cache) > size:
+                cache.popitem(last=False)
+                registry.inc(f"{self.metric_prefix}.scores_cache.evictions")
+        return scores
 
     # Convenience used by examples and tests ---------------------------- #
 

@@ -163,8 +163,10 @@ class BetaFilterScheme(AggregationScheme):
     """Majority-rule beta filtering with cumulative beta trust."""
 
     name = "BF"
+    metric_prefix = "bf"
 
     def __init__(self, config: BetaFilterConfig = BetaFilterConfig()) -> None:
+        super().__init__()
         self.config = config
 
     # ------------------------------------------------------------------ #
@@ -222,29 +224,31 @@ class BetaFilterScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
+        return self.cached_scores(
+            dataset,
+            period_days,
+            start_day,
+            end_day,
+            lambda: self._scores(dataset, period_days, start_day, end_day),
+        )
+
+    def _scores(self, dataset, period_days, start_day, end_day):
         cuts = window_cuts(dataset, period_days, start_day, end_day)
         n_months = len(month_windows(start_day, end_day, period_days))
         n_products = len(cuts)
+        raters, rater_codes = dataset.rater_codes
         # Lay every (month, product) window out month-major, so each
         # month's ratings are one slice: trust accumulates month by month
         # across ALL products (a rater filtered on one is distrusted on all).
         spans = [
-            (dataset[pid], cut[w], cut[w + 1])
+            (dataset[pid].values, rater_codes[pid], cut[w], cut[w + 1])
             for w in range(n_months)
             for pid, cut in cuts.items()
         ]
-        bounds = np.cumsum([0] + [hi - lo for _, lo, hi in spans])
-        values = np.concatenate(
-            [np.empty(0)] + [s.values[lo:hi] for s, lo, hi in spans]
-        )
-        raters: Dict[str, int] = {}
-        codes = np.array(
-            [
-                raters.setdefault(r, len(raters))
-                for s, lo, hi in spans
-                for r in s.rater_ids[lo:hi]
-            ],
-            dtype=np.intp,
+        bounds = np.cumsum([0] + [hi - lo for _, _, lo, hi in spans])
+        values = np.concatenate([np.empty(0)] + [v[lo:hi] for v, _, lo, hi in spans])
+        codes = np.concatenate(
+            [np.empty(0, np.intp)] + [c[lo:hi] for _, c, lo, hi in spans]
         )
         keep = self._filter(self._normalize(values), bounds)
         kept = np.zeros(len(raters), dtype=int)

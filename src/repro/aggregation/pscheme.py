@@ -23,10 +23,12 @@ between detection and trust at roughly double the cost.
 Detection on a given stream is independent of the rest of the dataset, so
 per-stream detection reports are cached by content fingerprint; evaluating
 hundreds of challenge submissions against the same fair world only pays
-for the attacked products.  Whether that claim holds in practice is
-observable: both caches report hits/misses/evictions into the active
-metrics registry (``pscheme.report_cache.*``, ``pscheme.scores_cache.*``)
-and each pipeline stage is timed under
+for the attacked products.  Whole results go through the scores cache all
+schemes share (:meth:`AggregationScheme.cached_scores`).  Whether that
+claim holds in practice is observable: both caches report
+hits/misses/evictions into the active metrics registry
+(``pscheme.report_cache.*``, ``pscheme.scores_cache.*``) and each pipeline
+stage is timed under
 ``span.pscheme.monthly_scores.{detect,trust,aggregate}.seconds``.
 """
 
@@ -38,19 +40,17 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.aggregation.base import AggregationScheme, dataset_fingerprint, month_windows
+from repro.aggregation.base import AggregationScheme, month_windows, window_cuts
 from repro.aggregation.weighted import trust_weighted_average
 from repro.detectors.base import DetectorConfig
 from repro.detectors.integration import JointDetector
 from repro.errors import ValidationError
-from repro.obs import get_logger, span
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs import span
+from repro.obs.registry import MetricsRegistry
 from repro.trust.manager import TrustManager
-from repro.types import RatingDataset, RatingStream
+from repro.types import RatingDataset
 
 __all__ = ["PSchemeConfig", "PScheme"]
-
-logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,6 @@ class PSchemeConfig:
             raise ValidationError(f"cache_size must be >= 0, got {self.cache_size}")
 
 
-def _stream_key(stream: RatingStream):
-    return (
-        stream.product_id,
-        len(stream),
-        hash(stream.times.tobytes()),
-        hash(stream.values.tobytes()),
-        hash(stream.rater_ids),
-    )
-
-
 class PScheme(AggregationScheme):
     """The proposed reliable rating aggregation system.
 
@@ -131,22 +121,18 @@ class PScheme(AggregationScheme):
     """
 
     name = "P"
+    metric_prefix = "pscheme"
 
     def __init__(
         self,
         config: Optional[PSchemeConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        super().__init__()
         self.config = config if config is not None else PSchemeConfig()
         self._registry = registry
         self.detector = JointDetector(self.config.detector, registry=registry)
         self._report_cache: "OrderedDict" = OrderedDict()
-        self._scores_cache: "OrderedDict" = OrderedDict()
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink in effect (injected, else the global one)."""
-        return self._registry if self._registry is not None else get_registry()
 
     # ------------------------------------------------------------------ #
     # Detection with per-stream caching
@@ -184,7 +170,7 @@ class PScheme(AggregationScheme):
         missing = []
         for product_id in dataset:
             stream = dataset[product_id]
-            key = _stream_key(stream)
+            key = stream.fingerprint
             keys[product_id] = key
             cached = self._report_cache.get(key)
             if cached is None:
@@ -237,18 +223,17 @@ class PScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
-        registry = self.registry
-        cache_key = (
-            dataset_fingerprint(dataset),
-            float(period_days),
-            float(start_day),
-            float(end_day),
+        return self.cached_scores(
+            dataset,
+            period_days,
+            start_day,
+            end_day,
+            lambda: self._scores(dataset, period_days, start_day, end_day),
+            self.config.cache_size,
         )
-        if self.config.cache_size and cache_key in self._scores_cache:
-            registry.inc("pscheme.scores_cache.hits")
-            logger.debug("scores cache hit (%d products)", len(dataset))
-            return {k: v.copy() for k, v in self._scores_cache[cache_key].items()}
-        registry.inc("pscheme.scores_cache.misses")
+
+    def _scores(self, dataset, period_days, start_day, end_day):
+        registry = self.registry
         with span("pscheme.monthly_scores", registry):
             windows = month_windows(start_day, end_day, period_days)
             epoch_times = [hi for _, hi in windows]
@@ -256,47 +241,43 @@ class PScheme(AggregationScheme):
                 dataset, epoch_times, registry
             )
             with span("aggregate", registry):
-                scores = self._aggregate(dataset, windows, marks, snapshots)
-        if self.config.cache_size:
-            self._scores_cache[cache_key] = {k: v.copy() for k, v in scores.items()}
-            while len(self._scores_cache) > self.config.cache_size:
-                self._scores_cache.popitem(last=False)
-                registry.inc("pscheme.scores_cache.evictions")
-        return scores
+                cuts = window_cuts(dataset, period_days, start_day, end_day)
+                return self._aggregate(dataset, cuts, marks, snapshots)
 
-    def _aggregate(self, dataset, windows, marks, snapshots):
-        """Step 4: filter highly suspicious ratings, combine per Eq. 7."""
+    def _aggregate(self, dataset, cuts, marks, snapshots):
+        """Step 4: filter highly suspicious ratings, combine per Eq. 7.
+
+        Window ``i`` of a product is the slice ``cuts[p][i]:cuts[p][i + 1]``
+        of its time-sorted stream.  Each rating's trust is its window's
+        snapshot indexed by the rating's rater code, and the filter is
+        applied to a whole product at once; only Eq. 7's sums are taken
+        window by window.
+        """
+        _, codes = dataset.rater_codes
+        if self.config.use_trust_weights:
+            by_code = np.stack([s.by_code for s in snapshots])
         scores: Dict[str, np.ndarray] = {}
-        threshold = self.config.filter_trust_threshold
-        for product_id in dataset:
-            stream = dataset[product_id]
-            mask = marks[product_id]
-            series = np.full(len(windows), np.nan)
-            for i, (lo, hi) in enumerate(windows):
-                in_window = (stream.times >= lo) & (stream.times < hi)
-                if not in_window.any():
+        for product_id, cut in cuts.items():
+            values = dataset[product_id].values[cut[0]:cut[-1]]
+            suspicious = marks[product_id][cut[0]:cut[-1]]
+            bounds = (cut - cut[0]).tolist()
+            if self.config.use_trust_weights:
+                window = np.repeat(np.arange(cut.size - 1), cut[1:] - cut[:-1])
+                trusts = by_code[window, codes[product_id][cut[0]:cut[-1]]]
+                keep = ~(suspicious & (trusts < self.config.filter_trust_threshold))
+            else:
+                # Filter-only ablation: drop marked ratings, plain mean.
+                keep = ~suspicious
+            series = np.full(cut.size - 1, np.nan)
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                kept = keep[lo:hi]
+                if not kept.any():
                     continue
-                idx = np.nonzero(in_window)[0]
-                suspicious = mask[idx]
-                if not self.config.use_trust_weights:
-                    # Filter-only ablation: drop marked ratings, plain mean.
-                    keep = ~suspicious
-                    if not keep.any():
-                        continue
-                    series[i] = float(stream.values[idx][keep].mean())
-                    continue
-                snapshot = snapshots[i]
-                trusts = np.asarray(
-                    [
-                        snapshot.value(stream.rater_ids[j], self.config.initial_trust)
-                        for j in idx
-                    ]
-                )
-                keep = ~(suspicious & (trusts < threshold))
-                if not keep.any():
-                    continue
-                series[i] = trust_weighted_average(
-                    stream.values[idx][keep], trusts[keep]
-                )
+                if self.config.use_trust_weights:
+                    series[i] = trust_weighted_average(
+                        values[lo:hi][kept], trusts[lo:hi][kept]
+                    )
+                else:
+                    series[i] = float(values[lo:hi][kept].mean())
             scores[product_id] = series
         return scores

@@ -22,6 +22,7 @@ class SimpleAveragingScheme(AggregationScheme):
     """Monthly score = arithmetic mean of that month's ratings."""
 
     name = "SA"
+    metric_prefix = "sa"
 
     def monthly_scores(
         self,
@@ -30,6 +31,15 @@ class SimpleAveragingScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
+        return self.cached_scores(
+            dataset,
+            period_days,
+            start_day,
+            end_day,
+            lambda: self._scores(dataset, period_days, start_day, end_day),
+        )
+
+    def _scores(self, dataset, period_days, start_day, end_day):
         scores: Dict[str, np.ndarray] = {}
         for product_id, cuts in window_cuts(
             dataset, period_days, start_day, end_day

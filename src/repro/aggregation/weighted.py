@@ -38,7 +38,7 @@ def trust_weighted_average(
         raise ValidationError(
             f"{values_arr.size} values but {trusts_arr.size} trust values"
         )
-    if np.any(trusts_arr < 0) or np.any(trusts_arr > 1):
+    if (trusts_arr < 0).any() or (trusts_arr > 1).any():
         raise ValidationError("trust values must lie in [0, 1]")
     weights = np.maximum(trusts_arr - neutral, 0.0)
     total = float(weights.sum())

@@ -132,11 +132,13 @@ def get_shared_challenge(seed: int):
 def get_shared_scheme(scope: tuple, scheme_name: str):
     """A per-process scheme instance for ``scheme_name`` within ``scope``.
 
-    Sharing one instance per process lets the P-scheme's content-keyed
-    report caches amortize across the tasks of one sweep, exactly as the
-    serial loop shares the context's instance.  Results never depend on
-    the cache state (the caches are pure memoization), so this cannot
-    break serial/parallel bit-identity.
+    Sharing one instance per process lets each scheme's content-keyed
+    caches amortize across the tasks of one sweep, exactly as the serial
+    loop shares the context's instance: the P-scheme's report cache, and
+    the scores cache of every scheme, which scores the fair world once
+    per instance instead of once per task.  Results never depend on the
+    cache state (the caches are pure memoization), so this cannot break
+    serial/parallel bit-identity.
     """
     factory = _scheme_factory(scheme_name)
     if _HERMETIC:

@@ -18,6 +18,7 @@ The generator is deterministic given a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -28,6 +29,7 @@ from repro.marketplace.product import Product, default_tv_lineup
 from repro.marketplace.rater import RaterProfile, activity_weights, build_rater_pool
 from repro.types import DEFAULT_SCALE, RatingScale, RatingDataset, RatingStream
 from repro.utils.rng import SeedLike, resolve_rng, spawn_rng
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["FairRatingConfig", "FairRatingGenerator"]
 
@@ -73,14 +75,13 @@ class FairRatingConfig:
     scale: RatingScale = field(default_factory=lambda: DEFAULT_SCALE)
 
     def __post_init__(self) -> None:
-        if self.duration_days <= 0:
-            raise ValidationError(f"duration_days must be > 0, got {self.duration_days}")
-        if self.history_days < 0:
-            raise ValidationError(f"history_days must be >= 0, got {self.history_days}")
-        if self.base_arrivals_per_day <= 0:
-            raise ValidationError(
-                f"base_arrivals_per_day must be > 0, got {self.base_arrivals_per_day}"
-            )
+        # NaN and inf pass plain comparisons; an infinite window never
+        # finishes sampling, and a NaN one silently samples nothing.
+        if not math.isfinite(self.start_day):
+            raise ValidationError(f"start_day must be finite, got {self.start_day!r}")
+        check_positive(self.duration_days, "duration_days")
+        check_non_negative(self.history_days, "history_days")
+        check_positive(self.base_arrivals_per_day, "base_arrivals_per_day")
         if not 0 <= self.weekly_amplitude < 1:
             raise ValidationError(
                 f"weekly_amplitude must be in [0, 1), got {self.weekly_amplitude}"

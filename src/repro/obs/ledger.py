@@ -69,6 +69,8 @@ DEFAULT_IGNORE_PREFIXES = (
     "trace.",
     "pscheme.report_cache.",
     "pscheme.scores_cache.",
+    "sa.scores_cache.",
+    "bf.scores_cache.",
     "search.memo.",
     "profile.",
     "mem.",

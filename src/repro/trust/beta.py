@@ -17,18 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 __all__ = ["BetaEvidence", "beta_trust_value"]
 
 
-def beta_trust_value(successes: float, failures: float) -> float:
+def beta_trust_value(successes, failures):
     """The beta-expected trust ``(S + 1) / (S + F + 2)``.
 
-    Accepts fractional evidence (some schemes weight evidence); negative
-    evidence is invalid.
+    Accepts fractional evidence (some schemes weight evidence), and
+    numpy arrays of it elementwise; negative evidence is invalid.
     """
-    if successes < 0 or failures < 0:
+    if np.any(np.less(successes, 0)) or np.any(np.less(failures, 0)):
         raise ValidationError(
             f"evidence counts must be >= 0, got S={successes}, F={failures}"
         )

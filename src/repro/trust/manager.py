@@ -9,20 +9,20 @@ suspicious, and folds the counts into each rater's beta evidence:
     S_i += n_i - f_i           (clean ratings this epoch)
     T_i  = (S_i + 1) / (S_i + F_i + 2)
 
-Unknown raters have trust 0.5 (no evidence), matching the paper's initial
-trust value.
+Unknown raters read the manager's ``initial_trust``: 0.5 by default, the
+paper's initial trust value and what zero evidence gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.trust.beta import BetaEvidence
+from repro.trust.beta import beta_trust_value
 from repro.types import RatingDataset
 
 __all__ = ["TrustSnapshot", "TrustManager"]
@@ -30,10 +30,19 @@ __all__ = ["TrustSnapshot", "TrustManager"]
 
 @dataclass(frozen=True)
 class TrustSnapshot:
-    """Per-rater trust as of one epoch."""
+    """Per-rater trust as of one epoch.
+
+    ``trust`` maps every rater seen so far to its trust, in first-sighting
+    order: by epoch, then product, then position.  A snapshot from
+    :meth:`TrustManager.run` also carries ``by_code``: the trust of every
+    rater of the dataset it ran on, indexed by the dataset's rater codes
+    (:attr:`~repro.types.RatingDataset.rater_codes`), with the manager's
+    initial trust for raters not seen yet.
+    """
 
     epoch_time: float
     trust: Mapping[str, float]
+    by_code: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def value(self, rater_id: str, default: float = 0.5) -> float:
         """Trust of ``rater_id`` at this epoch (``default`` if unseen)."""
@@ -51,7 +60,7 @@ class TrustManager:
 
     ``marks`` maps each product id to a boolean array aligned with that
     product's stream: ``True`` where the joint detector marked the rating
-    suspicious.
+    suspicious.  A product without marks counts as clean.
 
     ``forgetting_factor`` enables the standard beta-reputation fading
     extension (Jøsang-Ismail): before each epoch's counts are folded in,
@@ -60,6 +69,10 @@ class TrustManager:
     and the paper's Procedure 1) never forgets; values below 1 let both
     honest raters recover from false alarms and attackers "redeem"
     themselves -- the trade-off the fading literature studies.
+
+    Evidence is held as two float arrays, ``S`` and ``F``, with one row
+    per rater in first-sighting order; :meth:`run`, :meth:`record_epoch`,
+    :meth:`trust_of` and :meth:`snapshot` all read and write them.
     """
 
     def __init__(
@@ -79,7 +92,7 @@ class TrustManager:
         self.initial_trust = initial_trust
         self.forgetting_factor = forgetting_factor
         self._registry = registry
-        self._evidence: Dict[str, BetaEvidence] = {}
+        self.reset()
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -90,14 +103,16 @@ class TrustManager:
 
     def reset(self) -> None:
         """Drop all accumulated evidence."""
-        self._evidence.clear()
+        self._rows: Dict[str, int] = {}
+        self._successes = np.zeros(0)
+        self._failures = np.zeros(0)
 
     def trust_of(self, rater_id: str) -> float:
         """Current trust for ``rater_id`` (initial trust when unseen)."""
-        evidence = self._evidence.get(rater_id)
-        if evidence is None:
+        row = self._rows.get(rater_id)
+        if row is None:
             return self.initial_trust
-        return evidence.trust
+        return float(beta_trust_value(self._successes[row], self._failures[row]))
 
     def record_epoch(self, counts: Mapping[str, Tuple[int, int]]) -> None:
         """Fold one epoch's ``{rater: (n_i, f_i)}`` counts into evidence.
@@ -107,25 +122,33 @@ class TrustManager:
         a forgetting factor below 1, *all* raters' accumulated evidence is
         faded first (a rater silent this epoch still fades).
         """
-        if self.forgetting_factor < 1.0:
-            for evidence in self._evidence.values():
-                evidence.successes *= self.forgetting_factor
-                evidence.failures *= self.forgetting_factor
         for rater_id, (n_i, f_i) in counts.items():
             if f_i > n_i:
                 raise ValidationError(
                     f"rater {rater_id!r}: suspicious count {f_i} exceeds "
                     f"rating count {n_i}"
                 )
-            evidence = self._evidence.setdefault(rater_id, BetaEvidence())
-            evidence.record(good=n_i - f_i, bad=f_i)
+            if f_i < 0:
+                raise ValidationError(
+                    f"rater {rater_id!r}: suspicious count {f_i} is negative"
+                )
+        if self.forgetting_factor < 1.0:
+            self._successes *= self.forgetting_factor
+            self._failures *= self.forgetting_factor
+        for rater_id in counts:
+            self._rows.setdefault(rater_id, len(self._rows))
+        grown = np.zeros(len(self._rows) - self._successes.size)
+        self._successes = np.concatenate([self._successes, grown])
+        self._failures = np.concatenate([self._failures, grown])
+        for rater_id, (n_i, f_i) in counts.items():
+            row = self._rows[rater_id]
+            self._successes[row] += n_i - f_i
+            self._failures[row] += f_i
 
     def snapshot(self, epoch_time: float) -> TrustSnapshot:
         """Freeze the current per-rater trust values."""
-        return TrustSnapshot(
-            epoch_time=epoch_time,
-            trust={rid: ev.trust for rid, ev in self._evidence.items()},
-        )
+        values = beta_trust_value(self._successes, self._failures).tolist()
+        return TrustSnapshot(epoch_time, dict(zip(self._rows, values)))
 
     # ------------------------------------------------------------------ #
 
@@ -137,44 +160,89 @@ class TrustManager:
     ) -> List[TrustSnapshot]:
         """Execute Procedure 1 over ``dataset`` and return epoch snapshots.
 
-        ``epoch_times`` must be strictly increasing; epoch ``k`` covers
-        ratings with ``t_hat(k-1) <= time < t_hat(k)`` (the first epoch
-        covers everything before ``t_hat(1)``).  Returns one snapshot per
+        ``epoch_times`` must be finite and strictly increasing; epoch ``k``
+        covers ratings with ``t_hat(k-1) <= time < t_hat(k)`` (the first
+        epoch covers everything before ``t_hat(1)``; ratings at or after
+        the last epoch time are not counted).  Returns one snapshot per
         epoch, taken *after* that epoch's update.
+
+        Every rating's epoch comes from one ``np.searchsorted`` over the
+        epoch times, each epoch's ``n_i`` and ``f_i`` from one
+        ``np.bincount`` over the dataset's rater codes
+        (:attr:`~repro.types.RatingDataset.rater_codes`).  The counts are
+        integers and every rater is faded before it is added to, as in
+        :meth:`record_epoch`, so the trust values are the same to the bit.
         """
-        epoch_times = list(epoch_times)
-        if any(b <= a for a, b in zip(epoch_times, epoch_times[1:])):
+        times = list(epoch_times)
+        edges = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(edges)):
+            raise ValidationError(f"epoch_times must be finite, got {times}")
+        if np.any(np.diff(edges) <= 0):
             raise ValidationError("epoch_times must be strictly increasing")
-        self.reset()
+        raters, codes = dataset.rater_codes
+        n_epochs, n_raters = len(times), len(raters)
+        # Every rating of every product, product-major.
+        columns = [(np.zeros(0), np.zeros(0, np.intp), np.zeros(0, bool))]
+        for product_id in dataset:
+            stream = dataset[product_id]
+            mask = marks.get(product_id)
+            mask = (
+                np.zeros(len(stream), bool) if mask is None
+                else np.asarray(mask, dtype=bool)
+            )
+            if mask.size != len(stream):
+                raise ValidationError(
+                    f"marks for {product_id!r} have length {mask.size}, "
+                    f"stream has {len(stream)}"
+                )
+            columns.append((stream.times, codes[product_id], mask))
+        times_all, code, marked = (np.concatenate(c) for c in zip(*columns))
+        # A rating's epoch is the number of epoch times at or before it;
+        # n_epochs means it is not counted.
+        epoch = np.searchsorted(edges, times_all, "right")
+        position = np.flatnonzero(epoch < n_epochs)
+        epoch, code, marked = epoch[position], code[position], marked[position]
+        key = epoch * n_raters + code
+        n = np.bincount(key, minlength=n_epochs * n_raters).reshape(n_epochs, n_raters)
+        f = np.bincount(key[marked], minlength=n_epochs * n_raters).reshape(
+            n_epochs, n_raters
+        )
+        # Evidence rows in first-sighting order (epoch, then product, then
+        # position): the raters seen by the end of epoch k are the first
+        # seen[k] rows.
+        never = n_epochs * times_all.size
+        first = np.full(n_raters, never)
+        np.minimum.at(first, code, epoch * times_all.size + position)
+        rows = np.argsort(first)[: np.count_nonzero(first < never)]
+        seen = np.searchsorted(first[rows], times_all.size * np.arange(1, n_epochs + 1))
+        good, bad = (n - f)[:, rows], f[:, rows]
+        ids = [raters[row] for row in rows.tolist()]
+        successes, failures = np.zeros(rows.size), np.zeros(rows.size)
         snapshots: List[TrustSnapshot] = []
-        previous = -np.inf
-        for epoch_time in epoch_times:
-            counts: Dict[str, List[int]] = {}
-            for product_id in dataset:
-                stream = dataset[product_id]
-                mask = np.asarray(marks.get(product_id, np.zeros(len(stream), bool)))
-                if mask.size != len(stream):
-                    raise ValidationError(
-                        f"marks for {product_id!r} have length {mask.size}, "
-                        f"stream has {len(stream)}"
-                    )
-                in_epoch = (stream.times >= previous) & (stream.times < epoch_time)
-                for idx in np.nonzero(in_epoch)[0]:
-                    entry = counts.setdefault(stream.rater_ids[idx], [0, 0])
-                    entry[0] += 1
-                    if mask[idx]:
-                        entry[1] += 1
-            self.record_epoch({rid: (n, f) for rid, (n, f) in counts.items()})
-            snapshots.append(self.snapshot(epoch_time))
-            previous = epoch_time
+        for k, epoch_time in enumerate(times):
+            if self.forgetting_factor < 1.0:
+                successes *= self.forgetting_factor
+                failures *= self.forgetting_factor
+            successes += good[k]
+            failures += bad[k]
+            values = beta_trust_value(successes[: seen[k]], failures[: seen[k]])
+            by_code = np.full(n_raters, self.initial_trust)
+            by_code[rows[: seen[k]]] = values
+            by_code.setflags(write=False)
+            snapshots.append(
+                TrustSnapshot(epoch_time, dict(zip(ids, values.tolist())), by_code)
+            )
+        self._rows = dict(zip(ids, range(len(ids))))
+        self._successes, self._failures = successes, failures
         registry = self.registry
         if registry.enabled:
             # Procedure 1 telemetry: how many epochs ran, how many raters
             # hold evidence, and where the final trust mass sits.
-            registry.inc("trust.epochs", len(epoch_times))
+            registry.inc("trust.epochs", n_epochs)
             registry.inc("trust.runs")
-            registry.set_gauge("trust.raters", float(len(self._evidence)))
+            registry.set_gauge("trust.raters", float(len(ids)))
             if snapshots:
+                observe = registry.histogram("trust.value").observe
                 for value in snapshots[-1].trust.values():
-                    registry.observe("trust.value", value)
+                    observe(value)
         return snapshots

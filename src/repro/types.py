@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,6 +93,25 @@ class Rating:
             raise ValidationError(f"rating value must be finite, got {self.value!r}")
 
 
+def _first_sighting(ids: Iterable[str]) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """Distinct ``ids`` in first-sighting order, and the index of each.
+
+    Built with Python dicts, never a numpy ``U`` array: those drop
+    trailing NULs, so ``"a\\x00"`` would tie with ``"a"``.
+    """
+    raters = tuple(dict.fromkeys(ids))
+    return raters, dict(zip(raters, range(len(raters))))
+
+
+#: A dataset's rater codes: ``(raters, codes by product, index of raters)``.
+_Codes = Tuple[Tuple[str, ...], Dict[str, np.ndarray], Dict[str, int]]
+
+
+def _lookup(index: Dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """``index[i]`` for every id of ``ids``, as an int array."""
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
 class RatingStream:
     """All ratings for one product, sorted by time, stored columnar.
 
@@ -110,7 +130,9 @@ class RatingStream:
         injected by an attack (known only in simulation).
     """
 
-    __slots__ = ("product_id", "times", "values", "rater_ids", "unfair")
+    __slots__ = (
+        "product_id", "times", "values", "rater_ids", "unfair", "_codes", "_key"
+    )
 
     def __init__(
         self,
@@ -147,6 +169,8 @@ class RatingStream:
         self.times.setflags(write=False)
         self.values.setflags(write=False)
         self.unfair.setflags(write=False)
+        self._codes: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
+        self._key: Optional[Tuple] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -203,6 +227,41 @@ class RatingStream:
             f"RatingStream(product_id={self.product_id!r}, n={len(self)}, "
             f"unfair={int(self.unfair.sum())})"
         )
+
+    @property
+    def fingerprint(self) -> Tuple:
+        """A cheap, content-based cache key, computed once.
+
+        Streams are immutable snapshots (their arrays are write-protected),
+        so hashing the raw bytes of times and values identifies the data
+        reliably.  Rater identities matter to trust-based schemes, so they
+        are included.
+        """
+        if self._key is None:
+            self._key = (
+                self.product_id,
+                len(self),
+                hash(self.times.tobytes()),
+                hash(self.values.tobytes()),
+                hash(self.rater_ids),
+            )
+        return self._key
+
+    @property
+    def rater_codes(self) -> Tuple[Tuple[str, ...], np.ndarray]:
+        """``(raters, codes)``: the distinct rater ids in first-sighting
+        order, and one write-protected int code per rating such that
+        ``raters[codes[i]] == rater_ids[i]``.
+
+        Computed on first use and kept: streams are immutable, and the
+        fair streams are shared by every attacked dataset of a sweep.
+        """
+        if self._codes is None:
+            raters, index = _first_sighting(self.rater_ids)
+            codes = _lookup(index, self.rater_ids)
+            codes.setflags(write=False)
+            self._codes = raters, codes
+        return self._codes
 
     def rating_at(self, index: int) -> Rating:
         """The :class:`Rating` record at positional ``index``."""
@@ -302,7 +361,7 @@ class RatingDataset:
     ``product_id -> RatingStream``.
     """
 
-    __slots__ = ("_streams",)
+    __slots__ = ("_streams", "_codes", "_parts")
 
     def __init__(self, streams: Iterable[RatingStream]) -> None:
         mapping: Dict[str, RatingStream] = {}
@@ -314,6 +373,10 @@ class RatingDataset:
                 )
             mapping[stream.product_id] = stream
         self._streams = mapping
+        self._codes: Optional[_Codes] = None
+        # Set by merge(): (receiver, [(receiver stream or None, extra
+        # stream or None)] per product), from which the codes derive.
+        self._parts: Optional[Tuple["RatingDataset", List[tuple]]] = None
 
     # Mapping-style protocol ------------------------------------------- #
 
@@ -346,6 +409,67 @@ class RatingDataset:
         """Total rating count across all products."""
         return sum(len(s) for s in self._streams.values())
 
+    @property
+    def rater_codes(self) -> Tuple[Tuple[str, ...], Dict[str, np.ndarray]]:
+        """``(raters, codes)``: every rater id of the dataset once, and per
+        product one int code per rating such that
+        ``raters[codes[p][i]] == self[p].rater_ids[i]``.
+
+        Code by these only; the order of ``raters`` is deterministic but
+        carries no meaning.  A dataset built from streams merges the
+        streams' own :attr:`RatingStream.rater_codes` (first sighting by
+        product, then position), so only streams new to the process pay
+        for coding their ids.  A dataset built by :meth:`merge` extends
+        its receiver's codes instead: the receiver's raters come first,
+        and only the merged-in ratings' ids are looked up.  Computed on
+        first use and kept.
+        """
+        return self._coded()[:2]
+
+    def _coded(self) -> _Codes:
+        if self._codes is None:
+            if self._parts is None:
+                self._codes = self._code_streams()
+            else:
+                self._codes = self._code_merge(*self._parts)
+                self._parts = None
+        return self._codes
+
+    def _code_streams(self) -> _Codes:
+        stream_codes = [s.rater_codes for s in self._streams.values()]
+        raters, index = _first_sighting(
+            chain.from_iterable(ids for ids, _ in stream_codes)
+        )
+        codes = {}
+        for product_id, (ids, local) in zip(self._streams, stream_codes):
+            codes[product_id] = _lookup(index, ids)[local]
+            codes[product_id].setflags(write=False)
+        return raters, codes, index
+
+    def _code_merge(self, receiver: "RatingDataset", parts: List[tuple]) -> _Codes:
+        _, base_codes, index = receiver._coded()
+        index = dict(index)
+        for _, extra in parts:
+            if extra is not None:
+                for rater_id in extra.rater_codes[0]:
+                    index.setdefault(rater_id, len(index))
+        codes = {}
+        for product_id, (base, extra) in zip(self._streams, parts):
+            if extra is None:
+                codes[product_id] = base_codes[base.product_id]
+                continue
+            ids, local = extra.rater_codes
+            merged = _lookup(index, ids)[local]
+            if base is not None:
+                # RatingStream.merge sorts the concatenation the same way.
+                order = np.argsort(
+                    np.concatenate([base.times, extra.times]), kind="stable"
+                )
+                merged = np.concatenate([base_codes[base.product_id], merged])[order]
+            merged.setflags(write=False)
+            codes[product_id] = merged
+        return tuple(index), codes, index
+
     # Derived datasets -------------------------------------------------- #
 
     def merge(self, extra: Mapping[str, RatingStream]) -> "RatingDataset":
@@ -355,15 +479,21 @@ class RatingDataset:
         both are merged.  The receiver is unchanged.
         """
         merged: List[RatingStream] = []
+        parts: List[tuple] = []
         for product_id, stream in self._streams.items():
             if product_id in extra:
                 merged.append(stream.merge(extra[product_id]))
+                parts.append((stream, extra[product_id]))
             else:
                 merged.append(stream)
+                parts.append((stream, None))
         for product_id, stream in extra.items():
             if product_id not in self._streams:
                 merged.append(stream)
-        return RatingDataset(merged)
+                parts.append((None, stream))
+        dataset = RatingDataset(merged)
+        dataset._parts = (self, parts)
+        return dataset
 
     def fair_only(self) -> "RatingDataset":
         """Dataset with all ground-truth unfair ratings removed."""

@@ -58,6 +58,22 @@ class TestWorldCommand:
         assert text.startswith("product_id,rater_id,time,value,unfair")
         assert len(text.splitlines()) > 100
 
+    def test_world_rejects_nan_duration(self, tmp_path, capsys):
+        out = tmp_path / "fair.csv"
+        code = main(
+            [
+                "world",
+                "--seed", "3",
+                "--out", str(out),
+                "--duration-days", "nan",
+                "--history-days", "20",
+                "--arrivals-per-day", "4",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: duration_days")
+        assert not out.exists()
+
 
 class TestAttackAndEvaluate:
     def test_attack_then_evaluate(self, small_world, tmp_path, capsys):

@@ -80,6 +80,17 @@ class TestFairRatingConfig:
         with pytest.raises(ValidationError):
             FairRatingConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["start_day", "duration_days", "history_days", "base_arrivals_per_day"],
+    )
+    def test_non_finite_sizes_rejected(self, field, value):
+        # NaN passes every plain comparison: a NaN window sampled no
+        # ratings, and an infinite one never stopped sampling.
+        with pytest.raises(ValidationError, match=field):
+            FairRatingConfig(**{field: value})
+
 
 class TestFairRatingGenerator:
     @pytest.fixture(scope="class")

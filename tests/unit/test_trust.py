@@ -104,6 +104,16 @@ class TestTrustManager:
         with pytest.raises(ValidationError):
             TrustManager().run(dataset, {}, epoch_times=[30.0, 30.0])
 
+    @pytest.mark.parametrize(
+        "epochs",
+        [[30.0, float("nan")], [float("nan"), 30.0], [30.0, float("inf")]],
+        ids=["nan-last", "nan-first", "inf"],
+    )
+    def test_run_rejects_non_finite_epochs(self, epochs):
+        # NaN passes the increasing-order check; counted nothing before.
+        with pytest.raises(ValidationError, match="finite"):
+            TrustManager().run(two_product_dataset(), {}, epoch_times=epochs)
+
     def test_run_checks_mark_lengths(self):
         dataset = two_product_dataset()
         with pytest.raises(ValidationError):

@@ -212,3 +212,52 @@ class TestRatingDataset:
         ds = self.make_dataset()
         halved = ds.map_streams(lambda s: s.between(0.0, 2.0))
         assert halved.total_ratings() == 4
+
+
+def decoded(dataset):
+    raters, codes = dataset.rater_codes
+    return {pid: tuple(raters[c] for c in codes[pid]) for pid in dataset}
+
+
+class TestRaterCodes:
+    def test_stream_codes_in_first_sighting_order(self):
+        # "a\x00" and "a" are distinct ids (a numpy U array would tie them).
+        stream = RatingStream(
+            "p", [3.0, 1.0, 2.0, 2.0], [1, 2, 3, 4], ["b", "a\x00", "a", "b"]
+        )
+        raters, codes = stream.rater_codes
+        assert raters == ("a\x00", "a", "b")
+        assert codes.tolist() == [0, 1, 2, 2]
+        assert not codes.flags.writeable
+        assert stream.rater_codes is stream.rater_codes
+
+    def test_dataset_codes_decode_to_rater_ids(self):
+        p = RatingStream("p", [1.0, 2.0, 2.0], [1, 2, 3], ["a", "b", "a\x00"])
+        q = RatingStream("q", [0.5, 2.0], [1, 2], ["c", "a"])
+        dataset = RatingDataset([p, RatingStream.empty("e"), q])
+        raters, codes = dataset.rater_codes
+        assert raters == ("a", "b", "a\x00", "c")
+        assert decoded(dataset) == {pid: dataset[pid].rater_ids for pid in dataset}
+
+    @pytest.mark.parametrize("code_receiver_first", [True, False])
+    def test_merged_dataset_codes_decode_to_rater_ids(self, code_receiver_first):
+        fair = RatingDataset(
+            [
+                RatingStream("p", [1.0, 2.0, 2.0, 5.0], [1, 2, 3, 4], ["a", "b", "a", "c"]),
+                RatingStream("q", [0.5, 2.0], [1, 2], ["c", "a"]),
+                RatingStream.empty("e"),
+            ]
+        )
+        if code_receiver_first:
+            fair.rater_codes
+        # Ties with the receiver's times, a new rater, an id already known,
+        # an empty stream merged in, and a product only the extra has.
+        extra = {
+            "p": RatingStream("p", [2.0, 0.0, 5.0], [0, 0, 0], ["x", "a", "x"]),
+            "e": RatingStream.empty("e"),
+            "z": RatingStream("z", [1.0], [3], ["y"]),
+        }
+        merged = fair.merge(extra)
+        assert decoded(merged) == {pid: merged[pid].rater_ids for pid in merged}
+        assert merged.rater_codes[0] == ("a", "b", "c", "x", "y")
+        assert decoded(fair) == {pid: fair[pid].rater_ids for pid in fair}
