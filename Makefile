@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repository.
 
 PYTHON ?= python
-LEDGER ?= .repro/ledger.jsonl
+RUN_DIR ?= .repro
 
 .PHONY: install test lint bench bench-quick reproduce bench-baseline bench-detectors ledger-check examples clean
 
@@ -37,8 +37,8 @@ bench-baseline:  ## headline MP bench with metrics on -> BENCH_obs_baseline.json
 bench-detectors: ## detector hot path under the profiler -> BENCH_detectors.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_detectors.py
 
-ledger-check:    ## flag regressions in the newest recorded run (LEDGER=path)
-	PYTHONPATH=src $(PYTHON) -m repro.cli runs check --ledger $(LEDGER)
+ledger-check:    ## flag regressions in the newest recorded run (RUN_DIR=dir)
+	PYTHONPATH=src $(PYTHON) -m repro.cli runs check --run-dir $(RUN_DIR)
 
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py

@@ -65,7 +65,7 @@ def _run(population: int, variant: str):
 
     ``variant`` is ``plain`` (no metrics sink), ``instrumented`` (a
     collecting registry) or ``profiled`` (the registry plus the sampling
-    profiler at the default rate, what ``--profile-out`` costs).
+    profiler at the default rate, what a ``--run-dir`` run adds).
     """
     registry = None if variant == "plain" else MetricsRegistry()
     context = ExperimentContext(seed=2008, population_size=population)
@@ -126,7 +126,8 @@ def _interleaved_sample(run_once, variants) -> dict:
 
 def measure_series_overhead(repeats: int = 5) -> dict:
     """Best-of-``repeats`` online-replay timings with and without the
-    series recorder; the ratio is what ``--metrics-stream`` costs.
+    series recorder; the ratio is what a ``--run-dir`` run's
+    ``series.jsonl`` costs.
 
     The two variants run *interleaved* replay by replay (plain, series,
     series, plain, ...), and each timed sample sums at least

@@ -12,15 +12,17 @@ campaign through the system: the assumption drift monitors
 (:mod:`repro.obs.drift`) flag the epoch where the fair-traffic regime
 broke, and the whole run is rendered into a self-contained HTML report.
 
-Finally the same burst replays with the live-telemetry stack attached:
-every epoch close snapshots the registry into ring-buffered time series
-(:mod:`repro.obs.series`), streams one JSONL line to
-``online_monitoring_stream.jsonl``, and evaluates the default alert
-ruleset (:mod:`repro.obs.alerts`) -- which stays silent on the fair
-world and fires on the burst epoch, reporting detection latency in
-epochs.  Watch the stream afterwards with::
+Finally the same burst replays into the run directory
+``online_monitoring_run``, collected by the same writer as ``--run-dir``
+on the CLI: every epoch close snapshots the registry into ring-buffered
+time series (:mod:`repro.obs.series`), streams one JSONL line to the
+directory's ``series.jsonl``, and evaluates the default alert ruleset
+(:mod:`repro.obs.alerts`) -- which stays silent on the fair world and
+fires on the burst epoch, reporting detection latency in epochs.  The
+fair and the burst replay each append one ledger record; the burst one
+leaves the other bundle files.  Render the stream afterwards with::
 
-    repro-rating monitor online_monitoring_stream.jsonl --once
+    repro-rating monitor --run-dir online_monitoring_run
 
 Run with::
 
@@ -28,25 +30,23 @@ Run with::
 """
 
 import sys
-
+from pathlib import Path
 
 from repro import PScheme, RatingChallenge, SimpleAveragingScheme
 from repro.analysis.reporting import format_table
 from repro.attacks import AttackGenerator, AttackSpec, ProductTarget
 from repro.attacks.time_models import ConcentratedBurst, UniformWindow
 from repro.obs import (
-    DEFAULT_RULES_PATH,
-    AlertEngine,
     MetricsRegistry,
-    MetricsStreamWriter,
-    TimeSeriesRecorder,
-    load_rules,
     report_from_registry,
     use_registry,
     write_report,
 )
+from repro.obs.export import SERIES_FILE, RunDirectoryWriter
 from repro.online import OnlineRatingSystem
 from repro.types import RatingDataset
+
+RUN_DIR = Path("online_monitoring_run")
 
 
 def split_history(challenge):
@@ -211,27 +211,21 @@ def alerting_scenario(challenge, seed: int) -> None:
         submission_id="burst_campaign",
     )
 
-    def replay(submission):
-        """One online replay with series + alerts attached; the engine."""
-        registry = MetricsRegistry()
-        engine = AlertEngine(
-            load_rules(DEFAULT_RULES_PATH), registry=registry
-        )
-        sink = MetricsStreamWriter("online_monitoring_stream.jsonl")
-        recorder = TimeSeriesRecorder(sink=sink, engine=engine)
-        registry.attach_series(recorder)
+    def replay(name, submission):
+        """One online replay into the run directory; its alert engine."""
+        writer = RunDirectoryWriter(RUN_DIR).start()
         challenge.replay_online(
-            PScheme(), submission=submission, registry=registry
+            PScheme(), submission=submission, registry=writer.registry
         )
-        sink.close()
-        return engine
+        writer.finish("online_monitoring", [name, *sys.argv[1:]], 0)
+        return writer.registry.series.engine
 
-    fair_engine = replay(None)
+    fair_engine = replay("fair", None)
     print(
         f"fair world : {len(fair_engine.events)} alert event(s) "
         "(the ruleset must stay silent here)"
     )
-    burst_engine = replay(burst)
+    burst_engine = replay("burst", burst)
     for event in burst_engine.events:
         print(
             f"burst world: [{event.state.upper():8s}] {event.rule} "
@@ -240,9 +234,8 @@ def alerting_scenario(challenge, seed: int) -> None:
             f"value {event.value:g})"
         )
     print(
-        "\nmetrics stream written to online_monitoring_stream.jsonl --"
-        "\nreplay it with: repro-rating monitor "
-        "online_monitoring_stream.jsonl --once"
+        f"\nmetrics stream written to {RUN_DIR / SERIES_FILE} --"
+        f"\nreplay it with: repro-rating monitor --run-dir {RUN_DIR}"
     )
 
 

@@ -17,25 +17,14 @@ one product (``--explain`` adds the per-rating provenance table);
 ``population`` simulates a challenge round with synthetic participants;
 ``search`` runs the Procedure 2 region search.
 
-Every command accepts ``--seed`` for reproducibility, plus the global
-observability flags ``--log-level LEVEL`` (structured logs to stderr),
-``--metrics-out PATH`` (collect pipeline metrics for the invocation and
-write them as JSON), ``--trace-out PATH`` (export the recorded span tree
-as Chrome/Perfetto ``trace_event`` JSON, with one lane per worker
-process), ``--ledger PATH`` (append one run record -- argv, workload
-fingerprint, metrics, timings, result digests, environment -- to a
-persistent JSONL ledger), and ``--profile-out PATH`` (sample the
-invocation with the span-attributed wall-clock profiler at
-``--profile-hz`` samples/second; ``--profile-mem`` adds
-tracemalloc-backed per-span allocation telemetry).  Time-series
-telemetry rides on three more globals: ``--metrics-stream PATH``
-streams one flattened metrics snapshot per epoch close as JSONL
-(tailable live with ``repro-rating monitor PATH``),
-``--alert-rules PATH`` evaluates a declarative alert ruleset
-(threshold / rate-of-change / burn-rate conditions, TOML or JSON;
-default: the packaged ruleset) at each epoch close, and
-``--openmetrics-out PATH`` writes the final registry in OpenMetrics /
-Prometheus text exposition format.  ``population``, ``search`` and
+Every command accepts ``--seed`` for reproducibility and four globals.
+``--log-level LEVEL`` sets the structured log verbosity (stderr).
+``--run-dir DIR`` collects the invocation's telemetry and writes it as
+one bundle in ``DIR`` (:mod:`repro.obs.export`): an appended run-ledger
+record, the metrics, a Perfetto trace with the profiler lane, the
+sampling profile, per-epoch series checked against the packaged alert
+rules, and an HTML report.  Without it nothing is collected.
+``population``, ``search`` and
 ``sensitivity`` always dispatch their evaluations through the
 :mod:`repro.exec` engine, so every run carries a workload fingerprint;
 the scaling globals ``--workers N`` (``0``, the default, runs the tasks
@@ -43,28 +32,26 @@ inline) and ``--cache-dir DIR`` fan them out over ``N`` processes and/or
 replay them from a persistent MP cache, with bit-identical output at any
 worker count.
 
-Three inspection subcommands close the loop: ``trace FILE`` validates
-and summarizes an exported trace, ``profile FILE`` summarizes a
-``--profile-out`` artifact (top self-time spans and frames) and
-re-exports it as speedscope JSON, collapsed stacks, or a Perfetto
-profiler lane, and ``runs list|show|diff|check`` reads a ledger -- ``runs check`` compares the latest run against a rolling
-baseline of comparable runs and exits 1 when result digests, stable
-metrics, wall-clock, or the alert state regressed beyond the
-configured thresholds (``--allow-alerts`` waives the alert check), and
-3 when no comparable baseline exists (nothing was checked -- distinct
-from "checked and clean").  ``monitor FILE`` tails a
-``--metrics-stream`` file and renders terminal sparklines plus the
-live alert board (``--once`` renders a single frame for scripts and
-CI), and ``alerts`` validates and lists alert-rule files
-(``--check`` for exit-status-only validation).
+Four inspection subcommands read a run directory (``--run-dir``,
+default ``.repro``): ``trace`` validates and summarizes its trace,
+``profile`` summarizes its profile (top self-time spans and frames) and
+re-exports it as speedscope JSON, ``monitor`` renders its series as
+terminal sparklines plus the alert board, and ``runs list|show|diff|
+check`` reads its ledger -- ``runs check`` compares the latest run
+against a rolling baseline of comparable runs and exits 1 when result
+digests, stable metrics, wall-clock, or the alert state regressed beyond
+the configured thresholds (``--allow-alerts`` waives the alert check),
+and 3 when no comparable baseline exists (nothing was checked --
+distinct from "checked and clean").  ``alerts`` validates and lists
+alert-rule files (``--check`` for exit-status-only validation).
 
 Detection quality closes the last gap: ``report --out FILE`` runs a
 seeded challenge scenario end to end and writes a single self-contained
 HTML (or Markdown) run report -- ground-truth scorecards with
 per-detector confusion counts, an ROC sweep with an inline SVG curve,
 per-epoch trust trajectories, assumption-drift warnings, ledger and
-environment metadata -- with zero external asset references.  The
-``--report-out PATH`` global does the same for *any* invocation,
+environment metadata -- with zero external asset references.  A run
+directory's ``report.html`` does the same for *any* invocation,
 rendering whatever its registry collected.
 
 ``lint`` runs :mod:`repro.lint`, the AST-based invariant checker that
@@ -76,17 +63,17 @@ none of the global flags: everything after ``lint`` goes to
 ``python -m repro.lint ARGS``.
 
 Exit status is 0 on success, 1 on a detected regression (``runs check``)
-or a non-baselined lint finding, 2 on argument errors, 3 when ``runs
-check`` found no comparable baseline.
+or a non-baselined lint finding, 2 on argument errors and on a run
+directory that cannot be created or written, 3 when ``runs check``
+found no comparable baseline.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from time import perf_counter, sleep
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,21 +99,25 @@ from repro.obs import (
     DEFAULT_RULES_PATH,
     AlertEngine,
     MetricsRegistry,
-    MetricsStreamWriter,
-    TimeSeriesRecorder,
     ledger as run_ledger,
     load_rules,
     profile as obs_profile,
     render_frame,
-    render_openmetrics,
     replay_stream,
     report_from_registry,
     set_registry,
     setup_logging,
-    write_json,
     write_report,
 )
-from repro.obs.trace import read_trace, summarize_trace, write_trace
+from repro.obs.export import (
+    DEFAULT_RUN_DIR,
+    LEDGER_FILE,
+    PROFILE_FILE,
+    SERIES_FILE,
+    TRACE_FILE,
+    RunDirectoryWriter,
+)
+from repro.obs.trace import read_trace, summarize_trace
 from repro.types import RatingDataset
 
 __all__ = ["main", "build_parser"]
@@ -179,61 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="structured log verbosity (stderr; default WARNING)",
     )
     common.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="collect pipeline metrics and write them to PATH as JSON",
-    )
-    common.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="export the invocation's span tree as Chrome/Perfetto "
-             "trace_event JSON (one lane per worker process); inspect "
-             "with 'repro-rating trace PATH' or ui.perfetto.dev",
-    )
-    common.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="append one run record (argv, workload fingerprint, metrics, "
-             "timings, result digests, environment) to the JSONL ledger at "
-             "PATH; inspect with the 'runs' subcommand "
-             "(default for 'runs': $REPRO_LEDGER or .repro/ledger.jsonl)",
-    )
-    common.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="write a self-contained HTML (or Markdown, by extension) run "
-             "report of this invocation's telemetry to PATH",
-    )
-    common.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="sample the invocation with the span-attributed profiler and "
-             "write the profile artifact to PATH; inspect or re-export with "
-             "'repro-rating profile PATH'",
-    )
-    common.add_argument(
-        "--profile-hz", type=int, default=obs_profile.DEFAULT_HZ, metavar="N",
-        help="profiler sampling rate in samples/second "
-             f"(default {obs_profile.DEFAULT_HZ})",
-    )
-    common.add_argument(
-        "--profile-mem", action="store_true",
-        help="with --profile-out: also record tracemalloc-backed per-span "
-             "allocation deltas and peak watermarks (mem.* metrics; "
-             "noticeably more overhead than sampling alone)",
-    )
-    common.add_argument(
-        "--metrics-stream", default=None, metavar="PATH",
-        help="stream one flattened metrics snapshot per epoch close to "
-             "PATH as JSONL; tail it live with 'repro-rating monitor "
-             "PATH' (commands without epochs write one closing snapshot)",
-    )
-    common.add_argument(
-        "--alert-rules", default=None, metavar="PATH",
-        help="alert-rule file (TOML or JSON) evaluated at each epoch "
-             "close; implies series recording (default ruleset: the "
-             "packaged drift/quality rules; validate files with "
-             "'repro-rating alerts --check')",
-    )
-    common.add_argument(
-        "--openmetrics-out", default=None, metavar="PATH",
-        help="write the invocation's final registry in OpenMetrics / "
-             "Prometheus text exposition format to PATH",
+        "--run-dir", default=None, metavar="DIR",
+        help="write this run's telemetry bundle to DIR (ledger.jsonl, "
+             "metrics.json, trace.json, profile.json, series.jsonl, "
+             "report.html); nothing is collected without it. trace, "
+             f"profile, monitor and runs read DIR (default {DEFAULT_RUN_DIR})",
     )
     common.add_argument(
         "--workers", type=int, default=0, metavar="N",
@@ -354,18 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = add_parser(
-        "trace", help="validate and summarize an exported trace JSON"
+        "trace", help="validate and summarize a run directory's trace"
     )
-    trace.add_argument("trace_file", help="a file written by --trace-out")
     trace.add_argument(
         "--top", type=int, default=10, help="longest spans to list"
     )
 
     profile = add_parser(
-        "profile", help="inspect or re-export a --profile-out artifact"
-    )
-    profile.add_argument(
-        "profile_file", help="a file written by --profile-out"
+        "profile", help="inspect or re-export a run directory's profile"
     )
     profile.add_argument(
         "--top", type=int, default=10,
@@ -375,16 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--speedscope", metavar="PATH", default=None,
         help="re-export the samples as speedscope JSON "
              "(load at https://www.speedscope.app)",
-    )
-    profile.add_argument(
-        "--collapsed", metavar="PATH", default=None,
-        help="re-export the samples as collapsed-stack text "
-             "(flamegraph.pl input)",
-    )
-    profile.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="re-export the samples as a Chrome/Perfetto trace_event "
-             "JSON profiler lane",
     )
 
     # ``lint`` declares nothing: main() hands everything after the word
@@ -396,19 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     monitor = add_parser(
-        "monitor", help="tail a --metrics-stream file: sparklines + alerts"
-    )
-    monitor.add_argument(
-        "stream_file", help="a JSONL file written by --metrics-stream"
-    )
-    monitor.add_argument(
-        "--once", action="store_true",
-        help="render one frame from the full file and exit "
-             "(for scripts and CI; default: follow the file live)",
-    )
-    monitor.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="poll interval in follow mode (default 2.0)",
+        "monitor", help="render a run directory's series: sparklines + alerts"
     )
     monitor.add_argument(
         "--top", type=int, default=16, metavar="N",
@@ -436,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     runs = add_parser(
-        "runs", help="inspect the run ledger (list/show/diff/check)"
+        "runs", help="inspect a run directory's ledger (list/show/diff/check)"
     )
     runs.add_argument(
         "action", choices=("list", "show", "diff", "check"),
@@ -719,9 +634,9 @@ def _cmd_report(args) -> int:
     registry = get_registry()
     previous = None
     if not registry.enabled:
-        # Without --metrics-out/--trace-out/--ledger nothing installed a
-        # collecting registry; install one locally so the report's counter
-        # and histogram sections have content.
+        # Without --run-dir nothing installed a collecting registry;
+        # install one locally so the report's counter and histogram
+        # sections have content.
         registry = MetricsRegistry()
         previous = set_registry(registry)
     try:
@@ -808,9 +723,9 @@ def _cmd_report(args) -> int:
         monitor.calibrate(challenge.fair_dataset)
         drift_warnings = []
         window_start = challenge.start_day
-        # With --metrics-stream/--alert-rules a series recorder rides on
-        # the registry: snapshot it per drift epoch so the stream (and
-        # the alert engine) sees a genuine multi-epoch trajectory.
+        # With --run-dir a series recorder rides on the registry:
+        # snapshot it per drift epoch so the stream (and the alert
+        # engine) sees a genuine multi-epoch trajectory.
         recorder = getattr(registry, "series", None)
         for epoch_index, edge in enumerate(epoch_times):
             drift_warnings.extend(
@@ -829,7 +744,7 @@ def _cmd_report(args) -> int:
                 record.timings.get("wall_seconds", 0.0),
             )
             for record in run_ledger.RunLedger(
-                _runs_ledger_path(args)
+                _run_dir(args) / LEDGER_FILE
             ).tail(8)
         ]
 
@@ -867,21 +782,29 @@ def _cmd_report(args) -> int:
             set_registry(previous)
 
 
+def _run_dir(args) -> Path:
+    """The run directory a command reads from (default ``.repro``)."""
+    return Path(args.run_dir or DEFAULT_RUN_DIR)
+
+
 def _cmd_trace(args) -> int:
-    payload = read_trace(args.trace_file)
-    print(f"trace {args.trace_file}: structurally valid")
+    path = _run_dir(args) / TRACE_FILE
+    payload = read_trace(path)
+    print(f"trace {path}: structurally valid")
     print(summarize_trace(payload, top=args.top))
     return 0
 
 
 def _cmd_profile(args) -> int:
-    payload = obs_profile.read_profile(args.profile_file)
+    run_dir = _run_dir(args)
+    path = run_dir / PROFILE_FILE
+    payload = obs_profile.read_profile(path)
     samples = {
         key: float(count) for key, count in payload["samples"].items()
     }
     hz = float(payload["hz"])
     total = sum(samples.values())
-    print(f"profile {args.profile_file}: structurally valid")
+    print(f"profile {path}: structurally valid")
     print(
         f"{total:.0f} samples at {hz:g} Hz ({total / hz:.2f}s sampled, "
         f"{obs_profile.attributed_fraction(samples):.1%} span-attributed)"
@@ -908,96 +831,23 @@ def _cmd_profile(args) -> int:
         ))
     if args.speedscope:
         obs_profile.write_speedscope(
-            samples, args.speedscope, hz=hz,
-            name=os.path.basename(args.profile_file),
+            samples, args.speedscope, hz=hz, name=str(run_dir),
         )
         print(f"speedscope JSON written to {args.speedscope}")
-    if args.collapsed:
-        with open(args.collapsed, "w", encoding="utf-8") as handle:
-            handle.write(obs_profile.collapsed_stacks(samples))
-        print(f"collapsed stacks written to {args.collapsed}")
-    if args.trace:
-        events = obs_profile.profile_trace_events(samples, hz=hz)
-        metadata = [
-            {
-                "name": "process_name", "ph": "M", "pid": os.getpid(),
-                "tid": 0, "args": {"name": "repro profile"},
-            },
-            {
-                "name": "thread_name", "ph": "M", "pid": os.getpid(),
-                "tid": obs_profile.PROFILE_TID,
-                "args": {"name": "profiler samples"},
-            },
-        ]
-        document = {
-            "traceEvents": metadata + events,
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro.obs.profile"},
-        }
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"profile trace written to {args.trace}")
     return 0
 
 
-def _ingest_stream_line(recorder, line: str) -> None:
-    """Fold one metrics-stream JSONL line into ``recorder``.
-
-    Mirrors :func:`repro.obs.series.read_metrics_stream`: a malformed
-    line (the partial tail of a live writer) is skipped, not fatal.
-    """
-    line = line.strip()
-    if not line:
-        return
-    try:
-        payload = json.loads(line)
-        epoch = int(payload["epoch"])
-        metrics = {str(k): float(v) for k, v in payload["metrics"].items()}
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return
-    recorder.ingest_snapshot(epoch, metrics)
-
-
 def _cmd_monitor(args) -> int:
-    engine = AlertEngine(load_rules(args.alert_rules or DEFAULT_RULES_PATH))
-    select = tuple(args.select or ())
-    title = os.path.basename(args.stream_file)
-    if args.once:
-        recorder, _ = replay_stream(args.stream_file, engine=engine)
-        sys.stdout.write(
-            render_frame(
-                recorder, engine=engine, select=select,
-                top=args.top, width=args.width, title=title,
-            )
+    run_dir = _run_dir(args)
+    engine = AlertEngine(load_rules(DEFAULT_RULES_PATH))
+    recorder, _ = replay_stream(run_dir / SERIES_FILE, engine=engine)
+    sys.stdout.write(
+        render_frame(
+            recorder, engine=engine, select=tuple(args.select or ()),
+            top=args.top, width=args.width, title=str(run_dir),
         )
-        return 0
-    # Follow mode: poll the file for complete new lines, fold each into
-    # the recorder (driving the alert engine exactly like the producing
-    # run), and redraw the frame.  Ctrl-C exits cleanly.
-    recorder = TimeSeriesRecorder(engine=engine)
-    position = 0
-    pending = ""
-    try:
-        while True:
-            if os.path.exists(args.stream_file):
-                with open(args.stream_file, "r", encoding="utf-8") as handle:
-                    handle.seek(position)
-                    pending += handle.read()
-                    position = handle.tell()
-                lines = pending.split("\n")
-                pending = lines.pop()  # keep any partial tail for later
-                for line in lines:
-                    _ingest_stream_line(recorder, line)
-            frame = render_frame(
-                recorder, engine=engine, select=select,
-                top=args.top, width=args.width, title=title,
-            )
-            sys.stdout.write("\x1b[2J\x1b[H" + frame)
-            sys.stdout.flush()
-            sleep(max(args.interval, 0.05))
-    except KeyboardInterrupt:
-        return 0
+    )
+    return 0
 
 
 def _cmd_alerts(args) -> int:
@@ -1034,17 +884,8 @@ def _cmd_alerts(args) -> int:
     return status
 
 
-def _runs_ledger_path(args) -> str:
-    """The ledger a ``runs`` invocation should read."""
-    if args.ledger:
-        return args.ledger
-    return os.environ.get("REPRO_LEDGER") or os.path.join(
-        ".repro", "ledger.jsonl"
-    )
-
-
 def _cmd_runs(args) -> int:
-    ledger = run_ledger.RunLedger(_runs_ledger_path(args))
+    ledger = run_ledger.RunLedger(_run_dir(args) / LEDGER_FILE)
     if args.action == "list":
         print(run_ledger.format_runs_table(ledger.tail(args.limit)))
         return 0
@@ -1122,173 +963,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
     setup_logging(args.log_level)
-    recording = args.command not in _INSPECTION_COMMANDS
-    registry = previous = capture = profiler = None
-    recorder = stream_sink = None
-    if recording and (
-        args.metrics_out or args.trace_out or args.ledger or args.report_out
-        or args.profile_out or args.metrics_stream or args.alert_rules
-        or args.openmetrics_out
-    ):
-        # Collect this invocation's pipeline telemetry and persist it.
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        if args.metrics_stream or args.alert_rules:
-            # Series recording: epoch closes (online system, report's
-            # drift loop) snapshot the registry; each snapshot streams
-            # to the sink and drives the alert engine.
-            try:
-                rules = load_rules(args.alert_rules or DEFAULT_RULES_PATH)
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                set_registry(previous)
-                return 2
-            try:
-                stream_sink = (
-                    MetricsStreamWriter(args.metrics_stream)
-                    if args.metrics_stream else None
-                )
-            except OSError as exc:
-                print(
-                    f"error: cannot open metrics stream: {exc}",
-                    file=sys.stderr,
-                )
-                set_registry(previous)
-                return 2
-            recorder = TimeSeriesRecorder(
-                sink=stream_sink,
-                engine=AlertEngine(rules, registry=registry),
-            )
-            registry.attach_series(recorder)
-        if args.ledger:
-            capture = run_ledger.begin_run_capture()
-        if args.profile_out:
-            # Sample this process, and arm per-task profilers so pooled
-            # work profiles itself worker-side (samples ride back on the
-            # telemetry capsules).
-            obs_profile.enable_profiling(
-                hz=args.profile_hz, memory=args.profile_mem
-            )
-            profiler = obs_profile.SpanProfiler(
-                registry, hz=args.profile_hz, memory=args.profile_mem
-            ).start()
-    start = perf_counter()
+    writer = None
+    if args.run_dir and args.command not in _INSPECTION_COMMANDS:
+        try:
+            writer = RunDirectoryWriter(args.run_dir).start()
+        except OSError as exc:
+            print(f"error: cannot create run directory: {exc}", file=sys.stderr)
+            return 2
+    # Stays 2 when the command raises, so the bundle records a failed run.
+    status = 2
     try:
         status = _COMMANDS[args.command](args)
-    except ReproError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        status = 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = 2
     finally:
-        wall_seconds = perf_counter() - start
-        if profiler is not None:
-            profiler.stop()
-            obs_profile.disable_profiling()
-        if registry is not None:
-            set_registry(previous)
-        if capture is not None:
-            run_ledger.end_run_capture()
-    if registry is None:
-        return status
-    if recorder is not None:
-        if recorder.empty:
-            # Commands with no epoch structure still stream one closing
-            # summary snapshot (and one alert evaluation) at epoch 0.
-            recorder.record_epoch(0, registry)
-        if stream_sink is not None:
-            stream_sink.close()
-            print(
-                f"metrics stream written to {args.metrics_stream} "
-                f"({stream_sink.lines_written} snapshots)",
-                file=sys.stderr,
+        if writer is not None:
+            status = writer.finish(
+                args.command,
+                list(argv) if argv is not None else sys.argv[1:],
+                status,
             )
-        firing = recorder.engine.firing() if recorder.engine else []
-        if firing:
-            print(
-                f"alerts firing at exit: {', '.join(firing)}",
-                file=sys.stderr,
-            )
-    if args.openmetrics_out:
-        try:
-            with open(args.openmetrics_out, "w", encoding="utf-8") as handle:
-                handle.write(render_openmetrics(registry))
-            print(
-                f"openmetrics written to {args.openmetrics_out}",
-                file=sys.stderr,
-            )
-        except OSError as exc:
-            print(f"error: cannot write openmetrics: {exc}", file=sys.stderr)
-            status = status or 2
-    if args.metrics_out:
-        try:
-            write_json(registry, args.metrics_out)
-            print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-        except OSError as exc:
-            print(f"error: cannot write metrics: {exc}", file=sys.stderr)
-            status = status or 2
-    if args.trace_out:
-        try:
-            events = write_trace(registry, args.trace_out)
-            print(
-                f"trace written to {args.trace_out} ({events} events)",
-                file=sys.stderr,
-            )
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            status = status or 2
-    if args.profile_out:
-        try:
-            total = obs_profile.write_profile(registry, args.profile_out)
-            print(
-                f"profile written to {args.profile_out} "
-                f"({total:.0f} samples)",
-                file=sys.stderr,
-            )
-        except OSError as exc:
-            print(f"error: cannot write profile: {exc}", file=sys.stderr)
-            status = status or 2
-    if args.ledger:
-        record = run_ledger.build_record(
-            command=args.command,
-            argv=list(argv) if argv is not None else sys.argv[1:],
-            registry=registry,
-            wall_seconds=wall_seconds,
-            status=status,
-            capture=capture,
-        )
-        try:
-            run_ledger.RunLedger(args.ledger).append(record)
-            print(
-                f"run {record.run_id} appended to {args.ledger}",
-                file=sys.stderr,
-            )
-        except OSError as exc:
-            print(f"error: cannot append to ledger: {exc}", file=sys.stderr)
-            status = status or 2
-    if args.report_out:
-        trace_summary = None
-        if args.trace_out:
-            try:
-                trace_summary = summarize_trace(read_trace(args.trace_out))
-            except (OSError, ReproError, ValueError):
-                trace_summary = None
-        data = report_from_registry(
-            registry,
-            title=f"repro {args.command} run report",
-            environment=run_ledger.runtime_environment(),
-            trace_summary=trace_summary,
-        )
-        try:
-            kind = write_report(data, args.report_out)
-            print(
-                f"{kind} report written to {args.report_out}",
-                file=sys.stderr,
-            )
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            status = status or 2
     return status
 
 

@@ -91,21 +91,19 @@ class MeanChangeDetector:
         overall_mean = float(stream.values.mean())
         bounds = segment_bounds_from_peaks(n, peaks)
         if trust_lookup is None:
-            trust_lookup = lambda rater_id: 0.5  # noqa: E731 - local default
-        # One trust lookup per *unique* rater, expanded back to a
-        # per-rating vector; segments then reduce to slice means instead
-        # of re-querying the lookup rating by rating.
-        unique_ids, inverse = np.unique(
-            np.asarray(stream.rater_ids), return_inverse=True
-        )
-        unique_trust = np.array(
-            [trust_lookup(str(r)) for r in unique_ids], dtype=float
-        )
-        per_rating = unique_trust[inverse]
-        segment_trust: List[float] = [
-            float(per_rating[start:stop].mean()) if stop > start else 0.5
-            for start, stop in bounds
-        ]
+            segment_trust = [0.5] * len(bounds)
+        else:
+            # One trust lookup per distinct rater, expanded back to a
+            # per-rating vector through the stream's rater codes (exact
+            # ids: a numpy string array would tie "a" with "a\x00");
+            # segments then reduce to slice means.
+            raters, codes = stream.rater_codes
+            per_rating = np.array(
+                [trust_lookup(rater_id) for rater_id in raters], dtype=float
+            )[codes]
+            segment_trust = [
+                float(per_rating[start:stop].mean()) for start, stop in bounds
+            ]
         trust_avg = float(np.mean(segment_trust)) if segment_trust else 0.5
         intervals: List[TimeInterval] = []
         for (start, stop), t_j in zip(bounds, segment_trust):

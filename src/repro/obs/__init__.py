@@ -13,8 +13,6 @@ this package:
   ``span.<dotted.path>.seconds`` histograms.
 - :func:`setup_logging` / :func:`get_logger` -- structured ``key=value``
   logging under the ``repro`` logger tree (silent until configured).
-- :func:`write_json` / :func:`format_metrics` -- exporters (JSON file,
-  aligned text tables).
 - :class:`TelemetryCapsule` -- pickleable registry snapshots that carry
   worker-side telemetry across process boundaries (merged back by the
   execution engine, so pooled runs export the same telemetry as serial).
@@ -23,8 +21,8 @@ this package:
   one lane per worker process (plus a profiler-sample lane when one ran).
 - :class:`SpanProfiler` -- low-overhead sampling wall-clock profiler
   whose samples attribute to the open span stack; exporters for
-  collapsed-stack text, speedscope JSON, and the native
-  ``--profile-out`` artifact (:mod:`repro.obs.profile`).
+  speedscope JSON and the native profile artifact
+  (:mod:`repro.obs.profile`).
 - :class:`RunLedger` / :func:`check_ledger` -- the persistent run ledger
   (JSONL, one record per invocation) and its regression checker.
 - :func:`score_detection` / :class:`Scorecard` -- ground-truth detection
@@ -38,13 +36,16 @@ this package:
   external assets).
 - :class:`TimeSeriesRecorder` -- per-epoch snapshots of the registry
   into ring-buffered metric series (epoch index as the time axis), with
-  a JSONL streaming sink (``--metrics-stream``) and an OpenMetrics
-  text-exposition writer (:mod:`repro.obs.series`).
+  a JSONL streaming sink (:mod:`repro.obs.series`).
 - :class:`AlertRule` / :class:`AlertEngine` -- declarative alert
   conditions (threshold, rate-of-change, burn-rate) over recorded
   series, evaluated at epoch close with firing/resolved hysteresis
-  (:mod:`repro.obs.alerts`); ``repro monitor`` renders the live view
-  (:mod:`repro.obs.monitor`).
+  (:mod:`repro.obs.alerts`); ``repro monitor`` renders the series and
+  the alert board (:mod:`repro.obs.monitor`).
+- :mod:`repro.obs.export` -- :func:`write_json`, and the ``--run-dir``
+  bundle: one ``RunDirectoryWriter`` collects an invocation's telemetry
+  and writes its ledger record, metrics, trace, profile, series and
+  HTML report under the fixed file names the module defines.
 
 Quickstart::
 
@@ -65,7 +66,6 @@ from repro.obs.alerts import (
     load_rules,
 )
 from repro.obs.capsule import TelemetryCapsule
-from repro.obs.export import format_metrics, registry_to_dict, write_json
 from repro.obs.ledger import (
     CheckReport,
     RunLedger,
@@ -89,7 +89,6 @@ from repro.obs.registry import (
 from repro.obs.profile import (
     DEFAULT_HZ,
     SpanProfiler,
-    collapsed_stacks,
     disable_profiling,
     enable_profiling,
     maybe_task_profiler,
@@ -107,9 +106,7 @@ from repro.obs.series import (
     MetricsStreamWriter,
     TimeSeriesRecorder,
     flatten_registry,
-    parse_openmetrics,
     read_metrics_stream,
-    render_openmetrics,
 )
 from repro.obs.monitor import render_frame, replay_stream, sparkline
 from repro.obs.spans import (
@@ -120,9 +117,9 @@ from repro.obs.spans import (
     span_stack_snapshot,
 )
 
-# Imported last: repro.obs.quality pulls in repro.detectors, whose
-# modules import the names above from this (then partially initialized)
-# package.
+# Imported last: repro.obs.quality (and so repro.obs.report and the
+# run-directory writer) pulls in repro.detectors, whose modules import
+# the names above from this (then partially initialized) package.
 from repro.obs.drift import (  # noqa: E402
     DriftMonitor,
     DriftMonitorConfig,
@@ -147,6 +144,7 @@ from repro.obs.report import (  # noqa: E402
     svg_sparkline,
     write_report,
 )
+from repro.obs.export import registry_to_dict, write_json  # noqa: E402
 
 __all__ = [
     "TelemetryCapsule",
@@ -174,7 +172,6 @@ __all__ = [
     "span_stack_snapshot",
     "DEFAULT_HZ",
     "SpanProfiler",
-    "collapsed_stacks",
     "disable_profiling",
     "enable_profiling",
     "maybe_task_profiler",
@@ -188,7 +185,6 @@ __all__ = [
     "write_speedscope",
     "get_logger",
     "setup_logging",
-    "format_metrics",
     "registry_to_dict",
     "write_json",
     "ConfusionCounts",
@@ -218,10 +214,8 @@ __all__ = [
     "TimeSeriesRecorder",
     "flatten_registry",
     "load_rules",
-    "parse_openmetrics",
     "read_metrics_stream",
     "render_frame",
-    "render_openmetrics",
     "replay_stream",
     "sparkline",
 ]

@@ -1,7 +1,8 @@
 """Persistent run ledger: one JSONL record per invocation, plus checks.
 
 Every CLI/experiment invocation can append one :class:`RunRecord` to an
-append-only JSONL file (the *ledger*): argv, a workload fingerprint over
+append-only JSONL file (the *ledger*, a run directory's
+``ledger.jsonl``): argv, a workload fingerprint over
 the dispatched :class:`~repro.exec.tasks.EvalTask`\\ s, the final
 counters/gauges, wall-clock and task-timing percentiles, headline result
 digests, and the runtime environment (python/platform/cpu/git).  The
@@ -59,9 +60,8 @@ SCHEMA_VERSION = 1
 #: pool/cache bookkeeping depends on topology and warm state, memoization
 #: hit/miss splits depend on how tasks were packed onto processes, the
 #: ledger/trace counters describe the recording itself, and profiler
-#: sample counts / memory watermarks are wall-clock-driven (the
-#: attributed self-time regression gate lives in the ``timings`` check
-#: instead).  Everything else (detector/trust/search/online counts,
+#: sample counts are wall-clock-driven (the attributed self-time
+#: regression gate lives in the ``timings`` check instead).  Everything else (detector/trust/search/online counts,
 #: result digests, timings) is compared.
 DEFAULT_IGNORE_PREFIXES = (
     "exec.",
@@ -73,14 +73,14 @@ DEFAULT_IGNORE_PREFIXES = (
     "bf.scores_cache.",
     "search.memo.",
     "profile.",
-    "mem.",
 )
 
 #: Per-phase self-time paths recorded into ``timings`` (largest first).
 MAX_SELF_TIME_PATHS = 8
 
 #: ``self.*`` timings below this baseline median are noise, not phases;
-#: the regression check skips them.
+#: the regression check skips them.  ``wall_seconds`` must also exceed
+#: its baseline median by this much to be flagged.
 SELF_TIMING_FLOOR_SECONDS = 0.05
 
 
@@ -502,8 +502,10 @@ def check_ledger(
       (absolute) from the baseline median;
     - **metric**: a counter moved beyond ``metric_tolerance`` (relative to
       the baseline median) -- namespaces in ``ignore_prefixes`` are skipped;
-    - **timing**: wall-clock exceeded ``max_timing_ratio`` x the baseline
-      median;
+    - **timing**: wall-clock exceeded both ``max_timing_ratio`` x the
+      baseline median and the median plus
+      :data:`SELF_TIMING_FLOOR_SECONDS` (a stall of a few tens of
+      milliseconds is not a regression of a sub-second run);
     - **alert**: the latest run produced firing alert events while every
       baseline run produced none (suppressed by ``allow_alerts`` -- the
       escape hatch for runs *expected* to alert, e.g. attack scenarios).
@@ -584,7 +586,8 @@ def check_ledger(
         [r.timings.get("wall_seconds", 0.0) for r in baseline]
     )
     latest_wall = latest.timings.get("wall_seconds", 0.0)
-    if base_wall > 0 and latest_wall > max_timing_ratio * base_wall:
+    bound = max(max_timing_ratio * base_wall, base_wall + SELF_TIMING_FLOOR_SECONDS)
+    if base_wall > 0 and latest_wall > bound:
         findings.append(
             RegressionFinding(
                 kind="timing",

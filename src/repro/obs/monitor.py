@@ -1,12 +1,11 @@
-"""Terminal rendering for live telemetry: sparklines + alert state.
+"""Terminal rendering of recorded series: sparklines + alert state.
 
-``repro monitor`` tails a ``--metrics-stream`` JSONL file (see
-:class:`~repro.obs.series.MetricsStreamWriter`), folds each epoch
-snapshot into a local :class:`~repro.obs.series.TimeSeriesRecorder`,
-re-evaluates the alert ruleset, and renders a plain-text frame: one
-unicode sparkline per series plus the current alert board.  Everything
-here is pure string building over recorder state -- the CLI owns the
-tailing loop and the screen.
+``repro monitor`` replays a run directory's ``series.jsonl`` (see
+:class:`~repro.obs.series.MetricsStreamWriter`) into a local
+:class:`~repro.obs.series.TimeSeriesRecorder`, re-evaluating the alert
+ruleset epoch by epoch, and renders one plain-text frame: a unicode
+sparkline per series plus the alert board.  Everything here is pure
+string building over recorder state.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def sparkline(values: Sequence[float], width: int = 32) -> str:
     if not values or width < 1:
         return ""
     if len(values) > width:
-        # Keep the most recent ``width`` points: the monitor is a tail.
+        # Keep the most recent ``width`` points.
         values = list(values)[-width:]
     finite = [v for v in values if math.isfinite(v)]
     if not finite:

@@ -30,17 +30,12 @@ Design points:
   never double-counts the same thread during serial (``workers=0``)
   dispatch, and forked pool workers (which inherit the parent's stack
   entry whose thread is dead) sample correctly under their own.
-- **Memory telemetry is separately opt-in.**  ``memory=True`` starts
-  ``tracemalloc`` and turns on per-span ``mem.<path>.alloc_bytes`` /
-  ``mem.<path>.peak_bytes`` histograms plus final ``mem.current_bytes``
-  / ``mem.peak_bytes`` gauges.  tracemalloc costs far more than the
-  sampler itself, which is why it does not ride the default switch.
 
-Exporters: :func:`collapsed_stacks` (flamegraph.pl-compatible text),
-:func:`speedscope_document` / :func:`write_speedscope` (sampled-profile
-speedscope JSON), :func:`profile_trace_events` (a profile lane merged
-into the Perfetto ``trace_event`` export), and :func:`write_profile` /
-:func:`read_profile` (the native ``--profile-out`` artifact).
+Exporters: :func:`speedscope_document` / :func:`write_speedscope`
+(sampled-profile speedscope JSON), :func:`profile_trace_events` (a
+profile lane merged into the Perfetto ``trace_event`` export), and
+:func:`write_profile` / :func:`read_profile` (the native artifact, a run
+directory's ``profile.json``).
 """
 
 from __future__ import annotations
@@ -51,13 +46,12 @@ import os
 import sys
 import threading
 import time
-import tracemalloc
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.spans import set_memory_tracking, span_stack_snapshot
+from repro.obs.spans import span_stack_snapshot
 
 __all__ = [
     "DEFAULT_HZ",
@@ -73,7 +67,6 @@ __all__ = [
     "top_frames",
     "span_self_times",
     "span_self_seconds",
-    "collapsed_stacks",
     "speedscope_document",
     "write_speedscope",
     "read_speedscope",
@@ -131,31 +124,25 @@ class SpanProfiler:
     Parameters
     ----------
     registry:
-        Where samples (and the ``profile.*`` / ``mem.*`` metrics) land at
+        Where samples (and the ``profile.*`` metrics) land at
         :meth:`stop`; ``None`` uses the globally active registry at stop
         time.
     hz:
         Samples per second (default :data:`DEFAULT_HZ`).
-    memory:
-        Also start ``tracemalloc`` and record per-span allocation deltas
-        and peak watermarks (significantly more overhead than sampling).
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         hz: int = DEFAULT_HZ,
-        memory: bool = False,
     ) -> None:
         if hz <= 0:
             raise ValidationError(f"profiler hz must be positive, got {hz}")
         self.hz = int(hz)
-        self.memory = bool(memory)
         self.samples: Dict[str, float] = {}
         self._registry = registry
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._owns_tracemalloc = False
 
     # ------------------------------------------------------------------ #
 
@@ -171,11 +158,6 @@ class SpanProfiler:
         """Start the sampler thread (idempotent while running)."""
         if self._thread is not None:
             return self
-        if self.memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._owns_tracemalloc = True
-            set_memory_tracking(True)
         self._stop_event.clear()
         _profiler_stack.append(self)
         self._thread = threading.Thread(
@@ -197,15 +179,6 @@ class SpanProfiler:
         except ValueError:
             pass  # e.g. a forked child stopping the inherited profiler
         registry = self.registry
-        if self.memory:
-            set_memory_tracking(False)
-            if tracemalloc.is_tracing():
-                current, peak = tracemalloc.get_traced_memory()
-                registry.set_gauge("mem.current_bytes", float(current))
-                registry.set_gauge("mem.peak_bytes", float(peak))
-                if self._owns_tracemalloc:
-                    tracemalloc.stop()
-                    self._owns_tracemalloc = False
         if self.samples:
             registry.add_profile_samples(self.samples)
         total = sum(self.samples.values())
@@ -283,21 +256,18 @@ class SpanProfiler:
 # --------------------------------------------------------------------- #
 
 _enabled_hz: Optional[int] = None
-_enabled_memory = False
 
 
-def enable_profiling(hz: int = DEFAULT_HZ, memory: bool = False) -> None:
+def enable_profiling(hz: int = DEFAULT_HZ) -> None:
     """Mark profiling globally enabled (captured tasks self-profile)."""
-    global _enabled_hz, _enabled_memory
+    global _enabled_hz
     _enabled_hz = int(hz)
-    _enabled_memory = bool(memory)
 
 
 def disable_profiling() -> None:
     """Clear the global profiling switch."""
-    global _enabled_hz, _enabled_memory
+    global _enabled_hz
     _enabled_hz = None
-    _enabled_memory = False
 
 
 def profiling_enabled() -> bool:
@@ -321,9 +291,7 @@ def maybe_task_profiler(
     """
     if _enabled_hz is None:
         return None
-    return SpanProfiler(
-        registry, hz=_enabled_hz, memory=_enabled_memory
-    ).start()
+    return SpanProfiler(registry, hz=_enabled_hz).start()
 
 
 # --------------------------------------------------------------------- #
@@ -428,16 +396,6 @@ def span_self_seconds(spans: Sequence) -> Dict[str, float]:
 # --------------------------------------------------------------------- #
 # Exporters
 # --------------------------------------------------------------------- #
-
-
-def collapsed_stacks(samples: Dict[str, float]) -> str:
-    """flamegraph.pl-compatible collapsed-stack text (one line per key)."""
-    lines = [
-        f"{key} {samples[key]:.0f}"
-        for key in sorted(samples)
-        if samples[key] > 0
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def speedscope_document(
@@ -596,8 +554,8 @@ def write_profile(registry: MetricsRegistry, path: os.PathLike) -> int:
     """Write the registry's profile as the native artifact JSON.
 
     Returns the total sample count.  The artifact is self-describing
-    (schema/kind/hz) so ``repro profile`` can re-export it to any of the
-    other formats without the original registry.
+    (schema/kind/hz) so ``repro profile`` can summarize it and re-export
+    it as speedscope JSON without the original registry.
     """
     samples = {key: registry.profile[key] for key in sorted(registry.profile)}
     hz = registry_hz(registry)
@@ -624,7 +582,7 @@ def write_profile(registry: MetricsRegistry, path: os.PathLike) -> int:
 
 
 def read_profile(path: os.PathLike) -> Dict[str, object]:
-    """Load and structurally validate a ``--profile-out`` artifact."""
+    """Load and structurally validate a :func:`write_profile` artifact."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)

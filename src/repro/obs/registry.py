@@ -25,7 +25,7 @@ import math
 import threading
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -98,6 +98,22 @@ class Histogram:
         if value > self.max:
             self.max = value
         self._recent.append(value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold ``values`` in order, bit-identical to an :meth:`observe`
+        loop: the sum accumulates left to right, and min/max use the
+        same comparisons (so a NaN never becomes either)."""
+        values = [float(value) for value in values]
+        total, low, high = self.total, self.min, self.max
+        for value in values:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.count += len(values)
+        self.total, self.min, self.max = total, low, high
+        self._recent.extend(values)
 
     def state(self) -> Tuple[int, float, float, float, List[float]]:
         """The full pickleable state (count, sum, min, max, recent)."""

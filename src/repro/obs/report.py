@@ -9,8 +9,8 @@ artifact, attached to a review, or opened years later offline.
 
 The renderer consumes a plain :class:`ReportData` container; the CLI's
 ``repro-rating report`` subcommand assembles one from a seeded challenge
-scenario, and the ``--report-out`` global assembles one from whatever
-the invocation's registry collected (:func:`report_from_registry`).
+scenario, and a ``--run-dir`` bundle's ``report.html`` is assembled from
+whatever the invocation's registry collected (:func:`report_from_registry`).
 Output format follows the file extension: ``.md`` / ``.markdown`` get
 Markdown, everything else HTML.
 """

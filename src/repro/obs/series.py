@@ -18,18 +18,14 @@ signal an operator needs.  This module adds the time axis:
   capsule contract: serial and hermetic-parallel runs export identical
   series.
 - :class:`MetricsStreamWriter` streams one JSON line per epoch to disk
-  (the ``--metrics-stream`` CLI flag), flushed at epoch close so
-  ``repro monitor`` can tail a live run.
-- :func:`render_openmetrics` writes the OpenMetrics / Prometheus text
-  exposition format for the future service endpoint, and
-  :func:`parse_openmetrics` reads it back (golden-file tested).
+  (a run directory's ``series.jsonl``), flushed at epoch close so the
+  file is readable while the run goes on; ``repro monitor`` replays it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,9 +38,7 @@ __all__ = [
     "MetricsStreamWriter",
     "TimeSeriesRecorder",
     "flatten_registry",
-    "parse_openmetrics",
     "read_metrics_stream",
-    "render_openmetrics",
 ]
 
 #: Namespaces excluded from series by default: run bookkeeping that is
@@ -267,8 +261,8 @@ class MetricsStreamWriter:
     """A JSONL sink: one flat snapshot per line, flushed per epoch.
 
     The format is ``{"epoch": N, "metrics": {name: value, ...}}`` with
-    sorted keys, so a stream file diffs cleanly across runs and a tail
-    reader (``repro monitor``) sees complete lines as epochs close.
+    sorted keys, so a stream file diffs cleanly across runs and a reader
+    sees complete lines as epochs close.
     """
 
     def __init__(self, path) -> None:
@@ -300,11 +294,10 @@ class MetricsStreamWriter:
 
 
 def read_metrics_stream(path) -> List[Tuple[int, Dict[str, float]]]:
-    """Parse a ``--metrics-stream`` JSONL file into epoch snapshots.
+    """Parse a metrics-stream JSONL file into epoch snapshots.
 
     A malformed line (e.g. the partial tail of a crashed or still-running
-    writer) is skipped rather than fatal -- the monitor must be able to
-    read a live file.
+    writer) is skipped rather than fatal.
     """
     snapshots: List[Tuple[int, Dict[str, float]]] = []
     path = Path(path)
@@ -325,140 +318,3 @@ def read_metrics_stream(path) -> List[Tuple[int, Dict[str, float]]]:
                 continue
             snapshots.append((epoch, metrics))
     return snapshots
-
-
-# -- OpenMetrics text exposition ---------------------------------------- #
-
-_OM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-#: Histogram quantiles exported in the ``summary`` family.
-_OM_QUANTILES: Tuple[Tuple[str, float], ...] = (
-    ("0.5", 50.0),
-    ("0.9", 90.0),
-    ("0.99", 99.0),
-)
-
-
-def _om_name(name: str) -> str:
-    """A metric name sanitized to the OpenMetrics grammar."""
-    return _OM_BAD_CHARS.sub("_", name)
-
-
-def _om_value(value: float) -> str:
-    """A float rendered so that ``float()`` round-trips it exactly."""
-    value = float(value)
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def render_openmetrics(registry: MetricsRegistry, prefix: str = "") -> str:
-    """The registry in OpenMetrics text exposition format.
-
-    Counters become ``counter`` families (``<name>_total`` samples),
-    gauges become ``gauge`` families (NaN levels skipped), histograms
-    become ``summary`` families (count, sum, and fixed quantiles).
-    Families are sorted by exposed name; the output ends with ``# EOF``.
-    """
-    families: List[Tuple[str, List[str]]] = []
-    for name, counter in registry.counters.items():
-        exposed = _om_name(prefix + name)
-        families.append((
-            exposed,
-            [
-                f"# TYPE {exposed} counter",
-                f"{exposed}_total {_om_value(counter.value)}",
-            ],
-        ))
-    for name, gauge in registry.gauges.items():
-        if not math.isfinite(gauge.value):
-            continue
-        exposed = _om_name(prefix + name)
-        families.append((
-            exposed,
-            [
-                f"# TYPE {exposed} gauge",
-                f"{exposed} {_om_value(gauge.value)}",
-            ],
-        ))
-    for name, hist in registry.histograms.items():
-        if not hist.count:
-            continue
-        exposed = _om_name(prefix + name)
-        lines = [
-            f"# TYPE {exposed} summary",
-            f"{exposed}_count {_om_value(hist.count)}",
-            f"{exposed}_sum {_om_value(hist.total)}",
-        ]
-        for label, q in _OM_QUANTILES:
-            quantile = hist.percentile(q)
-            if math.isfinite(quantile):
-                lines.append(
-                    f'{exposed}{{quantile="{label}"}} {_om_value(quantile)}'
-                )
-        families.append((exposed, lines))
-    families.sort(key=lambda item: item[0])
-    body = [line for _, lines in families for line in lines]
-    body.append("# EOF")
-    return "\n".join(body) + "\n"
-
-
-_OM_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>\S+)$"
-)
-
-
-def parse_openmetrics(text: str) -> Dict[str, Dict[str, object]]:
-    """Parse :func:`render_openmetrics` output back into plain dicts.
-
-    Returns ``{"counters": {...}, "gauges": {...}, "summaries": {name:
-    {"count": n, "sum": s, "quantiles": {"0.5": v, ...}}}}`` keyed by
-    exposed (sanitized) names.  Raises :class:`ValidationError` on a
-    line that is neither a comment nor a valid sample.
-    """
-    kinds: Dict[str, str] = {}
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    summaries: Dict[str, Dict[str, object]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                kinds[parts[2]] = parts[3]
-            continue
-        match = _OM_SAMPLE.match(line)
-        if match is None:
-            raise ValidationError(f"invalid OpenMetrics sample line: {raw!r}")
-        name = match.group("name")
-        value = float(match.group("value"))
-        labels = match.group("labels") or ""
-        base = name
-        for suffix in ("_total", "_count", "_sum"):
-            if name.endswith(suffix) and kinds.get(name[: -len(suffix)]):
-                base = name[: -len(suffix)]
-                break
-        kind = kinds.get(base) or kinds.get(name)
-        if kind == "counter":
-            counters[base] = value
-        elif kind == "gauge":
-            gauges[name] = value
-        elif kind == "summary":
-            summary = summaries.setdefault(
-                base, {"count": 0.0, "sum": 0.0, "quantiles": {}}
-            )
-            if name.endswith("_count"):
-                summary["count"] = value
-            elif name.endswith("_sum"):
-                summary["sum"] = value
-            elif labels.startswith('quantile="'):
-                summary["quantiles"][labels[len('quantile="'):-1]] = value
-        else:
-            raise ValidationError(
-                f"sample {name!r} has no preceding # TYPE line"
-            )
-    return {"counters": counters, "gauges": gauges, "summaries": summaries}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -24,7 +23,6 @@ __all__ = [
     "current_span_path",
     "fresh_span_stack",
     "span_stack_snapshot",
-    "set_memory_tracking",
 ]
 
 
@@ -113,18 +111,6 @@ def fresh_span_stack() -> Iterator[None]:
         _stacks_by_thread[tid] = saved
 
 
-#: When True (set by :func:`set_memory_tracking` while a profiler with
-#: memory telemetry is active) every span also records its tracemalloc
-#: allocation delta and peak watermark.
-_memory_tracking = False
-
-
-def set_memory_tracking(enabled: bool) -> None:
-    """Toggle per-span ``mem.*`` telemetry (requires tracemalloc tracing)."""
-    global _memory_tracking
-    _memory_tracking = bool(enabled)
-
-
 _NULL_SPAN = SpanRecord(name="", path="", depth=0)
 
 
@@ -151,9 +137,6 @@ def span(
         return
     parent = _stack.items[-1] if _stack.items else None
     path = f"{parent.path}.{name}" if parent is not None else name
-    mem_base = None
-    if _memory_tracking and tracemalloc.is_tracing():
-        mem_base = tracemalloc.get_traced_memory()
     record = SpanRecord(
         name=name,
         path=path,
@@ -167,13 +150,4 @@ def span(
         record.duration = time.perf_counter() - record.start
         popped = _stack.items.pop()
         assert popped is record, "span stack corrupted"
-        if mem_base is not None and tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            reg.observe(f"mem.{record.path}.alloc_bytes", current - mem_base[0])
-            # Watermark above the span's entry level.  The global peak is
-            # not reset per span (that would corrupt enclosing spans), so
-            # this is an upper bound when the process peaked earlier.
-            reg.observe(
-                f"mem.{record.path}.peak_bytes", max(0.0, peak - mem_base[0])
-            )
         reg.record_span(record)

@@ -23,6 +23,7 @@ a strongly predictable signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,13 @@ def _covariance_normal_equations(x: np.ndarray, order: int):
 def fit_ar_covariance(x: np.ndarray, order: int) -> ARFit:
     """Fit an AR(``order``) model to ``x`` via the covariance method.
 
-    Requires ``len(x) >= 2 * order`` so the normal equations are at least
-    square-determined; raises :class:`~repro.errors.ValidationError`
-    otherwise.  Singular windows (e.g. all-constant data) are handled with
-    a pseudo-inverse solve.
+    Requires finite values and ``len(x) >= 2 * order`` so the normal
+    equations are at least square-determined; raises
+    :class:`~repro.errors.ValidationError` otherwise.  Singular windows
+    (e.g. all-constant data) are handled with a pseudo-inverse solve, and
+    so are windows whose LU solve overflows (a subnormal pivot, e.g. a
+    window holding a value like ``1e-313``), so the error is always
+    finite.
     """
     x = np.asarray(x, dtype=float)
     order = check_positive_int(order, "order")
@@ -103,14 +107,21 @@ def fit_ar_covariance(x: np.ndarray, order: int) -> ARFit:
         raise ValidationError(
             f"AR({order}) covariance fit needs at least {2 * order} samples, got {x.size}"
         )
+    if not np.isfinite(x).all():
+        raise ValidationError("AR covariance fit needs finite values")
     gram, cross, design, target = _covariance_normal_equations(x, order)
     try:
-        solution = np.linalg.solve(gram, cross)
+        with np.errstate(over="ignore", invalid="ignore"):
+            solution = np.linalg.solve(gram, cross)
+            residual = target - design @ solution
+            error_power = float(residual @ residual)
     except np.linalg.LinAlgError:
+        error_power = math.nan
+    if not math.isfinite(error_power):
         solution = np.linalg.pinv(gram) @ cross
+        residual = target - design @ solution
+        error_power = float(residual @ residual)
     coefficients = -solution  # convention: x[n] + sum a_k x[n-k] = residual
-    residual = target - design @ solution
-    error_power = float(residual @ residual)
     variance = float(x.var())
     if variance <= 1e-12:
         normalized = 1.0
@@ -185,10 +196,10 @@ def normalized_errors_from_operands(
 
     One batched gram / solve / residual pass over all windows; raises
     :class:`numpy.linalg.LinAlgError` when any window's normal equations
-    are singular (callers fall back to the per-window pinv path for that
-    stream).  ``variances`` holds each window's value variance; windows
-    with (near-)zero variance get error ``1.0``, matching
-    :func:`fit_ar_covariance`.
+    are singular or its error power is not finite (callers fall back to
+    the per-window pinv path for that stream).  ``variances`` holds each
+    window's value variance; windows with (near-)zero variance get error
+    ``1.0``, matching :func:`fit_ar_covariance`.
     """
     rows = targets.shape[1]
     window = rows + order
@@ -196,10 +207,13 @@ def normalized_errors_from_operands(
     grams = np.matmul(transposed, designs)
     crosses = np.matmul(transposed, targets[:, :, None])
     solutions = np.linalg.solve(grams, crosses)
-    residuals = targets - np.matmul(designs, solutions)[:, :, 0]
-    error_powers = np.matmul(residuals[:, None, :], residuals[:, :, None])[
-        :, 0, 0
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = targets - np.matmul(designs, solutions)[:, :, 0]
+        error_powers = np.matmul(residuals[:, None, :], residuals[:, :, None])[
+            :, 0, 0
+        ]
+    if not np.isfinite(error_powers).all():
+        raise np.linalg.LinAlgError("AR solve overflowed")
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = error_powers / ((window - order) * variances)
     return np.where(variances <= 1e-12, 1.0, normalized)

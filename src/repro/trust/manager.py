@@ -242,7 +242,7 @@ class TrustManager:
             registry.inc("trust.runs")
             registry.set_gauge("trust.raters", float(len(ids)))
             if snapshots:
-                observe = registry.histogram("trust.value").observe
-                for value in snapshots[-1].trust.values():
-                    observe(value)
+                registry.histogram("trust.value").observe_many(
+                    snapshots[-1].trust.values()
+                )
         return snapshots

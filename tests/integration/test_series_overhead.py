@@ -1,8 +1,8 @@
 """Series recording must be nearly free (slow-marked, timing-sensitive).
 
-``--metrics-stream`` snapshots the registry, streams JSONL, and runs the
-default alert ruleset once per epoch close -- microseconds against a
-replay measured in tenths of seconds.  This pins the budget the bench
+A ``--run-dir`` run snapshots the registry, streams ``series.jsonl``, and
+runs the default alert ruleset once per epoch close -- microseconds
+against a replay measured in tenths of seconds.  This pins the budget the bench
 records as ``series_overhead_ratio`` in ``BENCH_obs_baseline.json``.
 """
 

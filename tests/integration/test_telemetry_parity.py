@@ -5,7 +5,7 @@ quality counter, gauge, and histogram summary merged into the parent
 registry is the same whether tasks ran inline (``workers=0``) or across
 a process pool (``workers=2``) -- only the ``exec.*`` pool bookkeeping
 namespace may differ.  These tests pin that contract, plus the CLI
-surfaces built on it: ``--trace-out`` writes a structurally valid
+surfaces built on it: a ``--run-dir`` run writes a structurally valid
 Perfetto trace, and ``repro runs check`` flags an injected regression
 against a ledger baseline.
 """
@@ -19,6 +19,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.context import ExperimentContext
 from repro.obs import MetricsRegistry, TelemetryCapsule, read_trace, set_registry
+from repro.obs.export import LEDGER_FILE, TRACE_FILE
 from repro.obs.ledger import RunLedger
 
 SEED = 2008
@@ -209,7 +210,7 @@ class TestCapsuleProfileMergeParity:
 
 class TestCliTraceExport:
     def test_trace_out_writes_valid_perfetto_json(self, tmp_path):
-        trace_path = tmp_path / "population.trace.json"
+        trace_path = tmp_path / TRACE_FILE
         status = main(
             [
                 "population",
@@ -218,7 +219,7 @@ class TestCliTraceExport:
                 "--scheme", "SA",
                 "--workers", "2",
                 "--top", "2",
-                "--trace-out", str(trace_path),
+                "--run-dir", str(tmp_path),
             ]
         )
         assert status == 0
@@ -228,11 +229,11 @@ class TestCliTraceExport:
         assert complete
         # Parallel dispatch shows up as more than one process lane.
         assert len({e["pid"] for e in complete}) >= 2
-        assert main(["trace", str(trace_path)]) == 0
+        assert main(["trace", "--run-dir", str(tmp_path)]) == 0
 
 
 class TestCliLedgerRegression:
-    def run_population(self, ledger_path):
+    def run_population(self, run_dir):
         return main(
             [
                 "population",
@@ -240,17 +241,17 @@ class TestCliLedgerRegression:
                 "--size", "4",
                 "--scheme", "SA",
                 "--top", "2",
-                "--ledger", str(ledger_path),
+                "--run-dir", str(run_dir),
             ]
         )
 
     def test_check_passes_on_repeat_runs_then_flags_injected_regression(
         self, tmp_path
     ):
-        ledger_path = tmp_path / "ledger.jsonl"
+        ledger_path = tmp_path / LEDGER_FILE
         for _ in range(3):
-            assert self.run_population(ledger_path) == 0
-        assert main(["runs", "check", "--ledger", str(ledger_path)]) == 0
+            assert self.run_population(tmp_path) == 0
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 0
 
         # Inject a regression: re-append the latest record with a slower
         # wall clock and a drifted headline digest, as if the code changed.
@@ -262,7 +263,7 @@ class TestCliLedgerRegression:
         with open(ledger_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(broken) + "\n")
 
-        assert main(["runs", "check", "--ledger", str(ledger_path)]) == 1
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 1
 
     def test_injected_regression_against_committed_fixture(self, tmp_path):
         fixture = (
@@ -270,9 +271,9 @@ class TestCliLedgerRegression:
             / "fixtures"
             / "ledger_baseline.jsonl"
         )
-        ledger_path = tmp_path / "ledger.jsonl"
+        ledger_path = tmp_path / LEDGER_FILE
         shutil.copy(fixture, ledger_path)
-        assert main(["runs", "check", "--ledger", str(ledger_path)]) == 0
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 0
 
         latest = RunLedger(ledger_path).latest()
         broken = latest.as_dict()
@@ -282,7 +283,7 @@ class TestCliLedgerRegression:
         with open(ledger_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(broken) + "\n")
 
-        assert main(["runs", "check", "--ledger", str(ledger_path)]) == 1
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 1
 
 
 class TestSeriesAlertParity:

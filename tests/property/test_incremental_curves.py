@@ -302,6 +302,17 @@ class TestModelErrorExact:
         # The all-constant windows report normalized error 1.0.
         assert curve.values[0] == 1.0
 
+    def test_subnormal_window_falls_back_to_a_finite_error(self):
+        # A subnormal value makes one window's LU solve overflow; the
+        # batched solver must fall back and match the naive fit, and no
+        # window may come out NaN (a NaN error is never flagged).
+        values = np.array([0, 0, 1, 2.2e-313, 0, 0, 0, 0, 0.3, 1.2, 4.0, 2.5])
+        times = np.arange(values.size, dtype=float)
+        curve = model_error_curve(times, values, 8, order=4)
+        assert_curve_equals(curve, naive_model_error(times, values, 8, 4))
+        assert np.isfinite(curve.values).all()
+        assert curve.values[0] == 0.0
+
 
 def _random_dataset(rng, num_products=6):
     streams = []

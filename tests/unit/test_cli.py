@@ -5,6 +5,14 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.export import (
+    LEDGER_FILE,
+    METRICS_FILE,
+    PROFILE_FILE,
+    REPORT_FILE,
+    SERIES_FILE,
+    TRACE_FILE,
+)
 
 
 @pytest.fixture(scope="module")
@@ -179,14 +187,14 @@ class TestObservabilityFlags:
     def test_metrics_out_written(self, small_world, attacked_world, tmp_path,
                                  capsys):
         _, attack_path = attacked_world
-        metrics_path = tmp_path / "metrics.json"
+        metrics_path = tmp_path / "run" / METRICS_FILE
         code = main(
             [
                 "evaluate",
                 "--world", str(small_world),
                 "--submission", str(attack_path),
                 "--scheme", "P",
-                "--metrics-out", str(metrics_path),
+                "--run-dir", str(tmp_path / "run"),
             ]
         )
         assert code == 0
@@ -208,10 +216,10 @@ class TestObservabilityFlags:
     def test_metrics_registry_restored_after_run(self, small_world, tmp_path):
         from repro.obs import NULL_REGISTRY, get_registry
 
-        metrics_path = tmp_path / "m.json"
+        metrics_path = tmp_path / METRICS_FILE
         main(
             ["detect", "--world", str(small_world), "--product", "tv1",
-             "--metrics-out", str(metrics_path)]
+             "--run-dir", str(tmp_path)]
         )
         assert get_registry() is NULL_REGISTRY
         assert metrics_path.exists()
@@ -375,10 +383,10 @@ class TestReportCommand:
 class TestReportOutGlobal:
     def test_any_command_can_write_a_report(self, small_world, tmp_path,
                                             capsys):
-        path = tmp_path / "detect.html"
+        path = tmp_path / REPORT_FILE
         code = main(
             ["detect", "--world", str(small_world), "--product", "tv1",
-             "--report-out", str(path)]
+             "--run-dir", str(tmp_path)]
         )
         assert code == 0
         text = path.read_text()
@@ -387,12 +395,10 @@ class TestReportOutGlobal:
         assert "detect" in text  # title mentions the command
 
     def test_trace_summary_folded_into_report(self, small_world, tmp_path):
-        report_path = tmp_path / "detect.html"
-        trace_path = tmp_path / "detect.trace.json"
+        report_path = tmp_path / REPORT_FILE
         code = main(
             ["detect", "--world", str(small_world), "--product", "tv1",
-             "--report-out", str(report_path),
-             "--trace-out", str(trace_path)]
+             "--run-dir", str(tmp_path)]
         )
         assert code == 0
         assert "Trace summary" in report_path.read_text()
@@ -436,8 +442,8 @@ class TestLintCommand:
         return "good.py"
 
     def test_lint_alert_rules_reach_the_linter(self, tmp_path, capsys, monkeypatch):
-        # The observability globals include an --alert-rules of their
-        # own; it must not swallow the linter's option.
+        # lint takes none of the globals: its own --alert-rules must
+        # reach the linter untouched.
         monkeypatch.chdir(tmp_path)
         tree = self._lint_tree(tmp_path)
         (tmp_path / "bad.toml").write_text(
@@ -464,11 +470,11 @@ class TestLintCommand:
 
 class TestMetricsStreamFlag:
     def test_stream_written_with_closing_snapshot(self, tmp_path):
-        stream = tmp_path / "stream.jsonl"
+        stream = tmp_path / SERIES_FILE
         out = tmp_path / "w.csv"
         code = main(
             ["world", "--seed", "3", "--out", str(out),
-             "--metrics-stream", str(stream)]
+             "--run-dir", str(tmp_path)]
         )
         assert code == 0
         from repro.obs import read_metrics_stream
@@ -479,11 +485,11 @@ class TestMetricsStreamFlag:
         assert snapshots[0][0] == 0
 
     def test_report_streams_one_snapshot_per_epoch(self, tmp_path):
-        stream = tmp_path / "stream.jsonl"
+        stream = tmp_path / SERIES_FILE
         code = main(
             ["report", "--seed", "7", "--size", "1",
              "--out", str(tmp_path / "r.html"),
-             "--metrics-stream", str(stream)]
+             "--run-dir", str(tmp_path)]
         )
         assert code == 0
         from repro.obs import read_metrics_stream
@@ -494,46 +500,19 @@ class TestMetricsStreamFlag:
             range(len(snapshots))
         )
 
-    def test_openmetrics_export(self, tmp_path):
-        target = tmp_path / "metrics.om"
-        code = main(
-            ["report", "--seed", "7", "--size", "1",
-             "--out", str(tmp_path / "r.html"),
-             "--openmetrics-out", str(target)]
-        )
-        assert code == 0
-        from repro.obs import parse_openmetrics
-
-        text = target.read_text(encoding="utf-8")
-        assert text.endswith("# EOF\n")
-        parsed = parse_openmetrics(text)
-        assert parsed["counters"]["detector_HC_calls"] > 0
-
-    def test_bad_rules_file_is_a_clean_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.toml"
-        bad.write_text("[[rule]]\nname = \"a\"\n", encoding="utf-8")
-        code = main(
-            ["world", "--seed", "3", "--out", str(tmp_path / "w.csv"),
-             "--alert-rules", str(bad),
-             "--metrics-stream", str(tmp_path / "s.jsonl")]
-        )
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
 
 class TestMonitorCommand:
     def write_stream(self, tmp_path):
         from repro.obs import MetricsStreamWriter
 
-        path = tmp_path / "stream.jsonl"
-        with MetricsStreamWriter(path) as writer:
+        with MetricsStreamWriter(tmp_path / SERIES_FILE) as writer:
             writer.write(0, {"drift.warnings": 0.0})
             writer.write(1, {"drift.warnings": 2.0})
-        return path
+        return tmp_path
 
     def test_monitor_once_renders_frame(self, tmp_path, capsys):
-        path = self.write_stream(tmp_path)
-        assert main(["monitor", str(path), "--once"]) == 0
+        run_dir = self.write_stream(tmp_path)
+        assert main(["monitor", "--run-dir", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "epoch 1" in out
         assert "drift.warnings" in out
@@ -542,17 +521,17 @@ class TestMonitorCommand:
         assert "FIRING" in out
 
     def test_monitor_select_filters_series(self, tmp_path, capsys):
-        path = self.write_stream(tmp_path)
+        run_dir = self.write_stream(tmp_path)
         assert main(
-            ["monitor", str(path), "--once", "--select", "nomatch"]
+            ["monitor", "--run-dir", str(run_dir), "--select", "nomatch"]
         ) == 0
         out = capsys.readouterr().out
         assert "drift.warnings  " not in out
 
     def test_monitor_missing_file_renders_empty_frame(self, tmp_path,
                                                       capsys):
-        absent = tmp_path / "absent.jsonl"
-        assert main(["monitor", str(absent), "--once"]) == 0
+        absent = tmp_path / "absent"
+        assert main(["monitor", "--run-dir", str(absent)]) == 0
         assert "no snapshots yet" in capsys.readouterr().out
 
 
@@ -592,3 +571,81 @@ class TestAlertsCommand:
     def test_runs_check_allow_alerts_flag_parses(self):
         args = build_parser().parse_args(["runs", "check", "--allow-alerts"])
         assert args.allow_alerts is True
+
+
+class TestRunDirectory:
+    RUN = ["population", "--seed", "7", "--size", "2", "--scheme", "SA",
+           "--top", "1"]
+
+    def test_bundle_round_trip(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main([*self.RUN, "--run-dir", str(run_dir)]) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted([
+            LEDGER_FILE, METRICS_FILE, TRACE_FILE, PROFILE_FILE,
+            SERIES_FILE, REPORT_FILE,
+        ])
+        for reader in (["trace"], ["profile"], ["monitor"], ["runs", "show"]):
+            assert main([*reader, "--run-dir", str(run_dir)]) == 0
+        assert main([*self.RUN, "--run-dir", str(run_dir)]) == 0
+        lines = (run_dir / LEDGER_FILE).read_text().splitlines()
+        assert len(lines) == 2
+        assert main(["runs", "check", "--run-dir", str(run_dir)]) == 0
+
+    def test_run_dir_under_a_file_is_a_clean_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = tmp_path / "w.csv"
+        code = main(["world", "--seed", "3", "--out", str(out),
+                     "--run-dir", str(blocker / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()  # no work was done
+
+    @pytest.mark.parametrize("name, what", [
+        (METRICS_FILE, "metrics"),
+        (REPORT_FILE, "report"),
+    ])
+    def test_unwritable_bundle_file_fails_the_run(self, name, what, tmp_path,
+                                                  capsys):
+        run_dir = tmp_path / "run"
+        (run_dir / name).mkdir(parents=True)
+        code = main(["world", "--seed", "3", "--out", str(tmp_path / "w.csv"),
+                     "--run-dir", str(run_dir)])
+        assert code == 2
+        assert f"error: cannot write {what}" in capsys.readouterr().err
+        # The rest of the bundle is written, and the record says failed.
+        record = json.loads((run_dir / LEDGER_FILE).read_text())
+        assert record["status"] == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--metrics-out", "m.json"],
+        ["--trace-out", "t.json"],
+        ["--ledger", "l.jsonl"],
+        ["--report-out", "r.html"],
+        ["--profile-out", "p.json"],
+        ["--profile-hz", "97"],
+        ["--profile-mem"],
+        ["--metrics-stream", "s.jsonl"],
+        ["--alert-rules", "rules.toml"],
+        ["--openmetrics-out", "m.om"],
+    ], ids=lambda args: args[0])
+    def test_removed_global_flags_exit_2(self, args, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["world", "--seed", "3", "--out", str(out), *args])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["monitor", "--once"],
+        ["monitor", "--interval", "1"],
+        ["profile", "--collapsed", "p.txt"],
+        ["profile", "--trace", "p.json"],
+        ["trace", "trace.json"],
+    ])
+    def test_removed_reader_options_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2

@@ -10,6 +10,7 @@ from repro.detectors.integration import JointDetector
 from repro.detectors.mean_change import MeanChangeDetector
 from repro.detectors.model_error import ModelErrorDetector
 from repro.errors import ValidationError
+from repro.signal.peaks import Peak
 from repro.types import RatingDataset, RatingStream
 
 
@@ -118,6 +119,39 @@ class TestMeanChangeDetector:
             )
             neutral = detector.suspicious_segments(stream, peaks, trust_lookup=None)
             assert len(distrusted) >= len(neutral)
+
+    @staticmethod
+    def shifted_middle(middle_rater):
+        """60 daily ratings of 4.0 with a 3.0 middle third (shift 0.667)
+        rated by ``middle_rater``, and peaks bracketing that middle."""
+        values = np.full(60, 4.0)
+        values[20:40] = 3.0
+        raters = ["a"] * 20 + [middle_rater] * 20 + ["a"] * 20
+        stream = RatingStream("p", np.arange(60.0), values, raters)
+        peaks = [Peak(position=i, index=i, time=float(i), height=10.0)
+                 for i in (20, 40)]
+        return stream, peaks
+
+    @pytest.mark.parametrize("middle_rater", ["b", "a\x00"])
+    def test_segment_trust_keeps_rater_ids_exact(self, middle_rater):
+        # "a\x00" is not "a": a numpy string array ties the two and would
+        # hand the distrusted middle rater the trust of "a".
+        stream, peaks = self.shifted_middle(middle_rater)
+        trust = {"a": 0.9, "b": 0.1, "a\x00": 0.1}
+        marked = MeanChangeDetector().suspicious_segments(
+            stream, peaks, trust.__getitem__
+        )
+        assert marked == [TimeInterval(20.0, 39.0)]
+
+    def test_without_trust_every_ratio_is_one(self):
+        stream, peaks = self.shifted_middle("b")
+        # The 0.667 shift clears threshold2 only; a ratio of exactly 1
+        # passes a threshold above 1 and fails the default 0.9.
+        assert MeanChangeDetector().suspicious_segments(stream, peaks) == []
+        lenient = MeanChangeDetector(DetectorConfig(mc_trust_ratio_threshold=1.01))
+        assert lenient.suspicious_segments(stream, peaks) == [
+            TimeInterval(20.0, 39.0)
+        ]
 
 
 class TestArrivalRateDetector:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry, use_registry
+from repro.obs.export import LEDGER_FILE
 from repro.obs.ledger import (
     RunLedger,
     RunRecord,
@@ -287,6 +288,19 @@ class TestCheckLedger:
         )
         assert report.ok
 
+    def test_wall_clock_stall_below_the_floor_not_flagged(self, tmp_path):
+        base = [
+            make_record(f"base{i:02d}", timestamp=1000.0 + i, wall=0.05)
+            for i in range(3)
+        ]
+        # A 30 ms stall is 1.6x a 50 ms run, but host noise, not a
+        # regression: it stays under baseline + SELF_TIMING_FLOOR_SECONDS.
+        stalled = make_record("latest", timestamp=2000.0, wall=0.08)
+        assert check_ledger(self.write(tmp_path, base + [stalled])).ok
+        slow = make_record("latest", timestamp=2000.0, wall=0.5)
+        report = check_ledger(self.write(tmp_path, base + [slow]))
+        assert [f.name for f in report.findings] == ["wall_seconds"]
+
     def test_self_timing_regression_flagged(self, tmp_path):
         base = [
             make_record(f"base{i:02d}", timestamp=1000.0 + i,
@@ -385,7 +399,7 @@ class TestRunsCli:
     """The ``repro runs`` subcommands, exercised through cli.main."""
 
     def seed_ledger(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
+        path = tmp_path / LEDGER_FILE
         with use_registry(MetricsRegistry()):
             ledger = RunLedger(path)
             for i in range(3):
@@ -396,10 +410,10 @@ class TestRunsCli:
         from repro.cli import main
 
         path = self.seed_ledger(tmp_path)
-        assert main(["runs", "list", "--ledger", str(path)]) == 0
+        assert main(["runs", "list", "--run-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "run000" in out and "run002" in out
-        assert main(["runs", "show", "run001", "--ledger", str(path)]) == 0
+        assert main(["runs", "show", "run001", "--run-dir", str(tmp_path)]) == 0
         shown = json.loads(capsys.readouterr().out)
         assert shown["run_id"] == "run001"
 
@@ -407,14 +421,14 @@ class TestRunsCli:
         from repro.cli import main
 
         path = self.seed_ledger(tmp_path)
-        assert main(["runs", "diff", "--ledger", str(path)]) == 0
+        assert main(["runs", "diff", "--run-dir", str(tmp_path)]) == 0
         assert "run001" in capsys.readouterr().out
 
     def test_runs_check_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 
         path = self.seed_ledger(tmp_path)
-        assert main(["runs", "check", "--ledger", str(path)]) == 0
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 0
         with use_registry(MetricsRegistry()):
             RunLedger(path).append(
                 make_record(
@@ -424,7 +438,7 @@ class TestRunsCli:
                     digests={"population.top_mp": 9.0},
                 )
             )
-        assert main(["runs", "check", "--ledger", str(path)]) == 1
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "result-digest" in out and "timing" in out
 
@@ -432,13 +446,12 @@ class TestRunsCli:
         from repro.cli import main
 
         # Empty ledger: nothing to check at all.
-        empty = tmp_path / "empty.jsonl"
-        assert main(["runs", "check", "--ledger", str(empty)]) == 3
+        empty = tmp_path / "empty"
+        assert main(["runs", "check", "--run-dir", str(empty)]) == 3
         # One record, zero comparable earlier runs: same distinct code.
-        path = tmp_path / "one.jsonl"
         with use_registry(MetricsRegistry()):
-            RunLedger(path).append(make_record("only01"))
-        assert main(["runs", "check", "--ledger", str(path)]) == 3
+            RunLedger(tmp_path / LEDGER_FILE).append(make_record("only01"))
+        assert main(["runs", "check", "--run-dir", str(tmp_path)]) == 3
         out = capsys.readouterr().out
         assert "no comparable baseline" in out
 
@@ -447,7 +460,7 @@ class TestRunsCli:
 
         path = self.seed_ledger(tmp_path)
         before = path.read_text()
-        assert main(["runs", "list", "--ledger", str(path)]) == 0
+        assert main(["runs", "list", "--run-dir", str(tmp_path)]) == 0
         assert path.read_text() == before
 
 

@@ -20,7 +20,6 @@ from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
     current_span_path,
-    format_metrics,
     get_registry,
     registry_to_dict,
     set_registry,
@@ -189,17 +188,6 @@ class TestExporters:
         assert payload["gauges"]["g"] == 0.5
         assert payload["histograms"]["h"]["count"] == 1
         assert payload["spans"][0]["path"] == "s"
-
-    def test_format_metrics_tables(self):
-        reg = MetricsRegistry()
-        reg.inc("requests", 3)
-        reg.observe("latency", 0.25)
-        text = format_metrics(reg)
-        assert "Counters" in text and "Histograms" in text
-        assert "requests" in text and "latency" in text
-
-    def test_format_metrics_empty(self):
-        assert format_metrics(MetricsRegistry()) == "(no metrics collected)"
 
 
 class TestLoggingSetup:
@@ -405,6 +393,25 @@ class TestHistogramEdgeCases:
         hist = Histogram()
         hist.merge_state(*donor.state())
         assert hist.summary() == donor.summary()
+
+    @pytest.mark.parametrize("values", [
+        # Order-sensitive sums: a compensated or pairwise sum rounds
+        # these differently from left-to-right accumulation.
+        [1e16, 1.0, -1e16, 0.1, 0.7, 1e-3, 3.0] * 100,
+        [0.4, float("nan"), -2.0, 9.0],
+    ])
+    def test_observe_many_matches_an_observe_loop(self, values):
+        from repro.obs import Histogram
+
+        looped, batched = Histogram(), Histogram()
+        for hist in (looped, batched):
+            for value in (2.5, 0.1, 0.2):
+                hist.observe(value)
+        for value in values:
+            looped.observe(value)
+        batched.observe_many(iter(values))
+        # repr is exact for floats and renders NaN alike on both sides.
+        assert repr(batched.state()) == repr(looped.state())
 
 
 class TestSpansAcrossThreads:

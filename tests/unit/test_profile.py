@@ -12,7 +12,6 @@ from repro.obs.profile import (
     PROFILE_TID,
     SpanProfiler,
     attributed_fraction,
-    collapsed_stacks,
     disable_profiling,
     enable_profiling,
     maybe_task_profiler,
@@ -207,11 +206,6 @@ class TestSpanSelfTimes:
 
 
 class TestExporters:
-    def test_collapsed_stacks_format(self):
-        text = collapsed_stacks({"span:a;f.py:g": 3.0, "span:b;f.py:h": 1.0})
-        assert text == "span:a;f.py:g 3\nspan:b;f.py:h 1\n"
-        assert collapsed_stacks({}) == ""
-
     def test_speedscope_document_round_trips_weights(self, tmp_path):
         path = tmp_path / "profile.speedscope.json"
         assert write_speedscope(SAMPLES, path, hz=10) == len(SAMPLES)

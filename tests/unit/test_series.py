@@ -1,8 +1,6 @@
-"""Unit tests for repro.obs.series: recorder, stream sink, OpenMetrics."""
+"""Unit tests for repro.obs.series: recorder and stream sink."""
 
-import math
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -12,29 +10,8 @@ from repro.obs.series import (
     MetricsStreamWriter,
     TimeSeriesRecorder,
     flatten_registry,
-    parse_openmetrics,
     read_metrics_stream,
-    render_openmetrics,
 )
-
-GOLDEN = (
-    Path(__file__).resolve().parent.parent
-    / "fixtures"
-    / "openmetrics_golden.txt"
-)
-
-
-def golden_registry() -> MetricsRegistry:
-    """The registry the committed OpenMetrics golden file was made from."""
-    registry = MetricsRegistry()
-    registry.inc("online.epochs_closed", 3)
-    registry.inc("drift.warnings", 2)
-    registry.inc("alert.events", 1)
-    registry.set_gauge("alert.active", 1.0)
-    registry.set_gauge("series.metrics", 12.0)
-    for value in (0.0, 1.0, 1.0, 2.0, 5.0):
-        registry.observe("alert.latency_epochs", value)
-    return registry
 
 
 class TestFlattenRegistry:
@@ -215,47 +192,3 @@ class TestMetricsStream:
         recorder.record_epoch(0, registry)
         recorder.sink.close()
         assert read_metrics_stream(path) == [(0, {"drift.warnings": 1.0})]
-
-
-class TestOpenMetrics:
-    def test_golden_file_up_to_date(self):
-        assert render_openmetrics(golden_registry()) == GOLDEN.read_text(
-            encoding="utf-8"
-        )
-
-    def test_golden_file_parses_back(self):
-        parsed = parse_openmetrics(GOLDEN.read_text(encoding="utf-8"))
-        assert parsed["counters"]["drift_warnings"] == 2.0
-        assert parsed["counters"]["online_epochs_closed"] == 3.0
-        assert parsed["gauges"]["alert_active"] == 1.0
-        summary = parsed["summaries"]["alert_latency_epochs"]
-        assert summary["count"] == 5.0
-        assert summary["sum"] == 9.0
-        assert "0.5" in summary["quantiles"]
-
-    def test_render_parse_round_trip(self):
-        registry = golden_registry()
-        parsed = parse_openmetrics(render_openmetrics(registry))
-        assert parsed["counters"]["alert_events"] == 1.0
-        assert parsed["gauges"]["series_metrics"] == 12.0
-        summary = parsed["summaries"]["alert_latency_epochs"]
-        hist = registry.histogram("alert.latency_epochs")
-        assert summary["quantiles"]["0.5"] == pytest.approx(
-            hist.percentile(50)
-        )
-
-    def test_nan_gauge_not_exposed(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("alert.active", math.nan)
-        assert "alert_active" not in render_openmetrics(registry)
-
-    def test_ends_with_eof(self):
-        assert render_openmetrics(MetricsRegistry()).endswith("# EOF\n")
-
-    def test_invalid_sample_line_raises(self):
-        with pytest.raises(ValidationError):
-            parse_openmetrics("# TYPE a counter\na_total one two\n")
-
-    def test_sample_without_type_raises(self):
-        with pytest.raises(ValidationError):
-            parse_openmetrics("mystery_metric 1\n")

@@ -34,6 +34,17 @@ class TestARCovariance:
     def test_constant_window_defined_as_noise(self):
         assert model_error(np.full(50, 4.0), order=4) == 1.0
 
+    def test_subnormal_value_gives_finite_error(self):
+        # The LU solve divides by a subnormal pivot and overflows; the
+        # pseudo-inverse solve then fits the all-zero targets exactly.
+        fit = fit_ar_covariance(np.array([0, 0, 1, 2.2e-313, 0, 0, 0, 0]), 4)
+        assert fit.normalized_error == 0.0
+        assert np.isfinite(fit.coefficients).all()
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValidationError):
+            fit_ar_covariance(np.array([1.0, np.nan, 2.0, 3.0]), 1)
+
     def test_exact_ar2_signal(self):
         # Deterministic AR(2) process has zero prediction error.
         x = np.zeros(100)
