@@ -80,11 +80,10 @@ def main() -> int:
     detectors = {}
     for kind in DETECTOR_KINDS:
         hist = registry.histograms.get(f"span.detector.{kind}.seconds")
-        calls = registry.counter_value(f"detector.{kind}.calls")
-        if hist is None or not calls:
+        if hist is None or not hist.count:
             continue
         detectors[kind] = {
-            "calls": calls,
+            "calls": float(hist.count),
             "p50_seconds": hist.percentile(50),
             "p90_seconds": hist.percentile(90),
         }

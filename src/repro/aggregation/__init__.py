@@ -22,7 +22,12 @@ from repro.aggregation.pscheme import PScheme, PSchemeConfig
 from repro.aggregation.simple import SimpleAveragingScheme
 from repro.aggregation.weighted import trust_weighted_average
 
+#: The three defenses by the names the CLI, the engine's tasks and the
+#: experiments select them with, in the paper's order.
+SCHEMES = {"P": PScheme, "SA": SimpleAveragingScheme, "BF": BetaFilterScheme}
+
 __all__ = [
+    "SCHEMES",
     "AggregationScheme",
     "month_windows",
     "BetaFilterConfig",

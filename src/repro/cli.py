@@ -65,20 +65,23 @@ none of the global flags: everything after ``lint`` goes to
 Exit status is 0 on success, 1 on a detected regression (``runs check``)
 or a non-baselined lint finding, 2 on argument errors and on a run
 directory that cannot be created or written, 3 when ``runs check``
-found no comparable baseline.
+found no comparable baseline, and 141 (128 + SIGPIPE, what a shell
+reports for a tool that SIGPIPE ends) when stdout was closed before the
+output was written, e.g. by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.aggregation import BetaFilterScheme, PScheme, SimpleAveragingScheme
+from repro.aggregation import SCHEMES
 from repro.analysis.reporting import format_table
 from repro.attacks.base import ProductTarget
 from repro.attacks.generator import AttackGenerator, AttackSpec
@@ -117,21 +120,11 @@ from repro.obs.export import (
     TRACE_FILE,
     RunDirectoryWriter,
 )
+from repro.obs.quality import ConfusionCounts
 from repro.obs.trace import read_trace, summarize_trace
 from repro.types import RatingDataset
 
 __all__ = ["main", "build_parser"]
-
-_SCHEMES = {
-    "SA": SimpleAveragingScheme,
-    "BF": BetaFilterScheme,
-    "P": PScheme,
-}
-
-
-def _make_scheme(name: str):
-    return _SCHEMES[name]()
-
 
 def _evaluator(args):
     """The :mod:`repro.exec` evaluator for ``--workers``/``--cache-dir``."""
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--world", required=True, help="fair data CSV")
     evaluate.add_argument("--submission", required=True, help="submission JSON")
     evaluate.add_argument(
-        "--scheme", choices=sorted(_SCHEMES), action="append", dest="schemes",
+        "--scheme", choices=sorted(SCHEMES), action="append", dest="schemes",
         help="defense scheme (repeatable; default: all three)",
     )
     evaluate.add_argument("--period-days", type=float, default=30.0)
@@ -241,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     population.add_argument("--seed", type=int, default=2008)
     population.add_argument("--size", type=int, default=25)
     population.add_argument(
-        "--scheme", choices=sorted(_SCHEMES), default="SA",
+        "--scheme", choices=sorted(SCHEMES), default="SA",
     )
     population.add_argument("--top", type=int, default=10)
 
     search = add_parser("search", help="Procedure 2 region search")
     search.add_argument("--seed", type=int, default=2008)
-    search.add_argument("--scheme", choices=sorted(_SCHEMES), default="SA")
+    search.add_argument("--scheme", choices=sorted(SCHEMES), default="SA")
     search.add_argument("--probes", type=int, default=4)
     search.add_argument("--subareas", type=int, default=4)
 
@@ -444,11 +437,11 @@ def _cmd_evaluate(args) -> int:
     end = max(hi for _, hi in spans) + 1e-9
     from repro.marketplace.mp import manipulation_power
 
-    scheme_names = args.schemes or sorted(_SCHEMES)
+    scheme_names = args.schemes or sorted(SCHEMES)
     rows = []
     for name in scheme_names:
         result = manipulation_power(
-            _make_scheme(name), attacked, fair,
+            SCHEMES[name](), attacked, fair,
             period_days=args.period_days, start_day=start, end_day=end,
         )
         rows.append((name, result.total))
@@ -504,9 +497,8 @@ def _cmd_detect(args) -> int:
         for interval in intervals:
             print(f"{label} interval: days {interval.start:.1f} to {interval.stop:.1f}")
     if len(stream) and stream.unfair.any():
-        unfair = stream.unfair
-        recall = (report.suspicious & unfair).sum() / unfair.sum()
-        print(f"ground-truth recall: {recall:.0%}")
+        counts = ConfusionCounts.from_masks(report.suspicious, stream.unfair)
+        print(f"ground-truth recall: {counts.recall:.0%}")
     if args.explain:
         print(_provenance_table(stream, report))
     return 0
@@ -974,8 +966,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status = 2
     try:
         status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
     except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly, and send
+        # what is still buffered to /dev/null so the flush at exit
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
     finally:
         if writer is not None:
             status = writer.finish(

@@ -212,18 +212,15 @@ class JointDetector:
     # ------------------------------------------------------------------ #
 
     def _timed(self, kind: str, analyze: Callable, *args):
-        """Run one sub-detector under a span, counting the call.
+        """Run one sub-detector under a span.
 
         The span (``detector.<kind>``, nested under whatever stage is
-        open) times the call and is what the sampling profiler
-        attributes frames to, so a profile breaks each sub-detector's
-        cost down per frame.
+        open) counts and times the call, and is what the sampling
+        profiler attributes frames to, so a profile breaks each
+        sub-detector's cost down per frame.
         """
-        registry = self.registry
-        with span(f"detector.{kind}", registry):
-            report = analyze(*args)
-        registry.inc(f"detector.{kind}.calls")
-        return report
+        with span(f"detector.{kind}", self.registry):
+            return analyze(*args)
 
     def _curves(
         self, times: np.ndarray, values: np.ndarray, bounds: Sequence[Tuple[int, int]]
@@ -302,7 +299,6 @@ class JointDetector:
                 provenance,
             )
         registry = self.registry
-        registry.inc("detector.joint.calls")
         if mask.any():
             registry.inc("detector.joint.marked_ratings", int(mask.sum()))
             logger.debug(

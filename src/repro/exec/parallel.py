@@ -19,16 +19,16 @@ Operational behaviour:
   and prefers the ``fork`` start method, so workers inherit whatever
   worlds the parent already built (see
   :func:`~repro.exec.tasks.share_context`).
-- **Observable.**  Per-task wall time (measured inside the worker) and
-  task/failure/chunk counts land in the active metrics registry under
-  ``exec.*``, alongside the cache's hit/miss counters.
+- **Observable.**  When the active registry collects, every task runs
+  under an ``exec.task`` span (timed inside the worker), and
+  failure/chunk counts land under ``exec.*``, alongside the cache's
+  hit/miss counters.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from time import perf_counter
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -49,14 +49,14 @@ logger = get_logger(__name__)
 #: granularity reasonable even for huge sweeps.
 _CHUNK_CAP = 32
 
-#: ``(value, seconds, error, capsule)`` -- one task's complete outcome.
-TaskOutcome = Tuple[Any, float, Optional[str], Optional[TelemetryCapsule]]
+#: ``(value, error, capsule)`` -- one task's complete outcome.
+TaskOutcome = Tuple[Any, Optional[str], Optional[TelemetryCapsule]]
 
 
 def _run_task_timed(
     task: EvalTask, capture: bool = False, hermetic: bool = False
 ) -> TaskOutcome:
-    """``(value, seconds, error, capsule)`` for one task; never raises.
+    """``(value, error, capsule)`` for one task; never raises.
 
     With ``capture`` the task runs under a fresh local registry and an
     empty span stack; everything it records ships back in a
@@ -67,12 +67,10 @@ def _run_task_timed(
     :func:`~repro.exec.tasks.hermetic_schemes`).
     """
     if not capture:
-        start = perf_counter()
         try:
-            value = task.run()
+            return task.run(), None, None
         except Exception as exc:  # noqa: BLE001 - reported to the parent
-            return None, perf_counter() - start, f"{type(exc).__name__}: {exc}", None
-        return value, perf_counter() - start, None, None
+            return None, f"{type(exc).__name__}: {exc}", None
     local = MetricsRegistry()
     # A task that closes epochs (e.g. an online replay) records series
     # into its local recorder; the points ride home in the capsule and
@@ -80,7 +78,6 @@ def _run_task_timed(
     # the recorder empty, and empty recorders are not shipped.
     local.attach_series(TimeSeriesRecorder())
     value, error = None, None
-    start = perf_counter()
     with fresh_span_stack(), use_registry(local), hermetic_schemes(hermetic):
         # When profiling is globally enabled, each captured task samples
         # itself into its local registry -- the samples ride back in the
@@ -98,14 +95,13 @@ def _run_task_timed(
         finally:
             if profiler is not None:
                 profiler.stop()
-    seconds = perf_counter() - start
-    return value, seconds, error, TelemetryCapsule.capture(local)
+    return value, error, TelemetryCapsule.capture(local)
 
 
 def _run_chunk(
     tasks: Sequence[EvalTask], capture: bool = False, hermetic: bool = False
 ) -> List[TaskOutcome]:
-    """Worker-side entry point: run one chunk, returning timed outcomes."""
+    """Worker-side entry point: run one chunk, returning its outcomes."""
     return [_run_task_timed(task, capture, hermetic) for task in tasks]
 
 
@@ -127,9 +123,6 @@ class ParallelEvaluator:
         a fresh local registry and its telemetry is merged back as a
         :class:`~repro.obs.capsule.TelemetryCapsule` -- worker metrics
         and spans are never dropped.
-    chunksize:
-        Tasks per pool submission; default balances load as
-        ``min(32, ceil(pending / (4 * workers)))``.
     hermetic_telemetry:
         Build a fresh scheme per captured task instead of sharing the
         process-local instance.  Results are unchanged, but merged
@@ -143,12 +136,10 @@ class ParallelEvaluator:
         workers: int = 0,
         cache: Optional[MPCache] = None,
         registry: Optional[MetricsRegistry] = None,
-        chunksize: Optional[int] = None,
         hermetic_telemetry: bool = False,
     ) -> None:
         self.workers = max(0, int(workers))
         self.cache = cache
-        self.chunksize = chunksize
         self.hermetic_telemetry = bool(hermetic_telemetry)
         self._registry = registry
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -197,7 +188,6 @@ class ParallelEvaluator:
 
     def _record(
         self,
-        seconds: float,
         error: Optional[str],
         index: int,
         capsule: Optional[TelemetryCapsule],
@@ -209,8 +199,6 @@ class ParallelEvaluator:
             # Merge before any failure is raised so a crashing task's
             # telemetry (its spans, partial counters) is never lost.
             capsule.merge_into(reg, parent_path=parent_path, base_depth=base_depth)
-        reg.inc("exec.tasks")
-        reg.observe("exec.task_seconds", seconds)
         if error is not None:
             reg.inc("exec.failures")
             raise ExecutionError(f"evaluation task #{index} failed: {error}")
@@ -266,12 +254,10 @@ class ParallelEvaluator:
                 )
             else:
                 for i in pending:
-                    value, seconds, error, capsule = _run_task_timed(
+                    value, error, capsule = _run_task_timed(
                         tasks[i], capture, self.hermetic_telemetry
                     )
-                    self._record(
-                        seconds, error, i, capsule, parent_path, base_depth
-                    )
+                    self._record(error, i, capsule, parent_path, base_depth)
                     results[i] = value
                     if self.cache is not None:
                         self.cache.put(keys[i], value)
@@ -292,7 +278,7 @@ class ParallelEvaluator:
         parent_path: str,
         base_depth: int,
     ) -> None:
-        chunksize = self.chunksize or max(
+        chunksize = max(
             1, min(_CHUNK_CAP, math.ceil(len(pending) / (4 * self.workers)))
         )
         chunks = [
@@ -325,8 +311,8 @@ class ParallelEvaluator:
                     outcomes = _run_chunk(
                         [tasks[i] for i in chunk], capture, hermetic
                     )
-            for i, (value, seconds, error, capsule) in zip(chunk, outcomes):
-                self._record(seconds, error, i, capsule, parent_path, base_depth)
+            for i, (value, error, capsule) in zip(chunk, outcomes):
+                self._record(error, i, capsule, parent_path, base_depth)
                 results[i] = value
         if degraded:
             self.close()

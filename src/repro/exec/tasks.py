@@ -152,14 +152,13 @@ def get_shared_scheme(scope: tuple, scheme_name: str):
 
 
 def _scheme_factory(scheme_name: str):
-    from repro.aggregation import BetaFilterScheme, PScheme, SimpleAveragingScheme
+    from repro.aggregation import SCHEMES
 
-    factories = {"P": PScheme, "SA": SimpleAveragingScheme, "BF": BetaFilterScheme}
-    if scheme_name not in factories:
+    if scheme_name not in SCHEMES:
         raise ValidationError(
-            f"unknown scheme {scheme_name!r}; expected one of {sorted(factories)}"
+            f"unknown scheme {scheme_name!r}; expected one of {sorted(SCHEMES)}"
         )
-    return factories[scheme_name]
+    return SCHEMES[scheme_name]
 
 
 # --------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.aggregation import BetaFilterScheme, PScheme, SimpleAveragingScheme
+from repro.aggregation import SCHEMES
 from repro.attacks.base import AttackSubmission
 from repro.attacks.population import PopulationConfig, generate_population
 from repro.errors import ValidationError
@@ -21,8 +21,6 @@ from repro.marketplace.challenge import RatingChallenge
 from repro.marketplace.mp import MPResult
 
 __all__ = ["ExperimentContext"]
-
-SCHEME_NAMES = ("P", "SA", "BF")
 
 
 @dataclass
@@ -87,14 +85,12 @@ class ExperimentContext:
 
     def scheme(self, name: str):
         """A shared scheme instance by name (``"P"``, ``"SA"``, ``"BF"``)."""
-        if name not in SCHEME_NAMES:
-            raise ValidationError(f"unknown scheme {name!r}; expected {SCHEME_NAMES}")
+        if name not in SCHEMES:
+            raise ValidationError(
+                f"unknown scheme {name!r}; expected {tuple(SCHEMES)}"
+            )
         if name not in self._schemes:
-            self._schemes[name] = {
-                "P": PScheme,
-                "SA": SimpleAveragingScheme,
-                "BF": BetaFilterScheme,
-            }[name]()
+            self._schemes[name] = SCHEMES[name]()
         return self._schemes[name]
 
     # ------------------------------------------------------------------ #

@@ -22,7 +22,7 @@ from repro.attacks.time_models import ConcentratedBurst, EvenlySpaced, UniformWi
 from repro.detectors.integration import JointDetector
 from repro.exec import region_probe_batch, share_challenge
 from repro.experiments.context import ExperimentContext
-from repro.obs.quality import Scorecard, score_detection
+from repro.obs.quality import ConfusionCounts, Scorecard, score_detection
 
 __all__ = [
     "BiasVarianceFigure",
@@ -422,13 +422,12 @@ def run_operating_points(context: ExperimentContext) -> OperatingPoints:
     challenge = context.challenge
     detector = JointDetector()
     # False alarms on fair-only data (one batched pass over all products).
-    fair_marked = 0
-    fair_total = 0
     fair_reports = detector.analyze_batch(challenge.fair_dataset)
-    for product_id in challenge.fair_dataset:
-        fair_marked += fair_reports[product_id].num_suspicious
-        fair_total += len(challenge.fair_dataset[product_id])
-    false_alarm_rate = fair_marked / max(fair_total, 1)
+    fair = ConfusionCounts()
+    for product_id, report in fair_reports.items():
+        fair += ConfusionCounts.from_masks(
+            report.suspicious, challenge.fair_dataset[product_id].unfair
+        )
 
     generator = AttackGenerator(
         challenge.fair_dataset,
@@ -463,12 +462,9 @@ def run_operating_points(context: ExperimentContext) -> OperatingPoints:
         report = detector.analyze(stream)
         card = score_detection(stream, report)
         cards.append(card)
-        unfair_mask = stream.unfair
-        recall = float(card.joint.tp) / max(int(unfair_mask.sum()), 1)
-        collateral = float(card.joint.fp) / max(int((~unfair_mask).sum()), 1)
-        rows.append((name, recall, collateral))
+        rows.append((name, card.joint.recall, card.joint.false_alarm_rate))
     return OperatingPoints(
-        false_alarm_rate=false_alarm_rate,
+        false_alarm_rate=fair.false_alarm_rate,
         attack_rows=tuple(rows),
         scorecards=tuple(cards),
     )

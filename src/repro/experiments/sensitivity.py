@@ -24,7 +24,7 @@ summarizes itself as ROC points and a trapezoidal AUC
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.errors import ValidationError
 from repro.exec import ParallelEvaluator, SensitivityTask
 from repro.marketplace.challenge import RatingChallenge
 from repro.marketplace.fair_ratings import FairRatingGenerator
-from repro.obs.quality import Scorecard, roc_auc, score_detection
+from repro.obs.quality import ConfusionCounts, Scorecard, roc_auc, score_detection
 
 __all__ = [
     "OperatingPoint",
@@ -114,32 +114,22 @@ def _measure(
     attacked_cases,
 ) -> Tuple[float, float, float, Tuple[Scorecard, ...]]:
     detector = JointDetector(config)
-    marked = total = 0
+    fair = ConfusionCounts()
     for dataset in fair_datasets:
         reports = detector.analyze_batch(dataset)
-        for product_id in dataset:
-            marked += reports[product_id].num_suspicious
-            total += len(dataset[product_id])
-    false_alarm = marked / max(total, 1)
-    recalls: List[float] = []
-    collaterals: List[float] = []
-    cards: List[Scorecard] = []
-    for stream in attacked_cases:
-        report = detector.analyze(stream)
-        card = score_detection(stream, report)
-        cards.append(card)
-        unfair = stream.unfair
-        recalls.append(
-            float(card.joint.tp) / max(int(unfair.sum()), 1)
-        )
-        collaterals.append(
-            float(card.joint.fp) / max(int((~unfair).sum()), 1)
-        )
+        for product_id, report in reports.items():
+            fair += ConfusionCounts.from_masks(
+                report.suspicious, dataset[product_id].unfair
+            )
+    cards = tuple(
+        score_detection(stream, detector.analyze(stream))
+        for stream in attacked_cases
+    )
     return (
-        false_alarm,
-        float(np.mean(recalls)),
-        float(np.mean(collaterals)),
-        tuple(cards),
+        fair.false_alarm_rate,
+        float(np.mean([card.joint.recall for card in cards])),
+        float(np.mean([card.joint.false_alarm_rate for card in cards])),
+        cards,
     )
 
 

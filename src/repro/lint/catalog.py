@@ -45,8 +45,8 @@ _NAME_SHAPE = re.compile(r"^[A-Za-z0-9_.\-<>{},]+$")
 class CatalogEntry:
     """One catalogued metric-name pattern."""
 
-    name: str  # as written, e.g. "detector.<kind>.calls"
-    glob: str  # wildcard form, e.g. "detector.*.calls"
+    name: str  # as written, e.g. "quality.<detector>.tp"
+    glob: str  # wildcard form, e.g. "quality.*.tp"
     kind: str  # counter | gauge | histogram
     path: str  # catalog file it came from
     line: int

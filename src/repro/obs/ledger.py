@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.logging_setup import get_logger
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import MetricsRegistry, get_registry, percentile
 
 __all__ = [
     "RunRecord",
@@ -220,17 +220,6 @@ class RunRecord:
         return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.timestamp))
 
 
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Linear-interpolated ``q``-th percentile of pre-sorted values."""
-    if not ordered:
-        return float("nan")
-    rank = (len(ordered) - 1) * (q / 100.0)
-    lo = int(math.floor(rank))
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def build_record(
     command: str,
     argv: Sequence[str],
@@ -248,7 +237,7 @@ def build_record(
     timestamp = time.time() if timestamp is None else float(timestamp)  # lint: ignore[wall-clock]
     snapshot = registry.snapshot()
     timings: Dict[str, float] = {"wall_seconds": float(wall_seconds)}
-    task_hist = registry.histograms.get("exec.task_seconds")
+    task_hist = registry.histograms.get("span.exec.task.seconds")
     if task_hist is not None and task_hist.count:
         timings.update(
             task_count=float(task_hist.count),
@@ -269,8 +258,8 @@ def build_record(
         heaviest = sorted(totals, key=lambda p: (-totals[p], p))
         for path in heaviest[:MAX_SELF_TIME_PATHS]:
             ordered = sorted(self_times[path])
-            timings[f"self.{path}.p50"] = _percentile(ordered, 50.0)
-            timings[f"self.{path}.p90"] = _percentile(ordered, 90.0)
+            timings[f"self.{path}.p50"] = percentile(ordered, 50.0)
+            timings[f"self.{path}.p90"] = percentile(ordered, 90.0)
     # Alert events ride on the record so ``runs check`` can gate on a
     # run that newly started alerting; the recorder (and its engine)
     # hang off the registry when the CLI wired them up.

@@ -47,7 +47,7 @@ import sys
 import threading
 import time
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -65,6 +65,7 @@ __all__ = [
     "attributed_fraction",
     "self_seconds_by_span",
     "top_frames",
+    "self_durations",
     "span_self_times",
     "span_self_seconds",
     "speedscope_document",
@@ -353,35 +354,46 @@ def top_frames(
     return ranked[: max(0, n)]
 
 
-def span_self_times(spans: Sequence) -> Dict[str, List[float]]:
-    """Per-record exclusive (self) seconds, grouped by span path.
+def self_durations(
+    intervals: Sequence[Tuple[Hashable, float, float]], tolerance: float
+) -> List[float]:
+    """Exclusive (self) duration of each ``(lane, start, duration)``
+    interval, in input order.
 
-    Derived from wall-clock containment: within each producing process,
-    spans are sorted by start time and a child's duration is subtracted
-    from its innermost enclosing parent.  Nested spans therefore no
-    longer double-count, which is what makes per-phase percentiles in
-    the run ledger honest.
+    Derived from wall-clock containment: within each lane (a producing
+    process), intervals are taken by start time, longest first on ties,
+    and a child's duration is subtracted from its innermost enclosing
+    parent, so nested spans stop double-counting.  An interval starting
+    within ``tolerance`` (in the intervals' time unit) of an open
+    parent's end follows that parent instead of nesting in it.
     """
-    per_record: Dict[int, float] = {
-        id(record): record.duration for record in spans
-    }
-    by_pid: Dict[int, List] = defaultdict(list)
-    for record in spans:
-        by_pid[record.pid].append(record)
-    for records in by_pid.values():
-        records.sort(key=lambda r: (r.start, -r.duration))
-        stack: List = []
-        for record in records:
-            while stack and record.start >= (
-                stack[-1].start + stack[-1].duration - 1e-12
-            ):
-                stack.pop()
-            if stack:
-                per_record[id(stack[-1])] -= record.duration
-            stack.append(record)
+    own = [float(duration) for _, _, duration in intervals]
+    open_by_lane: Dict[Hashable, List[Tuple[float, int]]] = defaultdict(list)
+    order = sorted(
+        range(len(intervals)), key=lambda i: (intervals[i][1], -intervals[i][2])
+    )
+    for index in order:
+        lane, start, duration = intervals[index]
+        stack = open_by_lane[lane]
+        while stack and start >= stack[-1][0] - tolerance:
+            stack.pop()
+        if stack:
+            own[stack[-1][1]] -= duration
+        stack.append((start + duration, index))
+    return own
+
+
+def span_self_times(spans: Sequence) -> Dict[str, List[float]]:
+    """Per-record exclusive (self) seconds (:func:`self_durations`, one
+    lane per producing process), grouped by span path.  This is what
+    makes per-phase percentiles in the run ledger honest."""
+    own = self_durations(
+        [(record.pid, record.start, record.duration) for record in spans],
+        tolerance=1e-12,
+    )
     grouped: Dict[str, List[float]] = defaultdict(list)
-    for record in spans:
-        grouped[record.path].append(per_record[id(record)])
+    for record, seconds in zip(spans, own):
+        grouped[record.path].append(seconds)
     return dict(grouped)
 
 
@@ -502,20 +514,18 @@ def read_speedscope(path: os.PathLike) -> Dict[str, object]:
 
 
 def profile_trace_events(
-    samples: Dict[str, float],
-    hz: float = DEFAULT_HZ,
-    base_pid: Optional[int] = None,
-    start_ts: float = 0.0,
+    samples: Dict[str, float], hz: float = DEFAULT_HZ
 ) -> List[Dict[str, object]]:
     """Profile samples as a synthetic Perfetto lane of complete events.
 
-    Keys render as back-to-back "X" events (duration = samples / hz) on
-    a dedicated thread lane (:data:`PROFILE_TID`), ordered by sorted key
-    so the lane is deterministic for a given profile.
+    Keys render as back-to-back "X" events (duration = samples / hz),
+    starting at 0, on a dedicated thread lane (:data:`PROFILE_TID`) of
+    this process, ordered by sorted key so the lane is deterministic for
+    a given profile.
     """
-    base_pid = os.getpid() if base_pid is None else int(base_pid)
+    pid = os.getpid()
     events: List[Dict[str, object]] = []
-    ts = float(start_ts)
+    ts = 0.0
     for key in sorted(samples):
         count = samples[key]
         if count <= 0:
@@ -529,7 +539,7 @@ def profile_trace_events(
                 "ph": "X",
                 "ts": ts,
                 "dur": duration_us,
-                "pid": base_pid,
+                "pid": pid,
                 "tid": PROFILE_TID,
                 "args": {
                     "span": segments[0][len(_SPAN_PREFIX):],

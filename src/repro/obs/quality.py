@@ -256,9 +256,9 @@ def emit_scorecard(card: Scorecard, registry: MetricsRegistry) -> None:
     Counter names are ``quality.<detector>.{tp,fp,fn,tn}`` (detector
     rows as in :data:`DETECTOR_ORDER`); latency and bias observations
     land in the ``quality.detection_latency_days`` /
-    ``quality.detection_latency_epochs`` / ``quality.bias_at_detection``
-    histograms.  ``quality.scorecards`` counts emissions and
-    ``quality.detected_streams`` the ones where an attack was caught.
+    ``quality.bias_at_detection`` histograms.  ``quality.scorecards``
+    counts emissions and ``quality.detected_streams`` the ones where an
+    attack was caught.
     """
     if not registry.enabled:
         return
@@ -271,10 +271,6 @@ def emit_scorecard(card: Scorecard, registry: MetricsRegistry) -> None:
     if card.detection_latency_days is not None:
         registry.observe(
             "quality.detection_latency_days", card.detection_latency_days
-        )
-        registry.observe(
-            "quality.detection_latency_epochs",
-            card.detection_latency_days / EPOCH_DAYS,
         )
     if card.bias_at_detection is not None:
         registry.observe("quality.bias_at_detection", card.bias_at_detection)

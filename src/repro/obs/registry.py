@@ -35,9 +35,22 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "get_registry",
+    "percentile",
     "set_registry",
     "use_registry",
 ]
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolated ``q``-th percentile (0..100) of pre-sorted
+    values (NaN when there are none)."""
+    if not ordered:
+        return float("nan")
+    rank = (len(ordered) - 1) * (q / 100.0)
+    lo = int(math.floor(rank))
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class Counter:
@@ -150,14 +163,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-th percentile (0..100) over recent observations."""
-        if not self._recent:
-            return float("nan")
-        ordered = sorted(self._recent)
-        rank = (len(ordered) - 1) * (q / 100.0)
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile(sorted(self._recent), q)
 
     def summary(self) -> Dict[str, float]:
         """The exported summary dict."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.ledger import DEFAULT_IGNORE_PREFIXES
@@ -41,14 +41,14 @@ __all__ = [
     "read_metrics_stream",
 ]
 
-#: Namespaces excluded from series by default: run bookkeeping that is
-#: legitimately topology- or timing-dependent (same set the ledger
-#: comparator ignores), plus per-span timing histograms.
+#: Namespaces excluded from series: run bookkeeping that is legitimately
+#: topology- or timing-dependent (same set the ledger comparator
+#: ignores), plus per-span timing histograms.
 DEFAULT_SERIES_IGNORE: Tuple[str, ...] = DEFAULT_IGNORE_PREFIXES + ("span.",)
 
 #: Histogram summary fields exported as derived series (``<name>.count``
-#: etc.).  Timing histograms (``*.seconds``) export only ``count`` unless
-#: ``timing_detail`` is set: their values are wall-clock noise.
+#: etc.).  Timing histograms (``*.seconds``) export only ``count``: their
+#: values are wall-clock noise.
 _HISTOGRAM_FIELDS: Tuple[str, ...] = ("count", "mean", "p50", "p90", "max")
 
 #: Suffixes a series name may carry when it is derived from a histogram
@@ -58,34 +58,30 @@ HISTOGRAM_SERIES_SUFFIXES: Tuple[str, ...] = tuple(
 )
 
 
-def flatten_registry(
-    registry: MetricsRegistry,
-    ignore_prefixes: Sequence[str] = DEFAULT_SERIES_IGNORE,
-    timing_detail: bool = False,
-) -> Dict[str, float]:
+def flatten_registry(registry: MetricsRegistry) -> Dict[str, float]:
     """One numeric value per metric: the registry as a flat snapshot.
 
     Counters map to their value, gauges to their level (non-finite
     levels are skipped -- an unset gauge is NaN), and each non-empty
     histogram to derived ``<name>.count`` / ``.mean`` / ``.p50`` /
     ``.p90`` / ``.max`` entries with non-finite fields skipped
-    individually.
+    individually (a timing histogram to its count only).  Names under
+    :data:`DEFAULT_SERIES_IGNORE` are left out.
     """
-    ignore = tuple(ignore_prefixes)
     flat: Dict[str, float] = {}
     for name, counter in sorted(registry.counters.items()):
-        if name.startswith(ignore):
+        if name.startswith(DEFAULT_SERIES_IGNORE):
             continue
         flat[name] = float(counter.value)
     for name, gauge in sorted(registry.gauges.items()):
-        if name.startswith(ignore) or not math.isfinite(gauge.value):
+        if name.startswith(DEFAULT_SERIES_IGNORE) or not math.isfinite(gauge.value):
             continue
         flat[name] = float(gauge.value)
     for name, hist in sorted(registry.histograms.items()):
-        if name.startswith(ignore) or not hist.count:
+        if name.startswith(DEFAULT_SERIES_IGNORE) or not hist.count:
             continue
         flat[f"{name}.count"] = float(hist.count)
-        if name.endswith(".seconds") and not timing_detail:
+        if name.endswith(".seconds"):
             continue
         values = {
             "mean": hist.mean,
@@ -118,16 +114,12 @@ class TimeSeriesRecorder:
     def __init__(
         self,
         capacity: int = 1024,
-        ignore_prefixes: Sequence[str] = DEFAULT_SERIES_IGNORE,
-        timing_detail: bool = False,
         sink: Optional["MetricsStreamWriter"] = None,
         engine=None,
     ) -> None:
         if capacity < 1:
             raise ValidationError(f"series capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.ignore_prefixes = tuple(ignore_prefixes)
-        self.timing_detail = bool(timing_detail)
         self.sink = sink
         self.engine = engine
         self._points: Dict[str, List[Tuple[int, float]]] = {}
@@ -144,9 +136,7 @@ class TimeSeriesRecorder:
         following epoch -- deterministically, regardless of topology.
         """
         epoch = int(epoch)
-        snapshot = flatten_registry(
-            registry, self.ignore_prefixes, self.timing_detail
-        )
+        snapshot = flatten_registry(registry)
         dropped = 0
         for name, value in snapshot.items():
             dropped += self._append(name, epoch, value)

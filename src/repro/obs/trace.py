@@ -22,10 +22,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ValidationError
-from repro.obs.profile import PROFILE_TID, profile_trace_events, registry_hz
+from repro.obs.profile import (
+    PROFILE_TID,
+    profile_trace_events,
+    registry_hz,
+    self_durations,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanRecord
 
@@ -40,11 +45,10 @@ __all__ = [
 _US = 1e6
 
 
-def trace_events(
-    registry: MetricsRegistry, base_pid: Optional[int] = None
-) -> List[Dict[str, object]]:
-    """The registry's spans (plus final counters) as trace events."""
-    base_pid = os.getpid() if base_pid is None else int(base_pid)
+def trace_events(registry: MetricsRegistry) -> List[Dict[str, object]]:
+    """The registry's spans (plus final counters) as trace events; spans
+    recorded in this process land on its pid."""
+    base_pid = os.getpid()
     spans: Sequence[SpanRecord] = list(registry.spans)
     origin = min((record.start for record in spans), default=0.0)
     events: List[Dict[str, object]] = []
@@ -87,9 +91,7 @@ def trace_events(
     profile_events: List[Dict[str, object]] = []
     if registry.profile:
         profile_events = profile_trace_events(
-            registry.profile,
-            hz=registry_hz(registry),
-            base_pid=base_pid,
+            registry.profile, hz=registry_hz(registry)
         )
     metadata: List[Dict[str, object]] = []
     for pid in sorted(pids):
@@ -116,13 +118,9 @@ def trace_events(
     return metadata + events + profile_events
 
 
-def write_trace(
-    registry: MetricsRegistry,
-    path: os.PathLike,
-    base_pid: Optional[int] = None,
-) -> int:
+def write_trace(registry: MetricsRegistry, path: os.PathLike) -> int:
     """Write the registry's trace to ``path``; returns the event count."""
-    events = trace_events(registry, base_pid=base_pid)
+    events = trace_events(registry)
     payload = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -171,30 +169,6 @@ def read_trace(path: os.PathLike) -> Dict[str, object]:
     return payload
 
 
-def _event_self_times(complete: Sequence[Dict[str, object]]) -> Dict[int, float]:
-    """Exclusive (self) duration per event id, by wall-clock containment.
-
-    Within each (pid, tid) lane, events sort by start time and a nested
-    event's duration is subtracted from its innermost enclosing parent,
-    so nested spans stop double-counting in the summary.
-    """
-    self_dur = {id(e): float(e["dur"]) for e in complete}
-    lanes: Dict[Tuple[object, object], List[Dict[str, object]]] = {}
-    for event in complete:
-        lanes.setdefault((event["pid"], event.get("tid", 0)), []).append(event)
-    for lane_events in lanes.values():
-        lane_events.sort(key=lambda e: (float(e["ts"]), -float(e["dur"])))
-        stack: List[Tuple[float, float, int]] = []
-        for event in lane_events:
-            ts, dur = float(event["ts"]), float(event["dur"])
-            while stack and ts >= stack[-1][0] + stack[-1][1] - 1e-9:
-                stack.pop()
-            if stack:
-                self_dur[stack[-1][2]] -= dur
-            stack.append((ts, dur, id(event)))
-    return self_dur
-
-
 def summarize_trace(payload: Dict[str, object], top: int = 10) -> str:
     """A text digest of a loaded trace (lanes, phases, cache, longest spans)."""
     events = payload["traceEvents"]
@@ -232,24 +206,34 @@ def summarize_trace(payload: Dict[str, object], top: int = 10) -> str:
     span_events = [e for e in complete if e.get("cat") != "profile"]
     profile_events = [e for e in complete if e.get("cat") == "profile"]
     if span_events:
-        self_dur = _event_self_times(span_events)
+        # The ledger's self-time rule, with each (pid, tid) as a lane and
+        # the tolerance in the trace's µs.
+        own_us = self_durations(
+            [
+                ((e["pid"], e.get("tid", 0)), float(e["ts"]), float(e["dur"]))
+                for e in span_events
+            ],
+            tolerance=1e-9,
+        )
         span_end = max(float(e["ts"]) + float(e["dur"]) for e in span_events)
         lines.append(f"trace span: {span_end / 1e3:.2f} ms")
         lines.append(
             f"longest {min(top, len(span_events))} spans (total / self):"
         )
-        longest = sorted(span_events, key=lambda e: -float(e["dur"]))[:top]
-        for event in longest:
+        longest = sorted(
+            zip(span_events, own_us), key=lambda pair: -float(pair[0]["dur"])
+        )[:top]
+        for event, own in longest:
             path = event.get("args", {}).get("path", event["name"])
             lines.append(
                 f"  {float(event['dur']) / 1e3:10.2f} ms"
-                f" / {self_dur[id(event)] / 1e3:10.2f} ms self"
+                f" / {own / 1e3:10.2f} ms self"
                 f"  pid={event['pid']}  {path}"
             )
         by_path: Dict[str, float] = {}
-        for event in span_events:
+        for event, own in zip(span_events, own_us):
             path = str(event.get("args", {}).get("path", event["name"]))
-            by_path[path] = by_path.get(path, 0.0) + self_dur[id(event)]
+            by_path[path] = by_path.get(path, 0.0) + own
         lines.append(f"top {min(top, len(by_path))} self-time paths:")
         ranked = sorted(by_path.items(), key=lambda item: (-item[1], item[0]))
         for path, self_us in ranked[:top]:

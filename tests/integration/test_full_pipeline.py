@@ -124,11 +124,11 @@ class TestCrossSchemePipeline:
         assert first == pytest.approx(second)
         assert cold.counter_value("pscheme.scores_cache.misses") == 2
         assert cold.counter_value("detector.batch.calls") == 2
-        assert cold.counter_value("detector.joint.calls") == 13
+        assert cold.counter_value("quality.scorecards") == 13
         assert warm.counter_value("pscheme.scores_cache.hits") == 2
         assert warm.counter_value("pscheme.scores_cache.misses") == 0
         assert warm.counter_value("detector.batch.calls") == 0
-        assert warm.counter_value("detector.joint.calls") == 0
+        assert warm.counter_value("quality.scorecards") == 0
 
     def test_unattacked_products_mostly_unmoved(self, challenge, generator):
         spec = AttackSpec(3.0, 0.2, 50, UniformWindow(25.0, 30.0))

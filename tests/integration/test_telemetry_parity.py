@@ -307,13 +307,13 @@ class TestSeriesAlertParity:
             [
                 AlertRule(
                     name="detectors-ran",
-                    metric="detector.HC.calls",
+                    metric="quality.scorecards",
                     op=">",
                     value=0.0,
                 ),
                 AlertRule(
                     name="scores-still-moving",
-                    metric="detector.HC.calls",
+                    metric="quality.scorecards",
                     kind="rate_of_change",
                     op=">",
                     value=0.0,
@@ -362,7 +362,7 @@ class TestSeriesAlertParity:
         state, events = serial_run
         assert state["points"]  # the flatten actually captured metrics
         assert any(event["state"] == "firing" for event in events)
-        # Epoch 1 adds no HC calls under the report cache: the
+        # Epoch 1 adds no scorecards under the report cache: the
         # rate-of-change rule fires at 0 and resolves at 1.
         states = [
             (event["rule"], event["epoch"], event["state"])

@@ -357,12 +357,17 @@ class TestAnalyzeBatchEquivalence:
                 assert np.array_equal(
                     a.curves[kind].values, b.curves[kind].values
                 )
-        # Per-detector call counters are preserved by the batch path.
-        for name, counter in serial_registry.counters.items():
-            if name.startswith("detector.") and name.endswith(".calls"):
-                assert (
-                    batch_registry.counter_value(name) == counter.value
-                ), name
+        # The batch path runs every sub-detector and scores every
+        # stream as often as the per-stream path does.
+        assert batch_registry.counter_value(
+            "quality.scorecards"
+        ) == serial_registry.counter_value("quality.scorecards")
+        for kind in ("MC", "H-ARC", "L-ARC", "HC", "ME"):
+            name = f"span.detector.{kind}.seconds"
+            assert (
+                batch_registry.histograms[name].count
+                == serial_registry.histograms[name].count
+            ), name
 
     def test_short_streams_counted(self):
         config = DetectorConfig()

@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,9 @@ from repro.obs.export import (
     SERIES_FILE,
     TRACE_FILE,
 )
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -649,3 +656,56 @@ class TestRunDirectory:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head``) ends the command
+    quietly with status 141 (128 + SIGPIPE), not a traceback."""
+
+    @staticmethod
+    def run_into_closed_pipe(args):
+        # The child's stdout is a pipe whose read end is already closed,
+        # so its first write fails with EPIPE, whatever the output size.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("pipe") / "run"
+        assert main([*TestRunDirectory.RUN, "--run-dir", str(run_dir)]) == 0
+        return run_dir
+
+    @pytest.mark.parametrize("reader", [
+        ["runs", "show"],
+        ["profile", "--top", "30"],
+    ], ids=" ".join)
+    def test_reader_exits_141_without_traceback(self, bundle, reader):
+        proc = self.run_into_closed_pipe([*reader, "--run-dir", str(bundle)])
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    def test_pipeline_command_still_writes_its_bundle(self, small_world,
+                                                      tmp_path):
+        run_dir = tmp_path / "run"
+        proc = self.run_into_closed_pipe([
+            "detect", "--world", str(small_world), "--product", "tv1",
+            "--run-dir", str(run_dir),
+        ])
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        record = json.loads((run_dir / LEDGER_FILE).read_text())
+        assert record["status"] == 141
+        assert (run_dir / METRICS_FILE).exists()

@@ -311,8 +311,8 @@ class TestParallelEvaluator:
         reg = MetricsRegistry()
         evaluator = ParallelEvaluator(workers=0, registry=reg)
         evaluator.map([_SquareTask(v) for v in range(4)])
-        assert reg.counter_value("exec.tasks") == 4
-        assert reg.histograms["exec.task_seconds"].count == 4
+        assert reg.histograms["span.exec.task.seconds"].count == 4
+        assert [s.path for s in reg.spans].count("exec.map.exec.task") == 4
 
     def test_pool_matches_serial(self):
         tasks = [
@@ -345,7 +345,7 @@ class TestParallelEvaluator:
             )
             for i in range(3)
         ]
-        with ParallelEvaluator(workers=2, registry=reg, chunksize=1) as evaluator:
+        with ParallelEvaluator(workers=2, registry=reg) as evaluator:
             evaluator.map(tasks)
         if reg.counter_value("exec.pool_fallbacks") == 0:
             assert reg.counter_value("exec.chunks") == 3

@@ -88,7 +88,7 @@ class TestBuildRecord:
         registry = MetricsRegistry()
         registry.inc("detector.joint.calls", 3)
         for value in (0.1, 0.2, 0.3):
-            registry.observe("exec.task_seconds", value)
+            registry.observe("span.exec.task.seconds", value)
         capture = begin_run_capture()
         record_digest("population.top_mp", 1.25)
         end_run_capture()

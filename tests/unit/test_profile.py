@@ -1,6 +1,7 @@
 """Unit tests for the span-attributed sampling profiler (repro.obs.profile)."""
 
 import json
+import os
 import time
 
 import pytest
@@ -251,9 +252,11 @@ class TestExporters:
             read_speedscope(path)
 
     def test_profile_trace_events_render_back_to_back(self):
-        events = profile_trace_events(SAMPLES, hz=10, base_pid=42)
+        events = profile_trace_events(SAMPLES, hz=10)
         assert [e["ph"] for e in events] == ["X"] * len(SAMPLES)
-        assert all(e["pid"] == 42 and e["tid"] == PROFILE_TID for e in events)
+        assert all(
+            e["pid"] == os.getpid() and e["tid"] == PROFILE_TID for e in events
+        )
         assert all(e["cat"] == "profile" for e in events)
         # Back-to-back: each event starts where the previous ended.
         ts = 0.0

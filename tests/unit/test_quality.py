@@ -240,9 +240,6 @@ class TestAggregateAndEmit:
         )
         hist = registry.histograms["quality.detection_latency_days"]
         assert hist.count == 1
-        assert (
-            registry.histograms["quality.detection_latency_epochs"].count == 1
-        )
         assert registry.histograms["quality.bias_at_detection"].count == 1
 
     def test_emit_on_disabled_registry_is_a_noop(self):

@@ -14,6 +14,8 @@ from repro.obs import (
     use_registry,
     write_trace,
 )
+from repro.obs.profile import span_self_seconds
+from repro.obs.spans import SpanRecord
 from repro.obs.trace import trace_events
 
 
@@ -182,6 +184,35 @@ class TestSummarize:
         text = summarize_trace({"traceEvents": events})
         assert "0.70 ms self  p" in text
         assert "0.30 ms self  p.c" in text
+
+    def test_self_time_paths_match_the_ledger_rule(self):
+        # The summary (from the written trace, in µs) and the ledger's
+        # self.* timings (from the span records, in seconds) read one
+        # containment rule: same per-path self time, worker lane included.
+        registry = MetricsRegistry()
+        for record in (
+            SpanRecord("map", "map", 0, start=100.0, duration=0.050),
+            SpanRecord("task", "map.task", 1, start=100.002, duration=0.030),
+            SpanRecord("detect", "map.task.detect", 2, start=100.004,
+                       duration=0.0125),
+            SpanRecord("task", "map.task", 1, start=100.0335, duration=0.010),
+            SpanRecord("task", "map.task", 1, start=100.001, duration=0.020,
+                       pid=4242),
+        ):
+            registry.adopt_span(record)
+        text = summarize_trace({"traceEvents": trace_events(registry)}, top=10)
+        printed = {}
+        for line in text.split("self-time paths:\n", 1)[1].splitlines():
+            ms, path = line.split(" ms self  ")
+            printed[path] = float(ms)
+        expected = span_self_seconds(registry.spans)
+        assert expected == pytest.approx(
+            {"map": 0.010, "map.task": 0.0475, "map.task.detect": 0.0125}
+        )
+        assert printed == pytest.approx(
+            {path: seconds * 1e3 for path, seconds in expected.items()},
+            abs=0.005,
+        )
 
 
 class TestProfilerLane:
