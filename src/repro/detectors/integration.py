@@ -25,6 +25,11 @@ of :mod:`repro.signal.curves`, one cross-stream pass each, then runs
 analyzed alone gets its curves from the same builders over a batch of
 one, so both calls run the same code and give the same report.
 
+Both keep the curve values of the last :data:`CURVE_CACHE_SIZE` streams
+built, keyed by fingerprint, so a stream found there, or whose merge
+base is, computes only the windows that changed (the copy rule of
+:mod:`repro.signal.curves`).
+
 Every mark also records *provenance*: which path fired and which
 sub-detectors contributed, as ``PROV_*`` bit flags per rating
 (:mod:`repro.detectors.base`).  The mask travels on the
@@ -46,6 +51,7 @@ misses (e.g. an MC curve flattened by a high-variance attack).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,9 +84,14 @@ from repro.signal.curves import (
 )
 from repro.types import RatingStream
 
-__all__ = ["JointDetector"]
+__all__ = ["JointDetector", "CURVE_CACHE_SIZE"]
 
 TrustLookup = Callable[[str], float]
+
+#: Streams whose MC, HC and ME curve values a detector keeps (LRU).
+CURVE_CACHE_SIZE = 64
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 logger = get_logger(__name__)
 
@@ -104,6 +115,9 @@ class JointDetector:
         self.l_arc = ArrivalRateDetector("L-ARC", self.config)
         self.histogram = HistogramChangeDetector(self.config)
         self.model_error = ModelErrorDetector(self.config)
+        # Fingerprint -> (MC, HC, ME) curve values.  The config is fixed,
+        # so one cache per detector is sound.
+        self._curve_cache: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = OrderedDict()
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -222,19 +236,64 @@ class JointDetector:
         with span(f"detector.{kind}", self.registry):
             return analyze(*args)
 
+    def _cached(self, stream: RatingStream):
+        """``(curve values, added rows)`` cached for ``stream`` itself, else
+        for its merge base, else ``None``.  A hit moves to the back."""
+        cache = self._curve_cache
+        for key, added in (
+            (stream.fingerprint, _NO_ROWS),
+            (stream.lineage or (None, None)),
+        ):
+            if key in cache:
+                cache.move_to_end(key)
+                return cache[key], added
+        return None
+
     def _curves(
-        self, times: np.ndarray, values: np.ndarray, bounds: Sequence[Tuple[int, int]]
+        self,
+        streams: Sequence[RatingStream],
+        times: np.ndarray,
+        values: np.ndarray,
+        bounds: Sequence[Tuple[int, int]],
     ) -> Tuple[List[Dict[str, Curve]], bool]:
         """The MC, HC and ME curves of a batch of streams, keyed by kind,
-        one dict per ``bounds`` entry, and whether the stacked ME solve
-        fell back (see :func:`~repro.signal.curves.model_error_curves`)."""
+        one dict per stream, and whether the stacked ME solve fell back
+        (see :func:`~repro.signal.curves.model_error_curves`).
+
+        Stream ``j`` is rows ``bounds[j][0]:bounds[j][1]`` of ``times``
+        and ``values``.  Its curves reuse what the curve cache holds for
+        it or its merge base, and land in the cache.
+        """
         cfg = self.config
-        mc = mean_change_curves_by_time(times, values, bounds, cfg.mc_window_days)
-        hc = histogram_change_curves(times, values, bounds, cfg.hc_window_ratings)
-        me, fell_back = model_error_curves(
-            times, values, bounds, cfg.me_window_ratings, cfg.ar_order
+        found = [self._cached(stream) for stream in streams]
+        mc_reuse, hc_reuse, me_reuse = (
+            [None if hit is None else (hit[0][kind], hit[1]) for hit in found]
+            for kind in range(3)
         )
-        curves = [{"MC": a, "HC": b, "ME": c} for a, b, c in zip(mc, hc, me)]
+        mc = mean_change_curves_by_time(
+            times, values, bounds, cfg.mc_window_days, mc_reuse
+        )
+        hc = histogram_change_curves(
+            times, values, bounds, cfg.hc_window_ratings, hc_reuse
+        )
+        me, fell_back = model_error_curves(
+            times, values, bounds, cfg.me_window_ratings, cfg.ar_order, me_reuse
+        )
+        cache = self._curve_cache
+        curves = []
+        for stream, triple in zip(streams, zip(mc, hc, me)):
+            cache[stream.fingerprint] = tuple(curve.values for curve in triple)
+            cache.move_to_end(stream.fingerprint)
+            curves.append(dict(zip(("MC", "HC", "ME"), triple)))
+        evicted = max(len(cache) - CURVE_CACHE_SIZE, 0)
+        for _ in range(evicted):
+            cache.popitem(last=False)
+        hits = sum(hit is not None for hit in found)
+        for name, count in (
+            ("hits", hits), ("misses", len(found) - hits), ("evictions", evicted)
+        ):
+            if count:
+                self.registry.inc(f"detector.curve_cache.{name}", count)
         return curves, fell_back
 
     def analyze(
@@ -252,7 +311,8 @@ class JointDetector:
         ``curves`` holds the stream's MC, HC and ME curves, keyed by kind,
         when :meth:`analyze_batch` built them in its cross-stream pass.
         Without it they are built here, by the same builders over a batch
-        of one.  The H-/L-ARC detectors build their own curves.
+        of one, through the same curve cache.  The H-/L-ARC detectors
+        build their own curves.
         """
         n = len(stream)
         if n < self.config.min_ratings:
@@ -262,7 +322,9 @@ class JointDetector:
                 suspicious=np.zeros(n, dtype=bool),
             )
         if curves is None:
-            (curves,), _ = self._curves(stream.times, stream.values, [(0, n)])
+            (curves,), _ = self._curves(
+                [stream], stream.times, stream.values, [(0, n)]
+            )
         mean_value = float(stream.values.mean())
         threshold_a = self.config.high_value_threshold(mean_value)
         threshold_b = self.config.low_value_threshold(mean_value)
@@ -350,13 +412,17 @@ class JointDetector:
         themselves (one prefix-sum pass per curve).  Every report (masks,
         provenance, curves, ``quality.*`` scorecards) is bit-identical to
         analyzing each stream alone, while the window-statistic work runs
-        once per dataset instead of once per product.
+        once per dataset instead of once per product.  Streams the curve
+        cache knows, or whose merge base it knows, compute only the
+        windows that changed.
 
-        Batch telemetry: ``detector.batch.calls`` / ``.streams`` /
-        ``.ratings`` counters, the ``detector.batch`` span for the
-        precompute wall time, and ``detector.batch.fallbacks`` when a
+        Batch telemetry: ``detector.batch.streams`` / ``.ratings``
+        counters (whole streams, reused windows included), the
+        ``detector.batch`` span for the precompute wall time (its count
+        is the number of calls), ``detector.batch.fallbacks`` when a
         singular window makes the stacked ME solve fall back to solving
-        stream by stream.
+        stream by stream, and ``detector.curve_cache.{hits,misses,
+        evictions}``.
         """
         registry = self.registry
         with span("detector.batch", registry):
@@ -368,6 +434,7 @@ class JointDetector:
                 if length >= self.config.min_ratings
             ]
             curves, fell_back = self._curves(
+                [dataset[columns.product_ids[i]] for i in eligible],
                 columns.times,
                 columns.values,
                 [(offsets[i], offsets[i + 1]) for i in eligible],
@@ -378,7 +445,6 @@ class JointDetector:
                 columns.product_ids[i]: stream_curves
                 for i, stream_curves in zip(eligible, curves)
             }
-        registry.inc("detector.batch.calls")
         registry.inc("detector.batch.streams", columns.num_streams)
         registry.inc("detector.batch.ratings", columns.total_ratings)
         return {

@@ -249,15 +249,7 @@ class RatingChallenge:
         for stream in dataset.streams():
             cut = int(np.searchsorted(stream.times, self.start_day))
             if cut:
-                history.append(
-                    RatingStream(
-                        stream.product_id,
-                        stream.times[:cut],
-                        stream.values[:cut],
-                        stream.rater_ids[:cut],
-                        stream.unfair[:cut],
-                    )
-                )
+                history.append(stream.head(cut))
             if cut < len(stream):
                 live.append((stream, cut))
         system = OnlineRatingSystem(

@@ -57,7 +57,8 @@ logger = get_logger(__name__)
 SCHEMA_VERSION = 1
 
 #: Metric namespaces excluded from regression comparison by default:
-#: pool/cache bookkeeping depends on topology and warm state, memoization
+#: pool/cache bookkeeping depends on topology and warm state (the curve
+#: cache's hit/miss split as much as the report cache's), memoization
 #: hit/miss splits depend on how tasks were packed onto processes, the
 #: ledger/trace counters describe the recording itself, and profiler
 #: sample counts are wall-clock-driven (the attributed self-time
@@ -68,6 +69,7 @@ DEFAULT_IGNORE_PREFIXES = (
     "ledger.",
     "trace.",
     "pscheme.report_cache.",
+    "detector.curve_cache.",
     "pscheme.scores_cache.",
     "sa.scores_cache.",
     "bf.scores_cache.",

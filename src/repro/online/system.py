@@ -9,8 +9,12 @@ each product's columns become one immutable stream and the configured
 scheme's ``monthly_scores`` is evaluated over the *full* history --
 detection is a whole-stream operation (windows straddle epoch
 boundaries), so published scores must be recomputed from history, not
-incrementally patched.  The P-scheme's internal fingerprint caches keep
-the recomputation cost proportional to what actually changed.
+incrementally patched.  Each snapshot stream is the product's last one
+merged with the rows ingested since (:meth:`~repro.types.RatingStream.merge`),
+so it records its lineage, and the P-scheme's caches keep the
+recomputation cost proportional to what actually changed: unchanged
+streams hit its report cache, and a grown stream recomputes only the
+detector windows its new rows reach.
 
 A rating is late when at least one epoch is already published and its
 timestamp precedes the accumulating epoch.  Before the first close
@@ -143,6 +147,8 @@ class OnlineRatingSystem:
         # Per product, in first-sighting order: time, value, rater id and
         # unfair columns, the arguments of ``RatingStream``.
         self._columns: Dict[str, _Columns] = {}
+        # Per product, the stream the last snapshot published.
+        self._snapshots: Dict[str, RatingStream] = {}
         if history is not None:
             for stream in history.streams():
                 times, values, raters, unfair = self._columns_of(stream.product_id)
@@ -232,11 +238,23 @@ class OnlineRatingSystem:
     # ------------------------------------------------------------------ #
 
     def dataset(self) -> RatingDataset:
-        """Immutable snapshot of everything ingested so far."""
-        return RatingDataset(
-            RatingStream(product_id, *columns)
-            for product_id, columns in self._columns.items()
-        )
+        """Immutable snapshot of everything ingested so far.
+
+        Each product's stream is its last one merged with the rows
+        ingested since (the same object if none were).  That equals
+        ``RatingStream(product_id, *columns)`` bit for bit: the old rows
+        were all ingested first, so time ties keep ingestion order.
+        """
+        for product_id, columns in self._columns.items():
+            last = self._snapshots.get(product_id)
+            if last is None:
+                self._snapshots[product_id] = RatingStream(product_id, *columns)
+            elif len(columns[0]) > len(last):
+                tail = (column[len(last):] for column in columns)
+                self._snapshots[product_id] = last.merge(
+                    RatingStream(product_id, *tail)
+                )
+        return RatingDataset(self._snapshots[p] for p in self._columns)
 
     def close_epoch(self) -> EpochReport:
         """Close the current epoch and publish its scores."""

@@ -35,8 +35,7 @@ __all__ = [
     "ARFit",
     "fit_ar_covariance",
     "model_error",
-    "sliding_ar_operands",
-    "normalized_errors_from_operands",
+    "model_errors",
 ]
 
 
@@ -142,15 +141,14 @@ def model_error(x: np.ndarray, order: int = 4) -> float:
 
 
 # --------------------------------------------------------------------- #
-# Sliding-window fast path
+# Stacked fast path
 #
 # The ME indicator curve fits an AR model in every length-``window``
-# window of a stream.  Successive windows share all but one row of their
-# covariance-method design matrix, so instead of rebuilding (and
-# re-multiplying) the matrix per window, the whole stack of designs is
-# materialized once from the global sliding-window view and every gram
-# matrix / cross vector / solve / residual runs as one batched gufunc
-# pass.  Each batch slice sees exactly the operands the per-window
+# window of a stream.  The curve builder gathers the windows it needs
+# into one ``(K, window)`` matrix; the designs of all of them are
+# materialized from that matrix at once, and every gram matrix / cross
+# vector / solve / residual runs as one batched gufunc pass.  Each batch
+# slice sees exactly the operands the per-window
 # :func:`fit_ar_covariance` would build (same values, same contiguous
 # layout), and numpy's stacked matmul / solve dispatch the identical BLAS
 # and LAPACK routines per slice -- so the results are bit-identical to
@@ -158,51 +156,26 @@ def model_error(x: np.ndarray, order: int = 4) -> float:
 # --------------------------------------------------------------------- #
 
 
-def sliding_ar_operands(x: np.ndarray, window: int, order: int):
-    """``(designs, targets)`` for every length-``window`` window of ``x``.
+def model_errors(windows: np.ndarray, order: int) -> np.ndarray:
+    """Normalized AR(``order``) model errors of a ``(K, window)`` stack
+    of windows, one row per window.
 
-    ``designs`` is ``(K, window - order, order)`` with ``designs[s]``
-    bit-equal to the contiguous design matrix ``fit_ar_covariance`` builds
-    for ``x[s:s+window]``; ``targets[s]`` is the matching prediction
-    target ``x[s+order : s+window]``.  ``K = x.size - window + 1``.
-    """
-    x = np.asarray(x, dtype=float)
-    rows = window - order
-    num_windows = x.size - window + 1
-    if num_windows <= 0:
-        return (
-            np.empty((0, max(rows, 0), order), dtype=float),
-            np.empty((0, max(rows, 0)), dtype=float),
-        )
-    lagged = np.lib.stride_tricks.sliding_window_view(x, order)[:, ::-1]
-    designs = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(lagged, (rows, order))[
-            :num_windows, 0
-        ]
-    )
-    targets = np.lib.stride_tricks.sliding_window_view(x[order:], rows)[
-        :num_windows
-    ]
-    return designs, targets
-
-
-def normalized_errors_from_operands(
-    designs: np.ndarray,
-    targets: np.ndarray,
-    variances: np.ndarray,
-    order: int,
-) -> np.ndarray:
-    """Normalized AR model errors for a stack of window operands.
-
-    One batched gram / solve / residual pass over all windows; raises
-    :class:`numpy.linalg.LinAlgError` when any window's normal equations
+    One batched gram / solve / residual pass over all rows.  Raises
+    :class:`numpy.linalg.LinAlgError` when any row's normal equations
     are singular or its error power is not finite (callers fall back to
-    the per-window pinv path for that stream).  ``variances`` holds each
-    window's value variance; windows with (near-)zero variance get error
+    the per-window pinv path).  Rows with (near-)zero variance get error
     ``1.0``, matching :func:`fit_ar_covariance`.
     """
-    rows = targets.shape[1]
-    window = rows + order
+    windows = np.asarray(windows, dtype=float)
+    rows = windows.shape[1] - order
+    # Row t of window w's design is [w[order-1+t], ..., w[t]], stored
+    # contiguously as fit_ar_covariance stores it.
+    designs = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(windows, order, axis=1)[
+            :, :rows, ::-1
+        ]
+    )
+    targets = windows[:, order:]
     transposed = designs.transpose(0, 2, 1)
     grams = np.matmul(transposed, designs)
     crosses = np.matmul(transposed, targets[:, :, None])
@@ -214,7 +187,7 @@ def normalized_errors_from_operands(
         ]
     if not np.isfinite(error_powers).all():
         raise np.linalg.LinAlgError("AR solve overflowed")
+    variances = windows.var(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = error_powers / ((window - order) * variances)
+        normalized = error_powers / (rows * variances)
     return np.where(variances <= 1e-12, 1.0, normalized)
-

@@ -23,19 +23,40 @@ statistic call per centre, and produces **bit-identical** values to the
 per-window formulation.  MC, HC and ME each have one builder that takes
 a whole batch of streams, held back to back in one pair of columns with
 one ``(start, stop)`` row range per stream; the single-stream functions
-are that builder over a batch of one:
+are that builder over a batch of one.  Each builder picks, per stream,
+the windows (HC, ME) or centres (MC) to compute, gathers all of them
+from the batch's values in one pass, and writes each stream's curve in
+one assembly step:
 
-- :func:`mean_change_curves_by_time` gets every half-window mean of the
-  batch from one window-means pass that groups windows by length.
-- :func:`histogram_change_curves` clusters the windows of every stream
-  in one stacked :func:`~repro.signal.rolling.two_cluster_balance` call.
-- :func:`model_error_curves` solves the AR normal equations of every
-  window of every stream as one stacked LAPACK batch.
+- :func:`mean_change_curves_by_time` gets every half-window mean from
+  one window-means pass that groups windows by length.
+- :func:`histogram_change_curves` clusters the gathered windows in one
+  stacked :func:`~repro.signal.rolling.two_cluster_balance` call.
+- :func:`model_error_curves` solves the AR normal equations of the
+  gathered windows as one stacked LAPACK batch
+  (:func:`~repro.signal.ar.model_errors`).
 - ARC half-window sums come from one prefix sum of the daily counts,
   exact because the counts are whole numbers.
 
 Each window is reduced on its own, so a stream's curve does not depend
-on the other streams of its batch.
+on the other streams of its batch, nor on which of its own windows are
+computed together.
+
+Reuse (the copy rule)
+---------------------
+A builder may also take, per stream, the curve values of a stream it
+grew from and the positions of the rows added since (``reuse``; see
+:attr:`~repro.types.RatingStream.lineage`).  Let ``c[i]`` count the
+added rows before position ``i``.  A curve point whose rows hold no
+added row -- the HC/ME window ``[s, s + W)`` with ``c[s + W] == c[s]``,
+or the MC centre ``k`` with halves ``[lo, k)`` and ``[k, hi)`` and
+``c[hi] == c[lo]`` -- reads exactly the rows the base read at point
+``i - c[i]``, in the same order, because inserting rows moves every
+later row by the same count and a stream's order is its time order.
+Its value is then the base's, bit for bit, and is copied; every other
+point is computed.  With no added rows (a stream's own cached curve)
+every point is copied.  A base curve that is empty (a base shorter
+than the window) is no help, and the stream is built whole.
 
 See :mod:`repro.signal.rolling` for how the guarantee is kept and
 ``tests/property/test_incremental_curves.py`` for the exact-equality
@@ -45,28 +66,25 @@ pinning against the retained naive references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ValidationError
-from repro.signal.ar import (
-    fit_ar_covariance,
-    normalized_errors_from_operands,
-    sliding_ar_operands,
-)
+from repro.signal.ar import fit_ar_covariance, model_errors
 from repro.signal.rolling import (
     centered_half_widths,
     mean_change_stats,
     rate_change_stats_equal_halves,
-    sliding_vars,
     two_cluster_balance,
 )
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "Curve",
+    "Reuse",
     "mean_change_curve_by_time",
     "mean_change_curves_by_time",
     "arrival_rate_curve",
@@ -136,11 +154,52 @@ def _empty_curve(kind: str) -> Curve:
     )
 
 
+#: Per stream of a batch: ``(base values, added)`` -- the curve values of
+#: the stream it grew from and the increasing positions of the rows
+#: added since -- or ``None`` to compute every point.
+Reuse = Optional[Tuple[np.ndarray, np.ndarray]]
+
+#: One stream's points: ``(computed, copied, copied values)``.
+_Plan = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _plan(rows: int, first: np.ndarray, stop: np.ndarray, reuse: Reuse) -> _Plan:
+    """Which points of a ``rows``-row stream to compute.
+
+    Point ``i`` reads rows ``first[i]:stop[i]``.  It is copied from the
+    base's point ``i - c[i]`` when none of those rows was added (see the
+    module docstring), else computed.
+    """
+    points = np.arange(first.size)
+    if reuse is None or reuse[0].size == 0:
+        return points, points[:0], np.empty(0)
+    base, added = reuse
+    before = np.searchsorted(added, np.arange(rows + 1))
+    changed = before[stop] > before[first]
+    kept = points[~changed]
+    return points[changed], kept, base[kept - before[kept]]
+
+
+def _assemble(plans: Sequence[_Plan], stats: np.ndarray) -> List[np.ndarray]:
+    """Each stream's curve values: its computed points from ``stats``
+    (stream after stream, in plan order), the rest copied."""
+    out = []
+    cursor = 0
+    for computed, kept, copied in plans:
+        values = np.empty(computed.size + kept.size)
+        values[computed] = stats[cursor : cursor + computed.size]
+        values[kept] = copied
+        cursor += computed.size
+        out.append(values)
+    return out
+
+
 def mean_change_curves_by_time(
     times: np.ndarray,
     values: np.ndarray,
     bounds: Sequence[Tuple[int, int]],
     window_days: float,
+    reuse: Optional[Sequence[Reuse]] = None,
 ) -> List[Curve]:
     """MC curves of a batch of streams, with ``window_days``-day windows.
 
@@ -153,23 +212,31 @@ def mean_change_curves_by_time(
     an empty curve.
 
     The halves are located with two ``searchsorted`` sweeps per stream
-    (equivalent to the historical two-pointer scan).  The half means of
-    *all* streams then come from one :func:`~repro.signal.rolling.window_means`
-    call, which groups the windows by length across the batch; each row is
-    reduced on its own, so every curve is bit-identical to building it
-    from its stream alone.
+    (equivalent to the historical two-pointer scan).  ``reuse`` (one
+    :data:`Reuse` per stream) copies every centre whose halves hold no
+    added row.  The half means of the other centres of *all* streams
+    come from one :func:`~repro.signal.rolling.window_means` call, which
+    groups the windows by length across the batch; each row is reduced
+    on its own, so every curve is bit-identical to building it from its
+    stream alone.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     window_days = check_positive(window_days, "window_days")
     half = window_days / 2.0
-    los, his, centers = [], [], []
-    for start, stop in bounds:
+    plans, los, his, centers = [], [], [], []
+    for (start, stop), prior in zip(bounds, reuse or repeat(None)):
         t = times[start:stop]
-        los.append(np.searchsorted(t, t - half, side="left") + start)
-        his.append(np.searchsorted(t, t + half, side="left") + start)
-        centers.append(np.arange(start, stop))
-    if not centers:
+        lo = np.searchsorted(t, t - half, side="left")
+        hi = np.searchsorted(t, t + half, side="left")
+        k = np.arange(t.size)
+        plan = _plan(t.size, np.minimum(lo, k), np.maximum(hi, k + 1), prior)
+        computed = plan[0]
+        plans.append(plan)
+        los.append(lo[computed] + start)
+        his.append(hi[computed] + start)
+        centers.append(computed + start)
+    if not plans:
         return []
     lo = np.concatenate(los)
     hi = np.concatenate(his)
@@ -177,8 +244,8 @@ def mean_change_curves_by_time(
     first_len = center - lo
     second_len = hi - center
     valid = (first_len > 0) & (second_len > 0)
-    stats = np.zeros(times.size, dtype=float)
-    stats[center[valid]] = mean_change_stats(
+    stats = np.zeros(center.size, dtype=float)
+    stats[valid] = mean_change_stats(
         values, lo[valid], first_len[valid], center[valid], second_len[valid]
     )
     return [
@@ -186,11 +253,11 @@ def mean_change_curves_by_time(
             kind="MC",
             times=times[start:stop].copy(),
             indices=np.arange(stop - start),
-            values=stats[start:stop],
+            values=curve_values,
         )
         if stop - start >= 2
         else _empty_curve("MC")
-        for start, stop in bounds
+        for (start, stop), curve_values in zip(bounds, _assemble(plans, stats))
     ]
 
 
@@ -248,37 +315,54 @@ def arrival_rate_curve(
     )
 
 
+def _gather_windows(
+    values: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    window: int,
+    reuse: Optional[Sequence[Reuse]],
+) -> Tuple[List[_Plan], np.ndarray]:
+    """Each stream's plan over its length-``window`` windows, and the
+    ``(windows, window)`` matrix of the windows to compute, stream after
+    stream, gathered in one pass."""
+    plans, starts = [], [np.empty(0, dtype=np.intp)]
+    for (start, stop), prior in zip(bounds, reuse or repeat(None)):
+        first = np.arange(max(stop - start - window + 1, 0))
+        plans.append(_plan(stop - start, first, first + window, prior))
+        starts.append(plans[-1][0] + start)
+    flat = np.concatenate(starts)
+    if flat.size == 0:
+        return plans, np.empty((0, window))
+    return plans, sliding_window_view(values, window)[flat]
+
+
 def _window_curves(
     kind: str,
     times: np.ndarray,
     bounds: Sequence[Tuple[int, int]],
     window: int,
+    plans: Sequence[_Plan],
     stats: np.ndarray,
 ) -> List[Curve]:
-    """One curve per ``bounds`` entry from per-window statistics.
+    """One curve per ``bounds`` entry from the computed window statistics.
 
-    ``stats`` holds one value per length-``window`` window of each stream
-    at least ``window`` ratings long, stream after stream.  Each point
-    sits at its window's centre rating (window start + ``window // 2``);
-    a shorter stream gets an empty curve.
+    Each point sits at its window's centre rating (window start +
+    ``window // 2``); a stream shorter than the window gets an empty
+    curve.
     """
     curves = []
-    cursor = 0
-    for start, stop in bounds:
-        count = stop - start - window + 1
-        if count <= 0:
+    for (start, stop), curve_values in zip(bounds, _assemble(plans, stats)):
+        if curve_values.size == 0:
             curves.append(_empty_curve(kind))
             continue
-        centers = np.arange(count) + window // 2
+        centers = np.arange(curve_values.size) + window // 2
         curves.append(
             Curve(
                 kind=kind,
                 times=times[start + centers],
                 indices=centers,
-                values=stats[cursor : cursor + count],
+                values=curve_values,
             )
         )
-        cursor += count
     return curves
 
 
@@ -287,6 +371,7 @@ def histogram_change_curves(
     values: np.ndarray,
     bounds: Sequence[Tuple[int, int]],
     window_ratings: int,
+    reuse: Optional[Sequence[Reuse]] = None,
 ) -> List[Curve]:
     """HC curves of a batch of streams: two-cluster balance over
     rating-count windows.
@@ -302,20 +387,18 @@ def histogram_change_curves(
     signature of a sizeable block of unfair ratings far from the fair
     mode.
 
-    The windows of every stream are stacked into one matrix and clustered
-    in one :func:`~repro.signal.rolling.two_cluster_balance` call, which
-    reduces each row on its own.
+    ``reuse`` (one :data:`Reuse` per stream) copies every window that
+    holds no added row.  The other windows of every stream are gathered
+    into one matrix and clustered in one
+    :func:`~repro.signal.rolling.two_cluster_balance` call, which reduces
+    each row on its own.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     window_ratings = check_positive_int(window_ratings, "window_ratings", minimum=2)
-    stacks = [
-        sliding_window_view(values[start:stop], window_ratings)
-        for start, stop in bounds
-        if stop - start >= window_ratings
-    ]
-    balances = two_cluster_balance(np.concatenate(stacks)) if stacks else np.empty(0)
-    return _window_curves("HC", times, bounds, window_ratings, balances)
+    plans, windows = _gather_windows(values, bounds, window_ratings, reuse)
+    balances = two_cluster_balance(windows)
+    return _window_curves("HC", times, bounds, window_ratings, plans, balances)
 
 
 def histogram_change_curve(
@@ -330,17 +413,14 @@ def histogram_change_curve(
     return curve
 
 
-def _stream_model_errors(x, operands, window: int, order: int) -> np.ndarray:
-    """Normalized model errors of one stream's windows: one stacked solve,
-    else one pseudo-inverse-safe fit per window."""
+def _fitted_errors(windows: np.ndarray, order: int) -> np.ndarray:
+    """One stream's gathered windows: one stacked solve, else one
+    pseudo-inverse-safe fit per window."""
     try:
-        return normalized_errors_from_operands(*operands, order)
+        return model_errors(windows, order)
     except np.linalg.LinAlgError:
         return np.asarray(
-            [
-                fit_ar_covariance(x[s : s + window], order).normalized_error
-                for s in range(x.size - window + 1)
-            ],
+            [fit_ar_covariance(window, order).normalized_error for window in windows],
             dtype=float,
         )
 
@@ -351,6 +431,7 @@ def model_error_curves(
     bounds: Sequence[Tuple[int, int]],
     window_ratings: int,
     order: int,
+    reuse: Optional[Sequence[Reuse]] = None,
 ) -> Tuple[List[Curve], bool]:
     """ME curves of a batch of streams: normalized AR model error over
     rating-count windows.
@@ -362,10 +443,13 @@ def model_error_curves(
     ratings (Section IV-E).  Each point sits at its window's centre
     rating, and a stream shorter than the window gets an empty curve.
 
-    The normal equations of every window of every stream are solved as
-    one stacked LAPACK batch.  When any window is singular (e.g. constant
-    values), that batch fails and each stream is solved on its own; a
-    stream with a singular window is then fit window by window, where the
+    ``reuse`` (one :data:`Reuse` per stream) copies every window that
+    holds no added row; a copied window is never re-solved.  The other
+    windows of every stream are gathered in one pass, and their normal
+    equations are solved as one stacked LAPACK batch.  When any of them
+    is singular (e.g. constant values), that batch fails and each
+    stream's gathered windows are solved on their own; a stream with a
+    singular window is then fit window by window, where the
     pseudo-inverse handles the singularity.  Every value equals the
     per-window :func:`~repro.signal.ar.fit_ar_covariance` bit for bit.
 
@@ -380,32 +464,18 @@ def model_error_curves(
         raise ValidationError(
             f"window_ratings={window_ratings} too small for AR({order}) covariance fit"
         )
-    streams = [
-        values[start:stop] for start, stop in bounds if stop - start >= window_ratings
-    ]
-    if not streams:
-        return _window_curves("ME", times, bounds, window_ratings, np.empty(0)), False
-    operands = [
-        (
-            *sliding_ar_operands(x, window_ratings, order),
-            sliding_vars(x, window_ratings),
-        )
-        for x in streams
-    ]
+    plans, windows = _gather_windows(values, bounds, window_ratings, reuse)
     try:
-        errors = normalized_errors_from_operands(
-            *(np.concatenate(column) for column in zip(*operands)), order
-        )
+        errors = model_errors(windows, order)
         fell_back = False
     except np.linalg.LinAlgError:
+        cuts = np.cumsum([computed.size for computed, _, _ in plans])[:-1]
         errors = np.concatenate(
-            [
-                _stream_model_errors(x, stream_operands, window_ratings, order)
-                for x, stream_operands in zip(streams, operands)
-            ]
+            [_fitted_errors(part, order) for part in np.split(windows, cuts)]
         )
         fell_back = True
-    return _window_curves("ME", times, bounds, window_ratings, errors), fell_back
+    curves = _window_curves("ME", times, bounds, window_ratings, plans, errors)
+    return curves, fell_back
 
 
 def model_error_curve(

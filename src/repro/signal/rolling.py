@@ -3,6 +3,15 @@
 The kernels behind :mod:`repro.signal.curves` compute the statistics of
 many windows -- of one stream or of a whole batch of streams -- in a few
 vectorized passes, instead of one Python-level call per window centre.
+The curve builders hand them only the windows that need computing: the
+rating-count windows are gathered as rows of one matrix with a single
+``sliding_window_view(values, width)[starts]``, whatever streams and
+positions they come from, and the rest of a curve is copied from the
+stream it grew from (the copy rule of :mod:`repro.signal.curves`).  A
+copied value is bit-identical because it reduced the same rows, in the
+same order, with the same kernel -- and every kernel here reduces each
+window on its own, so which other windows share its pass cannot change
+its bits.
 
 Bit-identical by construction
 -----------------------------
@@ -17,9 +26,10 @@ within tolerance.  Two different arguments keep that guarantee:
   reduction.  So :func:`window_means` gathers the windows of one length
   into a row matrix and reduces each row with the same pairwise
   summation the 1-D slice uses: row ``i`` equals
-  ``values[start:start+length].mean()`` bitwise.  ``sliding_vars`` does
-  the same over a ``sliding_window_view``.  (``np.add.reduceat`` is
-  *not* bit-equal: it rounds differently on many windows.)
+  ``values[start:start+length].mean()`` bitwise.  The ME builder's
+  per-window variances come the same way, from the gathered window
+  rows.  (``np.add.reduceat`` is *not* bit-equal: it rounds differently
+  on many windows.)
 - **Daily counts are whole numbers, so prefix sums are exact.**  Every
   partial sum of whole numbers below ``2**53`` is itself exactly
   representable, so a sum comes out the same in any order.  One
@@ -46,13 +56,11 @@ implementations.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ValidationError
 
 __all__ = [
     "window_means",
-    "sliding_vars",
     "centered_half_widths",
     "mean_change_stats",
     "rate_change_stats_equal_halves",
@@ -84,22 +92,12 @@ def window_means(
     bounds = [0, *cuts.tolist(), order.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = order[lo:hi]
-        offsets = np.arange(int(sorted_lengths[lo]))
-        out[rows] = values[starts[rows, None] + offsets].mean(axis=1)
+        length = int(sorted_lengths[lo])
+        # What ``.mean(axis=1)`` computes, without its per-call set-up:
+        # numpy's mean is the pairwise ``add.reduce`` divided by the count.
+        gathered = values[starts[rows, None] + np.arange(length)]
+        out[rows] = np.add.reduce(gathered, axis=1) / length
     return out
-
-
-def sliding_vars(x: np.ndarray, width: int) -> np.ndarray:
-    """Variances of every length-``width`` window of ``x``.
-
-    ``out[i] == x[i:i+width].var()`` bit for bit (the row reduction of a
-    sliding window view runs the same pairwise summation as the 1-D
-    slice).  Empty when ``x.size < width``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size < width:
-        return np.empty(0, dtype=float)
-    return sliding_window_view(x, width).var(axis=1)
 
 
 def centered_half_widths(n: int, half_width: int) -> tuple:

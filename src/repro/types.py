@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,10 +129,17 @@ class RatingStream:
     unfair:
         Boolean ground-truth array, same length.  ``True`` marks ratings
         injected by an attack (known only in simulation).
+    lineage:
+        ``(base fingerprint, added)`` for a stream built by :meth:`merge`:
+        the receiver's :attr:`fingerprint` and the write-protected,
+        increasing positions of the merged-in rows.  ``None`` for every
+        other stream.  Only the base's fingerprint is kept, so a chain of
+        merges never keeps old streams alive.
     """
 
     __slots__ = (
-        "product_id", "times", "values", "rater_ids", "unfair", "_codes", "_key"
+        "product_id", "times", "values", "rater_ids", "unfair", "lineage",
+        "_codes", "_key",
     )
 
     def __init__(
@@ -160,17 +168,35 @@ class RatingStream:
         if n and not np.all(np.isfinite(values_arr)):
             raise ValidationError("rating values must be finite")
         order = np.argsort(times_arr, kind="stable")
-        self.product_id = str(product_id)
-        self.times = times_arr[order]
-        self.values = values_arr[order]
-        self.rater_ids = tuple(raters[i] for i in order)
-        self.unfair = unfair_arr[order]
+        self._set(
+            str(product_id),
+            times_arr[order],
+            values_arr[order],
+            tuple(raters[i] for i in order),
+            unfair_arr[order],
+        )
+
+    def _set(self, product_id, times, values, rater_ids, unfair) -> None:
+        """Take valid, time-sorted columns as this stream's own."""
+        self.product_id = product_id
+        self.times = times
+        self.values = values
+        self.rater_ids = rater_ids
+        self.unfair = unfair
         # Freeze the arrays: streams are treated as immutable snapshots.
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-        self.unfair.setflags(write=False)
+        for column in (times, values, unfair):
+            column.setflags(write=False)
+        self.lineage: Optional[Tuple[Tuple, np.ndarray]] = None
         self._codes: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
         self._key: Optional[Tuple] = None
+
+    @classmethod
+    def _sorted(cls, product_id, times, values, rater_ids, unfair) -> "RatingStream":
+        """A stream over columns that are already valid and time-sorted,
+        taken as they are (no copy, no check)."""
+        stream = cls.__new__(cls)
+        stream._set(product_id, times, values, rater_ids, unfair)
+        return stream
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -289,6 +315,11 @@ class RatingStream:
             self.product_id, self.times[mask], self.values[mask], raters, self.unfair[mask]
         )
 
+    def head(self, count: int) -> "RatingStream":
+        """The first ``count`` ratings, unchecked (they are valid and sorted)."""
+        columns = (self.times, self.values, self.rater_ids, self.unfair)
+        return RatingStream._sorted(self.product_id, *(c[:count] for c in columns))
+
     def fair_only(self) -> "RatingStream":
         """The sub-stream of ground-truth fair ratings."""
         return self.subset(~self.unfair)
@@ -305,19 +336,35 @@ class RatingStream:
     def merge(self, other: "RatingStream") -> "RatingStream":
         """A new stream with both streams' ratings, time-sorted.
 
-        This is how attack ratings are injected into fair data.
+        This is how attack ratings are injected into fair data, and how
+        an online snapshot grows.  Both streams are valid and sorted
+        already, so nothing is re-checked: one stable argsort of the
+        concatenated times (ties keep this stream's rows first, as
+        ``RatingStream(...)`` over the concatenated columns would) gathers
+        every column, and the same order gives the :attr:`lineage`.
         """
         if other.product_id != self.product_id:
             raise ValidationError(
                 f"cannot merge stream for {other.product_id!r} into {self.product_id!r}"
             )
-        return RatingStream(
+        times = np.concatenate([self.times, other.times])
+        order = np.argsort(times, kind="stable")
+        raters = self.rater_ids + other.rater_ids
+        if len(raters) > 1:
+            # One C-level gather (an itemgetter of two or more indices
+            # returns a tuple).
+            raters = itemgetter(*order.tolist())(raters)
+        merged = RatingStream._sorted(
             self.product_id,
-            np.concatenate([self.times, other.times]),
-            np.concatenate([self.values, other.values]),
-            self.rater_ids + other.rater_ids,
-            np.concatenate([self.unfair, other.unfair]),
+            times[order],
+            np.concatenate([self.values, other.values])[order],
+            raters,
+            np.concatenate([self.unfair, other.unfair])[order],
         )
+        added = np.flatnonzero(order >= len(self))
+        added.setflags(write=False)
+        merged.lineage = (self.fingerprint, added)
+        return merged
 
     def time_span(self) -> Tuple[float, float]:
         """``(first, last)`` rating times.  Raises on an empty stream."""
@@ -454,18 +501,23 @@ class RatingDataset:
                 for rater_id in extra.rater_codes[0]:
                     index.setdefault(rater_id, len(index))
         codes = {}
-        for product_id, (base, extra) in zip(self._streams, parts):
+        for stream, (base, extra) in zip(self._streams.values(), parts):
+            product_id = stream.product_id
             if extra is None:
                 codes[product_id] = base_codes[base.product_id]
                 continue
             ids, local = extra.rater_codes
             merged = _lookup(index, ids)[local]
             if base is not None:
-                # RatingStream.merge sorts the concatenation the same way.
-                order = np.argsort(
-                    np.concatenate([base.times, extra.times]), kind="stable"
-                )
-                merged = np.concatenate([base_codes[base.product_id], merged])[order]
+                # The merged rows sit at the stream's lineage positions,
+                # the receiver's rows everywhere else, each in order.
+                added = stream.lineage[1]
+                kept = np.ones(len(stream), dtype=bool)
+                kept[added] = False
+                placed = np.empty(len(stream), dtype=np.intp)
+                placed[kept] = base_codes[base.product_id]
+                placed[added] = merged
+                merged = placed
             merged.setflags(write=False)
             codes[product_id] = merged
         return tuple(index), codes, index

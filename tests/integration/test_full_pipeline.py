@@ -119,15 +119,25 @@ class TestCrossSchemePipeline:
             finally:
                 set_registry(previous)
 
+        def batch_calls(registry):
+            # The detector.batch span counts every analyze_batch call,
+            # under whatever stage spans it nests in.
+            return sum(
+                histogram.count
+                for name, histogram in registry.histograms.items()
+                if name.startswith("span.")
+                and name.endswith("detector.batch.seconds")
+            )
+
         first, cold = evaluate()
         second, warm = evaluate()
         assert first == pytest.approx(second)
         assert cold.counter_value("pscheme.scores_cache.misses") == 2
-        assert cold.counter_value("detector.batch.calls") == 2
+        assert batch_calls(cold) == 2
         assert cold.counter_value("quality.scorecards") == 13
         assert warm.counter_value("pscheme.scores_cache.hits") == 2
         assert warm.counter_value("pscheme.scores_cache.misses") == 0
-        assert warm.counter_value("detector.batch.calls") == 0
+        assert batch_calls(warm) == 0
         assert warm.counter_value("quality.scorecards") == 0
 
     def test_unattacked_products_mostly_unmoved(self, challenge, generator):

@@ -9,6 +9,10 @@ and asserts the production builders match them with ``np.array_equal``
 (no tolerance) on randomized streams and on the structural edge cases:
 empty streams, single ratings, all-same-day timestamps, constant values
 (singular AR windows), and windows shorter than the AR order.
+
+It also pins curve reuse: the joint detector's curves for a stream that
+it (or its merge base) detected before, built from the changed windows
+plus copies, equal the same builders run over the stream whole.
 """
 
 import numpy as np
@@ -16,22 +20,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation import PScheme, PSchemeConfig, SimpleAveragingScheme
 from repro.attacks.population import PopulationConfig, generate_population
 from repro.detectors import DetectorConfig, JointDetector, extract_columns
+from repro.detectors.integration import CURVE_CACHE_SIZE
 from repro.errors import ValidationError
+from repro.experiments.context import ExperimentContext
 from repro.marketplace.challenge import RatingChallenge
 from repro.obs import MetricsRegistry
+from repro.online.system import OnlineRatingSystem
 from repro.signal.ar import fit_ar_covariance
 from repro.signal.clustering import two_cluster_split_1d
 from repro.signal.curves import (
     arrival_rate_curve,
     histogram_change_curve,
+    histogram_change_curves,
     mean_change_curve_by_time,
+    mean_change_curves_by_time,
     model_error_curve,
+    model_error_curves,
 )
 from repro.signal.glrt import gaussian_mean_change_statistic
 from repro.signal.poisson import poisson_rate_change_statistic
-from repro.types import RatingDataset, RatingStream
+from repro.types import Rating, RatingDataset, RatingStream
 from repro.utils.windows import centered_windows
 
 
@@ -493,3 +504,257 @@ class TestBatchCurvesPerStream:
                 _assert_stream_curves_match_naive(
                     detector, reports[pid], dataset[pid]
                 )
+
+
+# --------------------------------------------------------------------- #
+# Curve reuse: changed windows computed, the rest copied
+# --------------------------------------------------------------------- #
+
+
+def whole_curves(config, stream):
+    """The reference: one stream's MC, HC and ME curves built whole, as
+    before curve reuse (the builders over a batch of one, nothing
+    reused)."""
+    times, values, bounds = stream.times, stream.values, [(0, len(stream))]
+    (mc,) = mean_change_curves_by_time(times, values, bounds, config.mc_window_days)
+    (hc,) = histogram_change_curves(times, values, bounds, config.hc_window_ratings)
+    (me,), _ = model_error_curves(
+        times, values, bounds, config.me_window_ratings, config.ar_order
+    )
+    return {"MC": mc, "HC": hc, "ME": me}
+
+
+def assert_built_whole(detector, reports, dataset):
+    """Every eligible stream's MC, HC and ME curves equal the whole-curve
+    reference bit for bit."""
+    for pid in dataset:
+        stream = dataset[pid]
+        if len(stream) < detector.config.min_ratings:
+            continue
+        for kind, reference in whole_curves(detector.config, stream).items():
+            curve = reports[pid].curves[kind]
+            assert np.array_equal(curve.times, reference.times), (pid, kind)
+            assert np.array_equal(curve.indices, reference.indices), (pid, kind)
+            assert np.array_equal(curve.values, reference.values), (pid, kind)
+
+
+def assert_reports_equal(a, b):
+    assert np.array_equal(a.suspicious, b.suspicious)
+    assert np.array_equal(a.provenance, b.provenance)
+    assert a.path1_intervals == b.path1_intervals
+    assert a.path2_intervals == b.path2_intervals
+    for kind in a.curves:
+        assert np.array_equal(a.curves[kind].values, b.curves[kind].values)
+
+
+#: Small windows, so that short drawn streams have several of each.
+SMALL = DetectorConfig(
+    mc_window_days=6.0, hc_window_ratings=8, me_window_ratings=8, ar_order=2,
+    min_ratings=2,
+)
+
+half_days = st.integers(0, 80).map(lambda v: v / 2.0)
+
+
+@st.composite
+def grown_streams(draw):
+    """A base stream and rows to merge into it.
+
+    Times sit on a half-day grid, so inserted rows tie with base rows;
+    inserted times reach before the base's first and after its last.
+    Values repeat ``4.0`` often, so some windows are constant (singular
+    AR fits).  The base may be empty or shorter than every window.
+    """
+    values = st.one_of(st.just(4.0), value_elements)
+    n = draw(st.integers(0, 60))
+    base_times = sorted(draw(st.lists(half_days, min_size=n, max_size=n)))
+    base_values = draw(st.lists(values, min_size=n, max_size=n))
+    m = draw(st.integers(0, 25))
+    added_times = draw(
+        st.lists(st.integers(-10, 100).map(lambda v: v / 2.0), min_size=m, max_size=m)
+    )
+    added_values = draw(st.lists(values, min_size=m, max_size=m))
+    base = RatingStream("p", base_times, base_values, [f"r{i}" for i in range(n)])
+    extra = RatingStream(
+        "p", added_times, added_values, [f"a{i}" for i in range(m)], [True] * m
+    )
+    return base, extra
+
+
+class TestCurveReuse:
+    """A detector that saw a stream, or its merge base, before computes
+    only the changed windows; its curves equal curves built whole."""
+
+    @pytest.mark.parametrize("seed", [2008, 7])
+    def test_population_in_headline_order(self, seed):
+        # As manipulation_power detects them: the attacked dataset (its
+        # streams merged from the fair ones), then the fair world.
+        context = ExperimentContext(seed=seed, population_size=8)
+        challenge = context.challenge
+        registry = MetricsRegistry()
+        detector = JointDetector(registry=registry)
+        for submission in context.population:
+            for dataset in (
+                challenge.attacked_dataset(submission),
+                challenge.fair_dataset,
+            ):
+                assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
+        # Only the first submission builds whole: its attacked world (no
+        # base cached yet), then the fair versions of its 4 targets.
+        # Every later stream finds itself or its fair base.
+        assert registry.counter_value("detector.curve_cache.misses") == 9 + 4
+        assert registry.counter_value("detector.curve_cache.hits") == 8 * 18 - 13
+        assert registry.counter_value("detector.batch.fallbacks") == 0
+
+    @given(grown_streams())
+    @settings(max_examples=120, deadline=None)
+    def test_insertions(self, parts):
+        base, extra = parts
+        merged = base.merge(extra)
+        grown = merged.merge(extra.head(len(extra) // 2))
+        registry = MetricsRegistry()
+        detector = JointDetector(SMALL, registry=registry)
+        for stream in (base, merged, grown):
+            dataset = RatingDataset([stream])
+            assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
+        # Each stream long enough to detect finds its base in the cache.
+        detected = [len(s) >= SMALL.min_ratings for s in (base, merged, grown)]
+        hits = sum(a and b for a, b in zip(detected, detected[1:]))
+        assert registry.counter_value("detector.curve_cache.hits") == hits
+        assert registry.counter_value("detector.curve_cache.misses") == (
+            sum(detected) - hits
+        )
+
+    def test_online_snapshots_across_epoch_closes(self):
+        rng = np.random.default_rng(24)
+        products = ("p", "q", "r")
+
+        def rating(time, product, i):
+            return Rating(time, f"u{i}", product, float(rng.uniform(0.0, 5.0)))
+
+        history = RatingDataset(
+            RatingStream(
+                product,
+                np.sort(rng.uniform(-30.0, 0.0, 50)),
+                rng.uniform(0.0, 5.0, 50),
+                [f"h{i}" for i in range(50)],
+            )
+            for product in products[:2]
+        )
+        system = OnlineRatingSystem(
+            SimpleAveragingScheme(), period_days=20.0, history=history,
+            monitor_drift=False,
+        )
+        ingested = {
+            pid: [list(zip(s.times, s.values, s.rater_ids, s.unfair))]
+            for pid, s in ((pid, history[pid]) for pid in history)
+        }
+        registry = MetricsRegistry()
+        detector = JointDetector(registry=registry)
+        times = np.sort(rng.uniform(0.0, 100.0, 300))
+        for step, chunk in enumerate(np.array_split(np.arange(times.size), 6)):
+            batch = [
+                rating(float(times[i]), products[i % 3], i) for i in chunk
+            ]
+            if step >= 2:
+                # Late ratings, timestamped inside published epochs,
+                # and one tied in time with an earlier rating.
+                batch += [
+                    rating(float(rng.uniform(0.0, times[chunk[0]] - 25.0)), "p", -step),
+                    rating(float(times[chunk[0] - 3]), "q", -10 * step),
+                ]
+            for r in batch:
+                system.submit(r)
+                ingested.setdefault(r.product_id, [[]])[0].append(
+                    (r.time, r.value, r.rater_id, r.unfair)
+                )
+            snapshot = system.dataset()
+            for pid in snapshot:
+                reference = RatingStream(pid, *zip(*ingested[pid][0]))
+                stream = snapshot[pid]
+                assert np.array_equal(stream.times, reference.times)
+                assert np.array_equal(stream.values, reference.values)
+                assert np.array_equal(stream.unfair, reference.unfair)
+                assert stream.rater_ids == reference.rater_ids
+                assert stream.fingerprint == reference.fingerprint
+            assert_built_whole(detector, detector.analyze_batch(snapshot), snapshot)
+        assert len(system.reports) >= 3
+        assert sum(system.late_ratings_by_epoch().values()) >= 4
+        assert registry.counter_value("detector.curve_cache.hits") > 0
+        # A product that took no new rows keeps its snapshot stream.
+        again = system.dataset()
+        assert all(again[pid] is snapshot[pid] for pid in snapshot)
+
+    def _singular_base(self):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 5.0, 160)
+        values[40:80] = 4.0  # exactly one constant ME window: [40, 80)
+        times = np.arange(160) * 0.5
+        return RatingStream("p", times, values, [f"r{i}" for i in range(160)])
+
+    @pytest.mark.parametrize(
+        "added, fallbacks",
+        [
+            # After the end: the constant window is copied, never re-solved.
+            ((200.0, 1.0), 0),
+            # Inside the run, with its value: the touched windows are
+            # recomputed, two of them constant, so the solve falls back.
+            ((30.0, 4.0), 1),
+        ],
+    )
+    def test_singular_window_copied_or_touched(self, added, fallbacks):
+        base = self._singular_base()
+        registry = MetricsRegistry()
+        detector = JointDetector(registry=registry)
+        detector.analyze_batch(RatingDataset([base]))
+        assert registry.counter_value("detector.batch.fallbacks") == 1
+        merged = base.merge(RatingStream("p", [added[0]], [added[1]], ["x"], [True]))
+        dataset = RatingDataset([merged])
+        assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
+        assert registry.counter_value("detector.batch.fallbacks") == 1 + fallbacks
+        assert registry.counter_value("detector.curve_cache.hits") == 1
+
+    def test_evictions_past_the_cache_size(self):
+        rng = np.random.default_rng(64)
+        streams = [
+            RatingStream(
+                f"p{i}", np.sort(rng.uniform(0.0, 90.0, 60)),
+                rng.uniform(0.0, 5.0, 60), [f"r{j}" for j in range(60)],
+            )
+            for i in range(CURVE_CACHE_SIZE + 6)
+        ]
+        registry = MetricsRegistry()
+        detector = JointDetector(registry=registry)
+        first = RatingDataset(streams)
+        assert_built_whole(detector, detector.analyze_batch(first), first)
+        assert registry.counter_value("detector.curve_cache.evictions") == 6
+        # The six oldest were evicted: growing one of them misses and is
+        # built whole; the newest are still there.
+        grown = RatingDataset(
+            [
+                streams[0].merge(RatingStream("p0", [45.0], [1.0], ["x"])),
+                streams[-1].merge(RatingStream(streams[-1].product_id, [45.0], [1.0], ["x"])),
+            ]
+        )
+        reports = detector.analyze_batch(grown)
+        assert_built_whole(detector, reports, grown)
+        assert registry.counter_value("detector.curve_cache.misses") == 71
+        assert registry.counter_value("detector.curve_cache.hits") == 1
+        assert registry.counter_value("detector.curve_cache.evictions") == 8
+        for pid in grown:
+            fresh = JointDetector(registry=MetricsRegistry()).analyze(grown[pid])
+            assert_reports_equal(reports[pid], fresh)
+
+    def test_two_pass_trust_pass_copies_every_curve(self):
+        context = ExperimentContext(seed=2008, population_size=20)
+        submission = context.population[0]
+        registry = MetricsRegistry()
+        scheme = PScheme(PSchemeConfig(two_pass=True), registry=registry)
+        total = context.challenge.evaluate(submission, scheme, validate=False).total
+        # The MP before curve reuse, pinned.
+        assert total.hex() == "0x1.47950ee9ace80p-3"
+        # First passes: the attacked world (9 streams) and the fair
+        # versions of the 4 attacked products are built.  Each trust
+        # pass re-detects all 9 streams of its world from the cache.
+        assert registry.counter_value("detector.curve_cache.misses") == 9 + 4
+        assert registry.counter_value("detector.curve_cache.hits") == 9 + 9

@@ -147,6 +147,70 @@ class TestRatingStreamViews:
         with pytest.raises(ValidationError):
             make_stream("p1").merge(make_stream("p2"))
 
+    @pytest.mark.parametrize(
+        "base_rows, added_rows",
+        [
+            # Ties with the receiver's times (the receiver's rows first).
+            ([(1.0, 4.0, "a"), (2.0, 3.0, "b"), (2.0, 5.0, "a\x00")],
+             [(2.0, 1.0, "x"), (0.5, 2.0, "a"), (9.0, 0.0, "x\x00")]),
+            # Empty receiver, empty extra, both empty.
+            ([], [(3.0, 1.0, "x"), (1.0, 2.0, "y\x00")]),
+            ([(1.0, 4.0, "a\x00"), (1.0, 3.0, "a")], []),
+            ([], []),
+        ],
+    )
+    def test_merge_equals_stream_over_concatenated_columns(
+        self, base_rows, added_rows
+    ):
+        def stream(rows, unfair):
+            times, values, raters = zip(*rows) if rows else ((), (), ())
+            return RatingStream("p", times, values, raters, [unfair] * len(rows))
+
+        base, extra = stream(base_rows, False), stream(added_rows, True)
+        merged = base.merge(extra)
+        reference = RatingStream(
+            "p",
+            np.concatenate([base.times, extra.times]),
+            np.concatenate([base.values, extra.values]),
+            base.rater_ids + extra.rater_ids,
+            np.concatenate([base.unfair, extra.unfair]),
+        )
+        for column in ("times", "values", "unfair"):
+            assert np.array_equal(getattr(merged, column), getattr(reference, column))
+            assert not getattr(merged, column).flags.writeable
+        assert merged.rater_ids == reference.rater_ids
+        assert merged.fingerprint == reference.fingerprint
+        # Lineage: the receiver's fingerprint and where the added rows
+        # landed; the other rows are the receiver's, in order.
+        fingerprint, added = merged.lineage
+        assert fingerprint == base.fingerprint
+        assert not added.flags.writeable
+        assert np.array_equal(merged.unfair, np.isin(np.arange(len(merged)), added))
+        assert np.array_equal(merged.times[added], extra.times)
+        kept = np.setdiff1d(np.arange(len(merged)), added)
+        assert [merged.rater_ids[i] for i in kept] == list(base.rater_ids)
+
+    def test_only_merge_records_lineage(self):
+        stream = make_stream(n=6)
+        assert stream.lineage is None
+        assert stream.subset(np.arange(6) % 2 == 0).lineage is None
+        assert stream.between(1.0, 4.0).lineage is None
+        assert stream.fair_only().lineage is None
+        assert stream.merge(make_stream(n=2)).merge(make_stream(n=1)).lineage[0] == (
+            stream.merge(make_stream(n=2)).fingerprint
+        )
+
+    def test_head_is_the_earliest_rows(self):
+        stream = make_stream(n=6, unfair_every=2)
+        head = stream.head(4)
+        reference = stream.between(-1.0, 4.0)
+        assert np.array_equal(head.times, reference.times)
+        assert np.array_equal(head.values, reference.values)
+        assert np.array_equal(head.unfair, reference.unfair)
+        assert head.rater_ids == reference.rater_ids
+        assert head.lineage is None
+        assert len(stream.head(0)) == 0
+
     def test_daily_counts(self):
         stream = RatingStream("p", [0.1, 0.9, 1.5, 3.2], [1, 2, 3, 4], list("abcd"))
         days, counts = stream.daily_counts()
