@@ -34,6 +34,11 @@ exactly when ``I_m(1 + x, 2 - x) < q``, and above the ``1 - q`` quantile
 exactly when ``I_m(1 + x, 2 - x) > 1 - q``, because the CDF is strictly
 increasing.  :func:`evidence_cdf` computes it in numpy, so no scipy is
 needed, and one call tests every rating of every window of a dataset.
+The CDF is elementwise, so that call is made once per distinct (window,
+normalized value) pair, and each rating takes its pair's result: a fair
+month window holds at most eleven distinct values (the half stars), so
+it costs at most eleven evaluations, not one per rating, with the same
+bits.
 
 Tolerance record: the CDF is within 1.5e-15 of ``scipy.special.betainc``
 on 200K random points and on the rating grid (the tests bound it by
@@ -188,13 +193,22 @@ class BetaFilterScheme(AggregationScheme):
         """Keep-mask of every window ``x[bounds[k]:bounds[k + 1]]`` at once.
 
         Each round takes each active window's majority, then tests every
-        rating of those windows in one CDF call.  A window leaves the loop
-        once a round finds nothing to remove, or would remove its last
-        rating (a majority of zero is undefined): either way it has
-        reached a fixed point.
+        rating of those windows in one CDF call, made once per distinct
+        (window, value) pair and spread back to the pair's ratings.  A
+        window leaves the loop once a round finds nothing to remove, or
+        would remove its last rating (a majority of zero is undefined):
+        either way it has reached a fixed point.
         """
         sizes = np.diff(bounds)
         window_of = np.repeat(np.arange(sizes.size), sizes)
+        order = np.lexsort((x, window_of))
+        first = np.ones(x.size, dtype=bool)
+        first[1:] = (window_of[order][1:] != window_of[order][:-1]) | (
+            x[order][1:] != x[order][:-1]
+        )
+        pair_of = np.empty(x.size, dtype=np.intp)
+        pair_of[order] = np.cumsum(first) - 1
+        pair_window, pair_x = window_of[order[first]], x[order[first]]
         keep = np.ones(x.size, dtype=bool)
         active = sizes > 1
         q = self.config.quantile
@@ -205,10 +219,12 @@ class BetaFilterScheme(AggregationScheme):
             for k in np.flatnonzero(active):
                 window = slice(bounds[k], bounds[k + 1])
                 majority[k] = x[window][keep[window]].mean()
-            rows = np.flatnonzero(active[window_of])
-            cdf = evidence_cdf(majority[window_of[rows]], x[rows])
-            incompatible = np.zeros(x.size, dtype=bool)
-            incompatible[rows] = keep[rows] & ((cdf < q) | (cdf > 1.0 - q))
+            # Ratings of settled windows get NaN, which no test flags.
+            live = active[pair_window]
+            cdf = np.full(pair_x.size, np.nan)
+            cdf[live] = evidence_cdf(majority[pair_window[live]], pair_x[live])
+            cdf = cdf[pair_of]
+            incompatible = keep & ((cdf < q) | (cdf > 1.0 - q))
             n_out = np.bincount(window_of, incompatible, sizes.size)
             n_kept = np.bincount(window_of, keep, sizes.size)
             active &= (n_out > 0) & (n_kept > n_out)

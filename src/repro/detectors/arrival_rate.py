@@ -15,18 +15,18 @@ previous segment by more than a threshold is ARC-suspicious.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.detectors.base import DetectorConfig, TimeInterval
 from repro.errors import ValidationError
-from repro.signal.curves import Curve, arrival_rate_curve
+from repro.signal.curves import ArrivalSeries, Band, Curve, arrival_rate_curves
 from repro.signal.peaks import Peak, UShape, find_peaks, u_shape_from_peaks
 from repro.signal.segmentation import segment_bounds_from_peaks
 from repro.types import RatingStream
 
-__all__ = ["ArrivalRateReport", "ArrivalRateDetector"]
+__all__ = ["ArrivalRateReport", "ArrivalRateDetector", "arrival_series"]
 
 _VALID_KINDS = ("ARC", "H-ARC", "L-ARC")
 
@@ -67,57 +67,24 @@ class ArrivalRateDetector:
 
     # ------------------------------------------------------------------ #
 
-    def _selected_times(self, stream: RatingStream) -> np.ndarray:
-        """The rating times that belong to this detector's count series."""
-        if self.kind == "ARC" or len(stream) == 0:
-            return stream.times
-        mean_value = float(stream.values.mean())
+    def band(self, means: np.ndarray) -> Band:
+        """This detector's value band for streams of mean ``means``:
+        ``value > threshold_a`` (H-ARC), ``value < threshold_b`` (L-ARC),
+        or every finite value (ARC)."""
         if self.kind == "H-ARC":
-            mask = stream.values > self.config.high_value_threshold(mean_value)
-        else:  # L-ARC
-            mask = stream.values < self.config.low_value_threshold(mean_value)
-        return stream.times[mask]
+            return self.kind, self.config.high_value_threshold(means), np.inf
+        if self.kind == "L-ARC":
+            return self.kind, -np.inf, self.config.low_value_threshold(means)
+        return self.kind, -np.inf, np.inf
 
-    def daily_counts(
-        self, stream: RatingStream, start_day: Optional[float] = None,
-        end_day: Optional[float] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(days, counts)`` for the selected rating subset.
-
-        The day grid always covers the *whole* stream span (even when the
-        subset is empty on many days) so H-ARC and L-ARC curves stay
-        aligned with each other and with the MC curve.
-        """
-        if len(stream) == 0:
-            return np.array([], dtype=int), np.array([], dtype=int)
-        lo = float(np.floor(stream.times[0] if start_day is None else start_day))
-        hi = float(np.ceil(stream.times[-1] + 1e-9 if end_day is None else end_day))
-        if hi <= lo:
-            hi = lo + 1.0
-        selected = self._selected_times(stream)
-        days = np.arange(int(lo), int(hi), dtype=int)
-        edges = np.arange(int(lo), int(hi) + 1, dtype=float)
-        counts, _ = np.histogram(selected, bins=edges)
-        return days, counts.astype(int)
-
-    def _curves_from_counts(
-        self, days: np.ndarray, counts: np.ndarray
-    ) -> List[Curve]:
-        """The indicator curves of one count series at every configured
-        scale: the short window, then the long one when configured."""
-        half_widths = [max(self.config.arc_window_days // 2, 1)]
-        if self.config.arc_long_window_days:
-            half_widths.append(max(self.config.arc_long_window_days // 2, 1))
-        days = days.astype(float)
-        counts = counts.astype(float)
-        return [
-            arrival_rate_curve(days, counts, half_width, kind=self.kind)
-            for half_width in half_widths
-        ]
-
-    def curves(self, stream: RatingStream) -> List[Curve]:
-        """The indicator curves at every configured scale (short, long)."""
-        return self._curves_from_counts(*self.daily_counts(stream))
+    def series(self, stream: RatingStream) -> ArrivalSeries:
+        """The daily-count series of this detector's ratings of ``stream``
+        and its curves at every configured scale (short, long):
+        :func:`arrival_series` over a batch of one."""
+        ((series,),) = arrival_series(
+            (self,), stream.times, stream.values, [(0, len(stream))]
+        )
+        return series
 
     @staticmethod
     def _merge_peaks(peak_lists: List[List[Peak]], min_separation: int) -> List[Peak]:
@@ -172,7 +139,7 @@ class ArrivalRateDetector:
     ) -> List[TimeInterval]:
         """Section IV-C.3: segments whose arrival rate rose sharply.
 
-        ``(days, counts)`` is the stream's :meth:`daily_counts` series.  It
+        ``(days, counts)`` is the stream's :meth:`series`.  It
         is cut at the curve peaks, similar-rate neighbours are merged back
         together, and a (merged) segment whose per-day rate exceeds the
         previous segment's by both the configured ratio and the configured
@@ -196,20 +163,25 @@ class ArrivalRateDetector:
 
     # ------------------------------------------------------------------ #
 
-    def analyze(self, stream: RatingStream) -> ArrivalRateReport:
+    def analyze(
+        self, stream: RatingStream, series: Optional[ArrivalSeries] = None
+    ) -> ArrivalRateReport:
         """Full ARC-family analysis of one stream.
 
-        The daily counts are built once and feed both scales and the
-        segment rule.  Peaks, the U-shape, and the alarm are evaluated at
-        every configured window scale (the short paper window plus the
-        optional long window for slow rate changes) and merged; each
-        scale's U-shape comes from the peaks already found on it.  The
-        *alarm* (used by Path 2 of the joint detector) fires when any
-        curve exceeds the alarm threshold -- evidence of a rate anomaly --
-        regardless of whether a clean U-shape exists.
+        ``series`` is the stream's :meth:`series` when the caller already
+        built it (the joint detector does, for every stream of a batch,
+        with :func:`arrival_series`); otherwise it is built here.  Its
+        daily counts feed the segment rule.  Peaks, the U-shape, and the
+        alarm are evaluated at every configured window scale (the short
+        paper window plus the optional long window for slow rate changes)
+        and merged; each scale's U-shape comes from the peaks already
+        found on it.  The *alarm* (used by Path 2 of the joint detector)
+        fires when any curve exceeds the alarm threshold -- evidence of a
+        rate anomaly -- regardless of whether a clean U-shape exists.
         """
-        days, counts = self.daily_counts(stream)
-        curves = self._curves_from_counts(days, counts)
+        if series is None:
+            series = self.series(stream)
+        days, counts, curves = series.days, series.counts, series.curves
         peak_threshold = self.config.peak_threshold_for(self.kind)
         separation = self.config.peak_min_separation
         per_scale_peaks = [
@@ -236,3 +208,36 @@ class ArrivalRateDetector:
             alarm=alarm,
             suspicious_intervals=tuple(intervals),
         )
+
+
+def arrival_series(
+    detectors: Sequence[ArrivalRateDetector],
+    times: np.ndarray,
+    values: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+) -> List[Tuple[ArrivalSeries, ...]]:
+    """Every stream's :class:`~repro.signal.curves.ArrivalSeries` for each
+    of ``detectors`` (which share one config), from one
+    :func:`~repro.signal.curves.arrival_rate_curves` call.
+
+    Streams are laid out as for that builder.  Each stream's mean sets
+    its H-/L-ARC thresholds (an empty stream selects nothing).  Returns
+    one tuple per stream holding one series per detector.
+    """
+    config = detectors[0].config
+    means = np.array(
+        [
+            values[start:stop].mean() if stop > start else np.nan
+            for start, stop in bounds
+        ]
+    )
+    half_widths = [max(config.arc_window_days // 2, 1)]
+    if config.arc_long_window_days:
+        half_widths.append(max(config.arc_long_window_days // 2, 1))
+    return arrival_rate_curves(
+        times,
+        values,
+        bounds,
+        [detector.band(means) for detector in detectors],
+        half_widths,
+    )

@@ -94,8 +94,8 @@ def _collect_null_statistics(
                 continue
             n_streams += 1
             mc_max.append(mc.curve(stream).max_value())
-            harc_max.append(max(c.max_value() for c in harc.curves(stream)))
-            larc_max.append(max(c.max_value() for c in larc.curves(stream)))
+            harc_max.append(max(c.max_value() for c in harc.series(stream).curves))
+            larc_max.append(max(c.max_value() for c in larc.series(stream).curves))
             hc_max.append(hc.curve(stream).max_value())
             me_curve = me.curve(stream)
             me_min.append(

@@ -19,16 +19,17 @@ Both paths always run; their marks are unioned (a product can be attacked
 more than once, Section IV-F).
 
 :meth:`JointDetector.analyze_batch` is the production path: it builds the
-MC, HC and ME curves of every stream of a dataset with the batch builders
-of :mod:`repro.signal.curves`, one cross-stream pass each, then runs
-:meth:`JointDetector.analyze` per stream on those curves.  A stream
-analyzed alone gets its curves from the same builders over a batch of
-one, so both calls run the same code and give the same report.
+MC, HC and ME curves and the H-/L-ARC series of every stream of a dataset
+with the batch builders of :mod:`repro.signal.curves`, one cross-stream
+pass each, then runs :meth:`JointDetector.analyze` per stream on them.
+A stream analyzed alone gets its curves from the same builders over a
+batch of one, so both calls run the same code and give the same report.
 
-Both keep the curve values of the last :data:`CURVE_CACHE_SIZE` streams
-built, keyed by fingerprint, so a stream found there, or whose merge
-base is, computes only the windows that changed (the copy rule of
-:mod:`repro.signal.curves`).
+Both keep the MC, HC and ME curve values of the last
+:data:`CURVE_CACHE_SIZE` streams built, keyed by fingerprint, so a stream
+found there, or whose merge base is, computes only the windows that
+changed (the copy rule of :mod:`repro.signal.curves`).  The ARC series
+are a day count and a prefix sum, and are always built whole.
 
 Every mark also records *provenance*: which path fired and which
 sub-detectors contributed, as ``PROV_*`` bit flags per rating
@@ -52,11 +53,15 @@ misses (e.g. an MC curve flattened by a high-variance attack).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.detectors.arrival_rate import ArrivalRateDetector, ArrivalRateReport
+from repro.detectors.arrival_rate import (
+    ArrivalRateDetector,
+    ArrivalRateReport,
+    arrival_series,
+)
 from repro.detectors.base import (
     PROV_H_ARC,
     PROV_HC,
@@ -77,6 +82,7 @@ from repro.obs import get_logger
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import span
 from repro.signal.curves import (
+    ArrivalSeries,
     Curve,
     histogram_change_curves,
     mean_change_curves_by_time,
@@ -88,10 +94,16 @@ __all__ = ["JointDetector", "CURVE_CACHE_SIZE"]
 
 TrustLookup = Callable[[str], float]
 
+#: What the batch pass builds per stream and kind: the MC, HC and ME
+#: curves and the H-/L-ARC series.
+Curves = Union[Curve, ArrivalSeries]
+
 #: Streams whose MC, HC and ME curve values a detector keeps (LRU).
 CURVE_CACHE_SIZE = 64
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+
+_KINDS = ("MC", "HC", "ME", "H-ARC", "L-ARC")
 
 logger = get_logger(__name__)
 
@@ -255,14 +267,16 @@ class JointDetector:
         times: np.ndarray,
         values: np.ndarray,
         bounds: Sequence[Tuple[int, int]],
-    ) -> Tuple[List[Dict[str, Curve]], bool]:
-        """The MC, HC and ME curves of a batch of streams, keyed by kind,
-        one dict per stream, and whether the stacked ME solve fell back
-        (see :func:`~repro.signal.curves.model_error_curves`).
+    ) -> Tuple[List[Dict[str, Curves]], bool]:
+        """The MC, HC and ME curves and the H-/L-ARC series of a batch of
+        streams, keyed by kind, one dict per stream, and whether the
+        stacked ME solve fell back (see
+        :func:`~repro.signal.curves.model_error_curves`).
 
         Stream ``j`` is rows ``bounds[j][0]:bounds[j][1]`` of ``times``
-        and ``values``.  Its curves reuse what the curve cache holds for
-        it or its merge base, and land in the cache.
+        and ``values``.  Its MC, HC and ME curves reuse what the curve
+        cache holds for it or its merge base, and land in the cache; its
+        ARC series are built whole, every stream's in one pass.
         """
         cfg = self.config
         found = [self._cached(stream) for stream in streams]
@@ -279,12 +293,13 @@ class JointDetector:
         me, fell_back = model_error_curves(
             times, values, bounds, cfg.me_window_ratings, cfg.ar_order, me_reuse
         )
+        arc = arrival_series((self.h_arc, self.l_arc), times, values, bounds)
         cache = self._curve_cache
         curves = []
-        for stream, triple in zip(streams, zip(mc, hc, me)):
+        for stream, triple, pair in zip(streams, zip(mc, hc, me), arc):
             cache[stream.fingerprint] = tuple(curve.values for curve in triple)
             cache.move_to_end(stream.fingerprint)
-            curves.append(dict(zip(("MC", "HC", "ME"), triple)))
+            curves.append(dict(zip(_KINDS, triple + pair)))
         evicted = max(len(cache) - CURVE_CACHE_SIZE, 0)
         for _ in range(evicted):
             cache.popitem(last=False)
@@ -300,7 +315,7 @@ class JointDetector:
         self,
         stream: RatingStream,
         trust_lookup: Optional[TrustLookup] = None,
-        curves: Optional[Dict[str, Curve]] = None,
+        curves: Optional[Dict[str, Curves]] = None,
     ) -> DetectionReport:
         """Run both detection paths over one product stream.
 
@@ -308,11 +323,10 @@ class JointDetector:
         trust-moderated MC segment rule; omit it on the first pass, before
         any trust has been established.
 
-        ``curves`` holds the stream's MC, HC and ME curves, keyed by kind,
-        when :meth:`analyze_batch` built them in its cross-stream pass.
-        Without it they are built here, by the same builders over a batch
-        of one, through the same curve cache.  The H-/L-ARC detectors
-        build their own curves.
+        ``curves`` holds the stream's MC, HC and ME curves and its H-/L-ARC
+        series, keyed by kind, when :meth:`analyze_batch` built them in
+        its cross-stream pass.  Without it they are built here, by the
+        same builders over a batch of one, through the same curve cache.
         """
         n = len(stream)
         if n < self.config.min_ratings:
@@ -334,8 +348,12 @@ class JointDetector:
         mc_report = self._timed(
             "MC", self.mean_change.analyze, stream, trust_lookup, curves["MC"]
         )
-        harc_report = self._timed("H-ARC", self.h_arc.analyze, stream)
-        larc_report = self._timed("L-ARC", self.l_arc.analyze, stream)
+        harc_report = self._timed(
+            "H-ARC", self.h_arc.analyze, stream, curves["H-ARC"]
+        )
+        larc_report = self._timed(
+            "L-ARC", self.l_arc.analyze, stream, curves["L-ARC"]
+        )
         hc_report = self._timed("HC", self.histogram.report_from_curve, curves["HC"])
         me_report = self._timed("ME", self.model_error.report_from_curve, curves["ME"])
 
@@ -403,18 +421,19 @@ class JointDetector:
 
         The dataset is first flattened into contiguous columnar arrays
         (:func:`~repro.detectors.columns.extract_columns`).  Under the
-        ``detector.batch`` span, the MC, HC and ME curves of *all*
-        eligible streams are then built with the batch builders of
-        :mod:`repro.signal.curves`: one window-means pass (windows grouped
-        by length across streams) for MC, one clustering pass for HC and
-        one stacked LAPACK solve for ME.  The per-stream :meth:`analyze`
-        calls that follow take those curves and build the H-/L-ARC curves
-        themselves (one prefix-sum pass per curve).  Every report (masks,
-        provenance, curves, ``quality.*`` scorecards) is bit-identical to
-        analyzing each stream alone, while the window-statistic work runs
-        once per dataset instead of once per product.  Streams the curve
-        cache knows, or whose merge base it knows, compute only the
-        windows that changed.
+        ``detector.batch`` span, the MC, HC and ME curves and the H-/L-ARC
+        series of *all* eligible streams are then built with the batch
+        builders of :mod:`repro.signal.curves`: one window-means pass for
+        MC (exact prefix sums for half-star windows, the rest grouped by
+        length across streams), one clustering pass for HC, one stacked
+        LAPACK solve for ME, and one day count and one prefix sum for
+        both ARC kinds at both scales.  The per-stream :meth:`analyze`
+        calls that follow take those curves and series.  Every report
+        (masks, provenance, curves, ``quality.*`` scorecards) is
+        bit-identical to analyzing each stream alone, while the
+        window-statistic work runs once per dataset instead of once per
+        product.  Streams the curve cache knows, or whose merge base it
+        knows, compute only the MC, HC and ME windows that changed.
 
         Batch telemetry: ``detector.batch.streams`` / ``.ratings``
         counters (whole streams, reused windows included), the

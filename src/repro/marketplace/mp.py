@@ -113,8 +113,10 @@ def monthly_deltas(
         inferred_end = max(hi for _, hi in spans) + 1e-9
         start_day = inferred_start if start_day is None else start_day
         end_day = inferred_end if end_day is None else end_day
-    attacked_scores = scheme.monthly_scores(attacked, period_days, start_day, end_day)
+    # Fair first: a scheme that detects finds the fair streams' curves
+    # cached when it reaches the attacked streams merged from them.
     fair_scores = scheme.monthly_scores(fair, period_days, start_day, end_day)
+    attacked_scores = scheme.monthly_scores(attacked, period_days, start_day, end_day)
     deltas: Dict[str, np.ndarray] = {}
     for product_id in fair.product_ids:
         deltas[product_id] = _nan_to_zero_abs_diff(

@@ -292,7 +292,6 @@ class OnlineRatingSystem:
             "drift_warnings": float(len(drift_warnings)),
         }
         registry = self.registry
-        registry.inc("online.epochs_closed")
         registry.observe("online.scheme_seconds", scheme_seconds)
         registry.set_gauge("online.products", float(len(self._columns)))
         # Snapshot the registry *after* this epoch's own telemetry landed

@@ -20,23 +20,29 @@ statistic values.
 
 Every builder runs on the vectorized fast path, with no Python-level
 statistic call per centre, and produces **bit-identical** values to the
-per-window formulation.  MC, HC and ME each have one builder that takes
-a whole batch of streams, held back to back in one pair of columns with
-one ``(start, stop)`` row range per stream; the single-stream functions
-are that builder over a batch of one.  Each builder picks, per stream,
-the windows (HC, ME) or centres (MC) to compute, gathers all of them
-from the batch's values in one pass, and writes each stream's curve in
-one assembly step:
+per-window formulation.  MC, HC, ME and ARC each have one builder that
+takes a whole batch of streams, held back to back in one pair of columns
+with one ``(start, stop)`` row range per stream; the single-stream
+functions are that builder over a batch of one.  The MC, HC and ME
+builders pick, per stream, the windows (HC, ME) or centres (MC) to
+compute, gather all of them from the batch's values in one pass, and
+write each stream's curve in one assembly step:
 
 - :func:`mean_change_curves_by_time` gets every half-window mean from
-  one window-means pass that groups windows by length.
+  one :func:`~repro.signal.rolling.window_means` pass: windows whose
+  ratings all lie on the half-star grid from one exact prefix sum, the
+  others grouped by length.
 - :func:`histogram_change_curves` clusters the gathered windows in one
   stacked :func:`~repro.signal.rolling.two_cluster_balance` call.
 - :func:`model_error_curves` solves the AR normal equations of the
   gathered windows as one stacked LAPACK batch
   (:func:`~repro.signal.ar.model_errors`).
-- ARC half-window sums come from one prefix sum of the daily counts,
-  exact because the counts are whole numbers.
+- :func:`arrival_rate_curves` counts the days of every stream and value
+  band (H-ARC, L-ARC) with one ``np.bincount`` and builds every curve of
+  every scale from one prefix sum over all those counts, exact because
+  the counts are whole numbers.  It is cheap, so it builds every stream
+  whole; :func:`arrival_rate_curve` is the same statistic over one given
+  count series.
 
 Each window is reduced on its own, so a stream's curve does not depend
 on the other streams of its batch, nor on which of its own windows are
@@ -44,19 +50,20 @@ computed together.
 
 Reuse (the copy rule)
 ---------------------
-A builder may also take, per stream, the curve values of a stream it
-grew from and the positions of the rows added since (``reuse``; see
-:attr:`~repro.types.RatingStream.lineage`).  Let ``c[i]`` count the
-added rows before position ``i``.  A curve point whose rows hold no
-added row -- the HC/ME window ``[s, s + W)`` with ``c[s + W] == c[s]``,
-or the MC centre ``k`` with halves ``[lo, k)`` and ``[k, hi)`` and
-``c[hi] == c[lo]`` -- reads exactly the rows the base read at point
-``i - c[i]``, in the same order, because inserting rows moves every
-later row by the same count and a stream's order is its time order.
-Its value is then the base's, bit for bit, and is copied; every other
-point is computed.  With no added rows (a stream's own cached curve)
-every point is copied.  A base curve that is empty (a base shorter
-than the window) is no help, and the stream is built whole.
+The MC, HC and ME builders may also take, per stream, the curve values
+of a stream it grew from and the positions of the rows added since
+(``reuse``; see :attr:`~repro.types.RatingStream.lineage`).  Let
+``c[i]`` count the added rows before position ``i``.  A curve point
+whose rows hold no added row -- the HC/ME window ``[s, s + W)`` with
+``c[s + W] == c[s]``, or the MC centre ``k`` with halves ``[lo, k)`` and
+``[k, hi)`` and ``c[hi] == c[lo]`` -- reads exactly the rows the base
+read at point ``i - c[i]``, in the same order, because inserting rows
+moves every later row by the same count and a stream's order is its
+time order.  Its value is then the base's, bit for bit, and is copied;
+every other point is computed.  With no added rows (a stream's own
+cached curve) every point is copied.  A base curve that is empty (a
+base shorter than the window) is no help, and the stream is built
+whole.
 
 See :mod:`repro.signal.rolling` for how the guarantee is kept and
 ``tests/property/test_incremental_curves.py`` for the exact-equality
@@ -76,6 +83,7 @@ from repro.errors import ValidationError
 from repro.signal.ar import fit_ar_covariance, model_errors
 from repro.signal.rolling import (
     centered_half_widths,
+    day_counts,
     mean_change_stats,
     rate_change_stats_equal_halves,
     two_cluster_balance,
@@ -83,11 +91,13 @@ from repro.signal.rolling import (
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
+    "ArrivalSeries",
     "Curve",
     "Reuse",
     "mean_change_curve_by_time",
     "mean_change_curves_by_time",
     "arrival_rate_curve",
+    "arrival_rate_curves",
     "histogram_change_curve",
     "histogram_change_curves",
     "model_error_curve",
@@ -313,6 +323,119 @@ def arrival_rate_curve(
         indices=centers,
         values=stats,
     )
+
+
+@dataclass(frozen=True)
+class ArrivalSeries:
+    """One stream's daily-count series of one ARC kind, and its curves.
+
+    ``counts[i]`` is the number of the kind's ratings ``r`` with
+    ``days[i] <= r.time < days[i] + 1``; ``curves`` holds one ARC curve
+    over those counts per half width, in the order they were asked for.
+    """
+
+    days: np.ndarray
+    counts: np.ndarray
+    curves: Tuple[Curve, ...]
+
+
+#: One ARC kind of a batch: ``(kind, lower, upper)``, where a rating of
+#: stream ``j`` counts when ``lower[j] < value < upper[j]``.
+Band = Tuple[str, np.ndarray, np.ndarray]
+
+
+def arrival_rate_curves(
+    times: np.ndarray,
+    values: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    bands: Sequence[Band],
+    half_widths: Sequence[int],
+) -> List[Tuple[ArrivalSeries, ...]]:
+    """ARC series and curves of a batch of streams, one per value band.
+
+    ``times`` and ``values`` hold the streams back to back; stream ``j``
+    is rows ``bounds[j][0]:bounds[j][1]``.  Its days run from
+    ``floor(t_first)`` up to ``ceil(t_last + 1e-9)`` (at least one day),
+    the same grid for every band, so its curves stay aligned.  Every
+    band of every stream is counted with one
+    :func:`~repro.signal.rolling.day_counts` call, and every curve of
+    every scale comes from one prefix sum over all those counts (exact,
+    see :mod:`repro.signal.rolling`), so each curve equals
+    :func:`arrival_rate_curve` of its series (total log-likelihood
+    ratios) bit for bit.
+
+    Returns one tuple per stream holding one :class:`ArrivalSeries` per
+    band.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    half_widths = [check_positive_int(h, "half_width_days") for h in half_widths]
+    starts = np.array([start for start, _ in bounds], dtype=np.int64)
+    sizes = np.array([stop - start for start, stop in bounds], dtype=np.int64)
+    filled = np.flatnonzero(sizes)
+    first_days = np.zeros(sizes.size)
+    num_days = np.zeros(sizes.size, dtype=np.int64)
+    first_days[filled] = np.floor(times[starts[filled]])
+    last_days = np.ceil(times[starts[filled] + sizes[filled] - 1] + 1e-9)
+    num_days[filled] = np.maximum(last_days - first_days[filled], 1.0)
+    # Every row of the batch, stream after stream, and its stream.
+    stream_of = np.repeat(np.arange(sizes.size), sizes)
+    rows = np.arange(stream_of.size) + np.repeat(
+        starts - (np.cumsum(sizes) - sizes), sizes
+    )
+    value = values[rows]
+    # Series ``j * len(bands) + k`` is band ``k`` of stream ``j``.
+    owners, picked = [], []
+    for k, (_, lower, upper) in enumerate(bands):
+        lower = np.broadcast_to(np.asarray(lower, dtype=float), sizes.shape)
+        upper = np.broadcast_to(np.asarray(upper, dtype=float), sizes.shape)
+        inside = (lower[stream_of] < value) & (value < upper[stream_of])
+        owners.append(stream_of[inside] * len(bands) + k)
+        picked.append(times[rows[inside]])
+    series_days = np.repeat(num_days, len(bands))
+    counts = day_counts(
+        np.concatenate([np.empty(0)] + picked),
+        np.concatenate([np.empty(0, dtype=np.intp)] + owners),
+        np.repeat(first_days, len(bands)),
+        series_days,
+    )
+    # Centres 1 .. n-1 of every n-day series, as flat count positions,
+    # then every scale's equal halves, shrunk at the series' edges.
+    points = np.maximum(series_days - 1, 0)
+    first_points = np.concatenate(([0], np.cumsum(points)))
+    point_of = np.repeat(np.arange(series_days.size), points)
+    local = np.arange(point_of.size) - first_points[point_of] + 1
+    edge = np.minimum(local, series_days[point_of] - local)
+    offsets = np.concatenate(([0], np.cumsum(series_days)))
+    stats = rate_change_stats_equal_halves(
+        counts,
+        np.tile(offsets[point_of] + local, len(half_widths)),
+        np.concatenate([np.minimum(h, edge) for h in half_widths]),
+        total_llr=True,
+    ).reshape(len(half_widths), -1)
+    offsets, first_points = offsets.tolist(), first_points.tolist()
+    counts.setflags(write=False)
+    out = []
+    # A stream's bands share its day grid, so its series share their
+    # (read-only) days, and its curves their times and indices.
+    for j, (first, n) in enumerate(zip(first_days.tolist(), num_days.tolist())):
+        days = np.arange(n) + int(first)
+        days.setflags(write=False)
+        centers = np.arange(1, n)
+        centers_at = days[1:].astype(float)
+        per_band = []
+        for s, (kind, _, _) in enumerate(bands, start=j * len(bands)):
+            at = slice(first_points[s], first_points[s + 1])
+            curves = tuple(
+                Curve(kind, centers_at, centers, scale[at])
+                if n >= 2
+                else _empty_curve(kind)
+                for scale in stats
+            )
+            counts_s = counts[offsets[s] : offsets[s + 1]]
+            per_band.append(ArrivalSeries(days, counts_s, curves))
+        out.append(tuple(per_band))
+    return out
 
 
 def _gather_windows(

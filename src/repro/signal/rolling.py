@@ -20,24 +20,36 @@ digests, cached detection reports) require the fast path to produce the
 *exact same bits* as the per-window loops it replaces, not merely values
 within tolerance.  Two different arguments keep that guarantee:
 
-- **Rating values are reduced row by row.**  A prefix-sum mean of real
-  rating values differs from ``window.mean()`` in the last ulp, because
-  sequential accumulation rounds differently from numpy's pairwise
-  reduction.  So :func:`window_means` gathers the windows of one length
-  into a row matrix and reduces each row with the same pairwise
-  summation the 1-D slice uses: row ``i`` equals
-  ``values[start:start+length].mean()`` bitwise.  The ME builder's
-  per-window variances come the same way, from the gathered window
-  rows.  (``np.add.reduceat`` is *not* bit-equal: it rounds differently
-  on many windows.)
-- **Daily counts are whole numbers, so prefix sums are exact.**  Every
+- **Sums of whole numbers are exact, so prefix sums are exact.**  Every
   partial sum of whole numbers below ``2**53`` is itself exactly
-  representable, so a sum comes out the same in any order.  One
-  ``cumsum`` of the counts therefore gives every half-window sum of the
-  ARC statistic exactly, and ``sum / h`` is the very value ``mean()``
-  returns.  :func:`rate_change_stats_equal_halves` rejects counts that
-  are not whole numbers or whose total reaches ``2**53``; inside that
-  domain no tolerance is needed.
+  representable, so a sum comes out the same in any order, and a
+  difference of two prefix sums is the window's sum.
+  - Daily counts are whole numbers.  One ``cumsum`` of the counts gives
+    every half-window sum of the ARC statistic exactly, and ``sum / h``
+    is the very value ``mean()`` returns.
+    :func:`rate_change_stats_equal_halves` rejects counts that are not
+    whole numbers or whose total reaches ``2**53``.
+  - Ratings on the half-star grid (whole multiples of
+    :data:`HALF_STEP`, which is what the fair generator emits) are whole
+    numbers of half-steps.  :func:`window_means` takes every window whose
+    ratings all lie on the grid from one prefix sum of the batch's
+    values in half-steps (the others count as zero), exact while the
+    summed magnitudes of the grid values stay below
+    :data:`EXACT_SUM_BOUND`; ``sum / length`` then equals
+    ``values[start:start+length].mean()`` bit for bit.  ``-0.0`` counts
+    as off the grid: a prefix difference over ``-0.0`` ratings alone can
+    come out ``-0.0``, where numpy's reduction gives ``0.0``.
+  Inside these domains no tolerance is needed.
+- **Other rating values are reduced row by row.**  A prefix-sum mean of
+  real rating values differs from ``window.mean()`` in the last ulp,
+  because sequential accumulation rounds differently from numpy's
+  pairwise reduction.  So :func:`window_means` gathers every window that
+  holds an off-grid rating into a row matrix, one per length, and
+  reduces each row with the same pairwise summation the 1-D slice uses:
+  row ``i`` equals ``values[start:start+length].mean()`` bitwise.  The
+  ME builder's per-window variances come the same way, from the gathered
+  window rows.  (``np.add.reduceat`` is *not* bit-equal: it rounds
+  differently on many windows.)
 
 On top of those means, the GLRT combiners mirror the scalar expression
 trees of :func:`repro.signal.glrt.gaussian_mean_change_statistic` and
@@ -60,12 +72,38 @@ import numpy as np
 from repro.errors import ValidationError
 
 __all__ = [
+    "HALF_STEP",
+    "EXACT_SUM_BOUND",
     "window_means",
+    "day_counts",
     "centered_half_widths",
     "mean_change_stats",
     "rate_change_stats_equal_halves",
     "two_cluster_balance",
 ]
+
+#: The rating grid whose windows :func:`window_means` sums exactly.
+HALF_STEP = 0.5
+#: Grid sums are exact while the grid values' magnitudes sum below this.
+EXACT_SUM_BOUND = 2.0**52
+
+
+def _grid_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``(on grid, sums)``: which windows ``values[starts[i]:ends[i]]``
+    hold only half-star ratings (``-0.0`` excluded), and their exact
+    sums.  No window is on the grid past the exact-sum bound."""
+    steps = values / HALF_STEP
+    on_grid = (steps == np.floor(steps)) & ~((steps == 0.0) & np.signbit(steps))
+    steps[~on_grid] = 0.0
+    # NaN is off the grid.  Grid sums are exact (see the module
+    # docstring) exactly when the magnitudes sum below the bound, which
+    # an infinite value never does.
+    if not np.abs(steps).sum() < EXACT_SUM_BOUND / HALF_STEP:
+        return np.zeros(starts.size, dtype=bool), np.empty(0)
+    off_grid = np.concatenate(([0], np.cumsum(~on_grid)))
+    prefix = np.concatenate(([0.0], np.cumsum(steps)))
+    exact = off_grid[ends] == off_grid[starts]
+    return exact, (prefix[ends[exact]] - prefix[starts[exact]]) * HALF_STEP
 
 
 def window_means(
@@ -73,12 +111,14 @@ def window_means(
 ) -> np.ndarray:
     """Means of the windows ``values[starts[i] : starts[i] + lengths[i]]``.
 
-    Windows are grouped by length; each distinct length costs one gather
-    into a ``(windows, length)`` row matrix and one row-wise mean, so
-    ``out[i] == values[starts[i]:starts[i] + lengths[i]].mean()`` bit for
-    bit.  Windows of different streams of a concatenated batch may be
-    mixed freely, because each row is reduced on its own.  Every length
-    must be at least 1.
+    A window whose ratings all lie on the half-star grid is summed from
+    one prefix sum of ``values`` (exact; see the module docstring).  The
+    other windows are grouped by length; each distinct length costs one
+    gather into a ``(windows, length)`` row matrix and one row-wise
+    mean.  Either way ``out[i] == values[starts[i]:starts[i] +
+    lengths[i]].mean()`` bit for bit.  Windows of different streams of a
+    concatenated batch may be mixed freely, because each window is
+    reduced on its own.  Every length must be at least 1.
     """
     values = np.asarray(values, dtype=float)
     starts = np.asarray(starts, dtype=np.int64)
@@ -86,7 +126,12 @@ def window_means(
     out = np.empty(starts.size, dtype=float)
     if starts.size == 0:
         return out
-    order = np.argsort(lengths, kind="stable")
+    exact, sums = _grid_sums(values, starts, starts + lengths)
+    out[exact] = sums / lengths[exact]
+    rest = np.flatnonzero(~exact)
+    if rest.size == 0:
+        return out
+    order = rest[np.argsort(lengths[rest], kind="stable")]
     sorted_lengths = lengths[order]
     cuts = np.flatnonzero(sorted_lengths[1:] != sorted_lengths[:-1]) + 1
     bounds = [0, *cuts.tolist(), order.size]
@@ -98,6 +143,32 @@ def window_means(
         gathered = values[starts[rows, None] + np.arange(length)]
         out[rows] = np.add.reduce(gathered, axis=1) / length
     return out
+
+
+def day_counts(
+    times: np.ndarray,
+    owners: np.ndarray,
+    first_days: np.ndarray,
+    num_days: np.ndarray,
+) -> np.ndarray:
+    """Rating counts per whole day of several day series, back to back.
+
+    Series ``s`` covers the days ``first_days[s]`` to ``first_days[s] +
+    num_days[s] - 1``, and ``times[i]`` belongs to series ``owners[i]``.
+    A time counts on day ``d`` when ``d <= time < d + 1``; a time outside
+    its series' days counts nowhere.  One ``np.bincount`` counts every
+    series; series ``s`` is entries ``sum(num_days[:s])`` onwards.
+    """
+    first_days = np.asarray(first_days, dtype=float)
+    num_days = np.asarray(num_days, dtype=np.int64)
+    owners = np.asarray(owners, dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(num_days)))
+    day = np.floor(np.asarray(times, dtype=float)) - first_days[owners]
+    inside = (day >= 0) & (day < num_days[owners])
+    return np.bincount(
+        offsets[owners[inside]] + day[inside].astype(np.int64),
+        minlength=int(offsets[-1]),
+    )
 
 
 def centered_half_widths(n: int, half_width: int) -> tuple:

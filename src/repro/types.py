@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.errors import EmptyDataError, ValidationError
+from repro.signal.rolling import day_counts
 
 __all__ = [
     "RatingScale",
@@ -379,8 +380,10 @@ class RatingStream:
 
         Returns ``(days, counts)`` where ``days`` are integer day indices
         covering ``[floor(start), ceil(end))`` and ``counts[i]`` is the
-        number of ratings with ``days[i] <= time < days[i] + 1``.  This is
-        the ``y(n)`` series consumed by the arrival-rate change detector.
+        number of ratings with ``days[i] <= time < days[i] + 1`` (so a
+        rating at ``end_day`` itself is not counted).  This is the ``y(n)``
+        series of the arrival-rate change detector, which counts it with
+        the same :func:`~repro.signal.rolling.day_counts`.
         """
         if len(self) == 0:
             return np.array([], dtype=int), np.array([], dtype=int)
@@ -389,9 +392,8 @@ class RatingStream:
         if hi <= lo:
             hi = lo + 1.0
         days = np.arange(int(lo), int(hi), dtype=int)
-        edges = np.arange(int(lo), int(hi) + 1, dtype=float)
-        counts, _ = np.histogram(self.times, bins=edges)
-        return days, counts.astype(int)
+        owners = np.zeros(len(self), dtype=np.intp)
+        return days, day_counts(self.times, owners, [lo], [days.size])
 
     def mean_value(self) -> float:
         """Arithmetic mean of the rating values.  Raises on empty streams."""

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.aggregation import PScheme, PSchemeConfig, SimpleAveragingScheme
 from repro.attacks.population import PopulationConfig, generate_population
 from repro.detectors import DetectorConfig, JointDetector, extract_columns
+from repro.detectors.arrival_rate import ArrivalRateDetector, arrival_series
 from repro.detectors.integration import CURVE_CACHE_SIZE
 from repro.errors import ValidationError
 from repro.experiments.context import ExperimentContext
@@ -33,6 +34,7 @@ from repro.signal.ar import fit_ar_covariance
 from repro.signal.clustering import two_cluster_split_1d
 from repro.signal.curves import (
     arrival_rate_curve,
+    arrival_rate_curves,
     histogram_change_curve,
     histogram_change_curves,
     mean_change_curve_by_time,
@@ -42,6 +44,7 @@ from repro.signal.curves import (
 )
 from repro.signal.glrt import gaussian_mean_change_statistic
 from repro.signal.poisson import poisson_rate_change_statistic
+from repro.signal.rolling import EXACT_SUM_BOUND, _grid_sums, window_means
 from repro.types import Rating, RatingDataset, RatingStream
 from repro.utils.windows import centered_windows
 
@@ -82,6 +85,33 @@ def naive_arrival_rate(days, counts, half_width_days, total_llr):
         centers.append(center)
     centers_arr = np.asarray(centers, dtype=int)
     return days[centers_arr], centers_arr, np.asarray(stats, dtype=float)
+
+
+def naive_daily_counts(arc, stream):
+    """``(days, counts)`` of an ARC detector's ratings of ``stream``, one
+    ``np.histogram`` per stream, as the detector binned them before the
+    batched builder."""
+    if len(stream) == 0:
+        return np.array([], dtype=int), np.array([], dtype=int)
+    lo = float(np.floor(stream.times[0]))
+    hi = float(np.ceil(stream.times[-1] + 1e-9))
+    if hi <= lo:
+        hi = lo + 1.0
+    mean_value = float(stream.values.mean())
+    if arc.kind == "H-ARC":
+        selected = stream.times[
+            stream.values > arc.config.high_value_threshold(mean_value)
+        ]
+    elif arc.kind == "L-ARC":
+        selected = stream.times[
+            stream.values < arc.config.low_value_threshold(mean_value)
+        ]
+    else:
+        selected = stream.times
+    days = np.arange(int(lo), int(hi), dtype=int)
+    edges = np.arange(int(lo), int(hi) + 1, dtype=float)
+    counts, _ = np.histogram(selected, bins=edges)
+    return days, counts.astype(int)
 
 
 def naive_histogram_change(times, values, window_ratings):
@@ -247,6 +277,285 @@ class TestArrivalRateExact:
         days = np.arange(counts.size, dtype=float)
         with pytest.raises(ValidationError):
             arrival_rate_curve(days, counts, 2)
+
+
+def bits(values):
+    """The IEEE bits of a float array: equal bits, equal floats, and
+    ``0.0`` differs from ``-0.0``."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# --------------------------------------------------------------------- #
+# window_means: exact prefix sums on the half-star grid
+# --------------------------------------------------------------------- #
+
+#: Rating values by family: the grid the exact path takes, and what it
+#: must leave to the gather path.
+WINDOW_VALUES = {
+    "half stars": st.integers(0, 10).map(lambda k: k / 2),
+    "whole stars": st.integers(0, 5).map(float),
+    "negative half steps": st.integers(-10, 10).map(lambda k: k / 2),
+    "continuous": value_elements,
+    "mixed": st.one_of(
+        st.integers(0, 10).map(lambda k: k / 2),
+        value_elements,
+        st.sampled_from([-0.0, 0.0]),
+    ),
+    "signed zeros": st.sampled_from([-0.0, 0.0, 0.5, -0.5]),
+    "past the bound": st.integers(-4, 4).map(lambda k: k * 2.0**50 + 0.5),
+}
+
+
+def reference_window_means(values, starts, lengths):
+    """One ``mean()`` per window slice."""
+    return np.array(
+        [values[s : s + l].mean() for s, l in zip(starts, lengths)], dtype=float
+    )
+
+
+class TestWindowMeansExact:
+    @given(st.sampled_from(sorted(WINDOW_VALUES)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_slice_means(self, family, data):
+        values = np.asarray(
+            data.draw(st.lists(WINDOW_VALUES[family], min_size=1, max_size=80)),
+            dtype=float,
+        )
+        n = values.size
+        starts = np.asarray(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=40)), dtype=np.int64
+        )
+        lengths = np.asarray(
+            [data.draw(st.integers(1, n - s)) for s in starts], dtype=np.int64
+        )
+        got = window_means(values, starts, lengths)
+        assert np.array_equal(
+            bits(got), bits(reference_window_means(values, starts, lengths))
+        )
+
+    def test_grid_windows_take_the_prefix_sum(self):
+        values = np.array([4.0, 4.5, 3.5, 0.3, 5.0, 5.0, -1.5, 2.0])
+        starts = np.array([0, 1, 2, 4, 5, 6])
+        lengths = np.array([3, 2, 3, 2, 3, 2])
+        exact, sums = _grid_sums(values, starts, starts + lengths)
+        # Only the window holding 0.3 is off the grid.
+        assert exact.tolist() == [True, True, False, True, True, True]
+        assert np.array_equal(
+            bits(sums / lengths[exact]),
+            bits(reference_window_means(values, starts, lengths)[exact]),
+        )
+
+    def test_negative_zero_windows_are_gathered(self):
+        # numpy reduces a window of -0.0 to 0.0; a prefix difference over
+        # it would give -0.0, so such windows stay off the grid.
+        values = np.array([1.0, -0.0, -0.0, -0.0, 0.5])
+        starts = np.array([1, 1, 2, 0])
+        lengths = np.array([3, 1, 2, 5])
+        exact, _ = _grid_sums(values, starts, starts + lengths)
+        assert not exact.any()
+        got = window_means(values, starts, lengths)
+        assert np.array_equal(bits(got[:3]), bits([0.0, 0.0, 0.0]))
+        assert np.array_equal(
+            bits(got), bits(reference_window_means(values, starts, lengths))
+        )
+
+    def test_sums_past_the_bound_are_gathered(self):
+        # In half steps the first two values sum to 2**53: a prefix sum
+        # would round 0.5 away, so no window takes it.
+        values = np.array([EXACT_SUM_BOUND / 2, EXACT_SUM_BOUND / 2, 0.5, 1.0])
+        starts = np.array([0, 2, 3, 1])
+        lengths = np.array([2, 2, 1, 2])
+        exact, _ = _grid_sums(values, starts, starts + lengths)
+        assert not exact.any()
+        assert np.array_equal(
+            bits(window_means(values, starts, lengths)),
+            bits(reference_window_means(values, starts, lengths)),
+        )
+        # Just below the bound, every window is exact again.
+        values[0] = EXACT_SUM_BOUND / 2 - 2.0
+        exact, _ = _grid_sums(values, starts, starts + lengths)
+        assert exact.all()
+        assert np.array_equal(
+            bits(window_means(values, starts, lengths)),
+            bits(reference_window_means(values, starts, lengths)),
+        )
+
+
+# --------------------------------------------------------------------- #
+# The batched ARC builder against per-stream histograms
+# --------------------------------------------------------------------- #
+
+arc_times = st.one_of(
+    st.integers(-200, 200).map(lambda k: k / 4),  # integer and quarter days
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+
+
+@st.composite
+def arc_batches(draw):
+    """Streams with negative, integer and fractional times, some on one
+    day, some short or empty, held back to back as the builders take
+    them."""
+    streams = []
+    for j in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 40))
+        if draw(st.booleans()):
+            day = draw(st.integers(-30, 30))
+            times = draw(
+                st.lists(
+                    st.floats(min_value=day, max_value=day + 0.999),
+                    min_size=n, max_size=n,
+                )
+            )
+        else:
+            times = draw(st.lists(arc_times, min_size=n, max_size=n))
+        values = draw(
+            st.lists(st.one_of(st.integers(0, 10).map(lambda k: k / 2), value_elements),
+                     min_size=n, max_size=n)
+        )
+        streams.append(
+            RatingStream(f"p{j}", times, values, [f"r{i}" for i in range(n)])
+        )
+    return streams
+
+
+def columns_of(streams):
+    times = np.concatenate([np.empty(0)] + [s.times for s in streams])
+    values = np.concatenate([np.empty(0)] + [s.values for s in streams])
+    offsets = np.cumsum([0] + [len(s) for s in streams])
+    return times, values, list(zip(offsets[:-1], offsets[1:]))
+
+
+def assert_series_equals_reference(series, arc, stream):
+    """One stream's batched ARC series against ``np.histogram`` counts
+    and :func:`arrival_rate_curve` over them, at every scale."""
+    days, counts = naive_daily_counts(arc, stream)
+    assert np.array_equal(series.days, days)
+    assert np.array_equal(series.counts, counts)
+    assert series.counts.dtype == counts.dtype
+    config = arc.config
+    half_widths = [max(config.arc_window_days // 2, 1)]
+    if config.arc_long_window_days:
+        half_widths.append(max(config.arc_long_window_days // 2, 1))
+    assert len(series.curves) == len(half_widths)
+    for curve, half_width in zip(series.curves, half_widths):
+        reference = arrival_rate_curve(
+            days.astype(float), counts.astype(float), half_width, kind=arc.kind
+        )
+        assert curve.kind == arc.kind
+        assert np.array_equal(bits(curve.times), bits(reference.times))
+        assert np.array_equal(curve.indices, reference.indices)
+        assert np.array_equal(bits(curve.values), bits(reference.values))
+        if counts.size >= 2:
+            assert_curve_equals(
+                curve,
+                naive_arrival_rate(days.astype(float), counts.astype(float),
+                                   half_width, True),
+            )
+
+
+def assert_reports_match(a, b):
+    assert np.array_equal(bits(a.curve.values), bits(b.curve.values))
+    assert a.peaks == b.peaks
+    assert a.u_shape == b.u_shape
+    assert a.alarm == b.alarm
+    assert a.suspicious_intervals == b.suspicious_intervals
+
+
+#: Short windows, so that short drawn streams have interior centres, and
+#: the long scale switched on and off.
+ARC_CONFIGS = (
+    DetectorConfig(arc_window_days=6, arc_long_window_days=14),
+    DetectorConfig(arc_window_days=3, arc_long_window_days=0),
+    DetectorConfig(),
+)
+
+
+class TestArrivalRateBatchExact:
+    @given(arc_batches(), st.sampled_from(ARC_CONFIGS))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_stream_histograms(self, streams, config):
+        detectors = tuple(
+            ArrivalRateDetector(kind, config) for kind in ("H-ARC", "L-ARC", "ARC")
+        )
+        times, values, bounds = columns_of(streams)
+        batch = arrival_series(detectors, times, values, bounds)
+        assert len(batch) == len(streams)
+        for stream, per_detector in zip(streams, batch):
+            assert len(per_detector) == len(detectors)
+            for arc, series in zip(detectors, per_detector):
+                assert_series_equals_reference(series, arc, stream)
+                # A stream analyzed alone is a batch of one.
+                alone = arc.series(stream)
+                assert np.array_equal(alone.counts, series.counts)
+                assert_reports_match(
+                    arc.analyze(stream), arc.analyze(stream, series)
+                )
+
+    @given(arc_batches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_value_bands(self, streams, data):
+        times, values, bounds = columns_of(streams)
+        cuts = st.sampled_from([-np.inf, 0.0, 1.5, 2.25, 4.0, np.inf])
+        bands = [
+            (
+                f"B{k}",
+                np.array([data.draw(cuts) for _ in streams]),
+                np.array([data.draw(cuts) for _ in streams]),
+            )
+            for k in range(data.draw(st.integers(1, 3)))
+        ]
+        half_widths = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+        batch = arrival_rate_curves(times, values, bounds, bands, half_widths)
+        for j, stream in enumerate(streams):
+            for (kind, lower, upper), series in zip(bands, batch[j]):
+                inside = (lower[j] < stream.values) & (stream.values < upper[j])
+                if len(stream):
+                    lo = np.floor(stream.times[0])
+                    hi = max(np.ceil(stream.times[-1] + 1e-9), lo + 1.0)
+                    edges = np.arange(int(lo), int(hi) + 1, dtype=float)
+                    counts, _ = np.histogram(stream.times[inside], bins=edges)
+                else:
+                    counts = np.zeros(0, dtype=int)
+                assert np.array_equal(series.counts, counts)
+                for curve, half_width in zip(series.curves, half_widths):
+                    reference = arrival_rate_curve(
+                        series.days.astype(float), counts.astype(float),
+                        half_width, kind=kind,
+                    )
+                    assert np.array_equal(bits(curve.values), bits(reference.values))
+                    assert np.array_equal(bits(curve.times), bits(reference.times))
+
+    def test_empty_batch(self):
+        detector = ArrivalRateDetector("L-ARC")
+        assert arrival_series((detector,), np.empty(0), np.empty(0), []) == []
+
+    def test_batch_of_one_with_one_day(self):
+        stream = RatingStream("p", [3.0, 3.2, 3.9], [4.0, 1.0, 1.0], list("abc"))
+        for kind in ("H-ARC", "L-ARC"):
+            arc = ArrivalRateDetector(kind)
+            series = arc.series(stream)
+            assert series.days.tolist() == [3]
+            assert_series_equals_reference(series, arc, stream)
+            assert all(curve.is_empty for curve in series.curves)
+            assert_reports_match(arc.analyze(stream), arc.analyze(stream, series))
+
+    def test_rejects_counts_past_the_exact_bound(self, monkeypatch):
+        # The builder keeps the whole-number and 2**53 check on the counts
+        # it sums: a count past the bound must raise, not round.
+        import repro.signal.curves as curves_module
+
+        real = curves_module.day_counts
+
+        def huge(*args):
+            counts = real(*args).astype(float)
+            counts[0] = 2.0**53
+            return counts
+
+        monkeypatch.setattr(curves_module, "day_counts", huge)
+        stream = RatingStream("p", [0.0, 1.0, 2.0], [4.0] * 3, list("abc"))
+        with pytest.raises(ValidationError):
+            ArrivalRateDetector("ARC").series(stream)
 
 
 class TestHistogramChangeExact:
@@ -432,10 +741,10 @@ def _assert_stream_curves_match_naive(detector, report, stream):
     )
     half_widths = (config.arc_window_days // 2, config.arc_long_window_days // 2)
     for arc in (detector.h_arc, detector.l_arc):
-        days, counts = (a.astype(float) for a in arc.daily_counts(stream))
+        days, counts = (a.astype(float) for a in naive_daily_counts(arc, stream))
         naive = [naive_arrival_rate(days, counts, h, True) for h in half_widths]
         assert_curve_equals(report.curves[arc.kind], naive[0])
-        curves = arc.curves(stream)
+        curves = arc.series(stream).curves
         assert len(curves) == len(naive)
         for curve, reference in zip(curves, naive):
             assert_curve_equals(curve, reference)
@@ -587,23 +896,22 @@ class TestCurveReuse:
 
     @pytest.mark.parametrize("seed", [2008, 7])
     def test_population_in_headline_order(self, seed):
-        # As manipulation_power detects them: the attacked dataset (its
-        # streams merged from the fair ones), then the fair world.
+        # As manipulation_power detects them: the fair world, then the
+        # attacked dataset (its streams merged from the fair ones).
         context = ExperimentContext(seed=seed, population_size=8)
         challenge = context.challenge
         registry = MetricsRegistry()
         detector = JointDetector(registry=registry)
         for submission in context.population:
             for dataset in (
-                challenge.attacked_dataset(submission),
                 challenge.fair_dataset,
+                challenge.attacked_dataset(submission),
             ):
                 assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
-        # Only the first submission builds whole: its attacked world (no
-        # base cached yet), then the fair versions of its 4 targets.
-        # Every later stream finds itself or its fair base.
-        assert registry.counter_value("detector.curve_cache.misses") == 9 + 4
-        assert registry.counter_value("detector.curve_cache.hits") == 8 * 18 - 13
+        # Only the fair world is built whole, once.  Every attacked
+        # stream finds itself (an untargeted product) or its fair base.
+        assert registry.counter_value("detector.curve_cache.misses") == 9
+        assert registry.counter_value("detector.curve_cache.hits") == 8 * 18 - 9
         assert registry.counter_value("detector.batch.fallbacks") == 0
 
     @given(grown_streams())
@@ -753,8 +1061,10 @@ class TestCurveReuse:
         total = context.challenge.evaluate(submission, scheme, validate=False).total
         # The MP before curve reuse, pinned.
         assert total.hex() == "0x1.47950ee9ace80p-3"
-        # First passes: the attacked world (9 streams) and the fair
-        # versions of the 4 attacked products are built.  Each trust
-        # pass re-detects all 9 streams of its world from the cache.
-        assert registry.counter_value("detector.curve_cache.misses") == 9 + 4
-        assert registry.counter_value("detector.curve_cache.hits") == 9 + 9
+        # First passes: the fair world (9 streams) is built whole; the
+        # attacked world, scored after it, detects only its 4 attacked
+        # streams (the report cache has the other 5), each from its fair
+        # base.  Each trust pass re-detects all 9 streams of its world
+        # from the cache.
+        assert registry.counter_value("detector.curve_cache.misses") == 9
+        assert registry.counter_value("detector.curve_cache.hits") == 4 + 9 + 9

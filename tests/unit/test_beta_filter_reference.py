@@ -5,13 +5,17 @@ replaced, kept verbatim: BF cut each window with ``RatingStream.between``,
 bounded it with scipy's ``beta.ppf`` and accumulated one ``BetaEvidence``
 per rater; SA averaged each ``between`` window.  The batched schemes must
 return byte-identical series.  scipy is a test-only dependency, so the
-oracle tests skip without it; the closed-form CDF checks always run.
+oracle tests skip without it; the closed-form CDF checks always run, and
+so does the check that the batched filter's one CDF call per distinct
+(window, value) pair decides exactly as one call per rating did.
 """
 
 from typing import Dict, List
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation.base import month_windows
 from repro.aggregation.beta_filter import (
@@ -266,3 +270,82 @@ class TestEvidenceCdf:
             cdf = evidence_cdf(m, x)
             assert np.all(np.diff(cdf) > 0), x
             assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+
+# --------------------------------------------------------------------- #
+# One CDF call per distinct (window, value) pair
+# --------------------------------------------------------------------- #
+
+
+def per_rating_filter(config, x, bounds):
+    """``BetaFilterScheme._filter`` before the pairs: one ``evidence_cdf``
+    evaluation per rating of every active window."""
+    sizes = np.diff(bounds)
+    window_of = np.repeat(np.arange(sizes.size), sizes)
+    keep = np.ones(x.size, dtype=bool)
+    active = sizes > 1
+    q = config.quantile
+    for _ in range(config.max_iterations):
+        if not active.any():
+            break
+        majority = np.zeros(sizes.size)
+        for k in np.flatnonzero(active):
+            window = slice(bounds[k], bounds[k + 1])
+            majority[k] = x[window][keep[window]].mean()
+        rows = np.flatnonzero(active[window_of])
+        cdf = evidence_cdf(majority[window_of[rows]], x[rows])
+        incompatible = np.zeros(x.size, dtype=bool)
+        incompatible[rows] = keep[rows] & ((cdf < q) | (cdf > 1.0 - q))
+        n_out = np.bincount(window_of, incompatible, sizes.size)
+        n_kept = np.bincount(window_of, keep, sizes.size)
+        active &= (n_out > 0) & (n_kept > n_out)
+        keep &= ~(incompatible & active[window_of])
+    return keep
+
+
+#: Ratings that repeat (half stars), continuous ones, signed zeros and
+#: values off the 0..5 scale (where the CDF is NaN or saturates).
+filter_values = st.one_of(
+    st.integers(0, 10).map(lambda k: k / 2),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    st.sampled_from([-0.0, -8.0, 13.0, 5.5]),
+    st.floats(min_value=-12.0, max_value=16.0, allow_nan=False),
+)
+
+
+class TestFilterOneCdfPerPair:
+    @given(
+        st.lists(st.lists(filter_values, max_size=25), max_size=8),
+        st.sampled_from([0.05, 0.15, 0.3, 0.45]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_cdf_per_rating(self, windows, quantile, iterations):
+        config = BetaFilterConfig(quantile=quantile, max_iterations=iterations)
+        scheme = BetaFilterScheme(config)
+        x = scheme._normalize(np.concatenate([np.empty(0)] + windows))
+        bounds = np.cumsum([0] + [len(w) for w in windows])
+        np.testing.assert_array_equal(
+            scheme._filter(x, bounds), per_rating_filter(config, x, bounds)
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "iter3", "q0.3"])
+    def test_dataset_windows_filter_and_match(self, config):
+        # Month windows of a challenge population, laid out as
+        # ``_scores`` lays them out: many repeats per window, and some
+        # ratings filtered, so the pairs' results really are spread back.
+        scheme = BetaFilterScheme(config)
+        filtered = 0
+        for dataset, _window in challenge_datasets(2008, 3):
+            streams = [dataset[pid] for pid in dataset]
+            windows = [
+                s.values[(s.times >= lo) & (s.times < lo + 30.0)]
+                for lo in (0.0, 30.0, 60.0)
+                for s in streams
+            ]
+            x = scheme._normalize(np.concatenate(windows))
+            bounds = np.cumsum([0] + [w.size for w in windows])
+            keep = scheme._filter(x, bounds)
+            np.testing.assert_array_equal(keep, per_rating_filter(config, x, bounds))
+            filtered += int((~keep).sum())
+        assert filtered > 0

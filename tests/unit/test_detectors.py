@@ -162,7 +162,7 @@ class TestArrivalRateDetector:
     def test_larc_counts_only_low_ratings(self):
         stream = attacked_stream()
         detector = ArrivalRateDetector("L-ARC")
-        _days, counts = detector.daily_counts(stream)
+        counts = detector.series(stream).counts
         total_low = int(counts.sum())
         mean = float(stream.values.mean())
         expected = int((stream.values < DetectorConfig().low_value_threshold(mean)).sum())
@@ -171,7 +171,7 @@ class TestArrivalRateDetector:
     def test_harc_counts_high_ratings(self):
         stream = fair_stream()
         detector = ArrivalRateDetector("H-ARC")
-        _days, counts = detector.daily_counts(stream)
+        counts = detector.series(stream).counts
         mean = float(stream.values.mean())
         expected = int((stream.values > DetectorConfig().high_value_threshold(mean)).sum())
         assert int(counts.sum()) == expected
@@ -192,13 +192,13 @@ class TestArrivalRateDetector:
 
     def test_multi_scale_curves(self):
         detector = ArrivalRateDetector("L-ARC")
-        curves = detector.curves(fair_stream())
+        curves = detector.series(fair_stream()).curves
         assert len(curves) == 2  # short + long scale
 
     def test_long_scale_disabled(self):
         config = DetectorConfig(arc_long_window_days=0)
         detector = ArrivalRateDetector("L-ARC", config)
-        assert len(detector.curves(fair_stream())) == 1
+        assert len(detector.series(fair_stream()).curves) == 1
 
 
 class TestHistogramChangeDetector:

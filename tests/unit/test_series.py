@@ -92,9 +92,9 @@ class TestTimeSeriesRecorder:
         registry = MetricsRegistry()
         recorder = TimeSeriesRecorder(capacity=4)
         for epoch in range(10):
-            registry.inc("online.epochs_closed")
+            registry.inc("online.ratings_ingested")
             recorder.record_epoch(epoch, registry)
-        points = recorder.series("online.epochs_closed")
+        points = recorder.series("online.ratings_ingested")
         assert [epoch for epoch, _ in points] == [6, 7, 8, 9]
         assert registry.counter_value("series.dropped_points") > 0
 

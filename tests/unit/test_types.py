@@ -227,6 +227,15 @@ class TestRatingStreamViews:
         days, counts = RatingStream.empty("p").daily_counts()
         assert days.size == 0 and counts.size == 0
 
+    def test_daily_counts_last_day_is_half_open(self):
+        # Day i counts days[i] <= time < days[i] + 1, the last day too: a
+        # rating at end_day itself is past the last day.
+        stream = RatingStream("p", [0.5, 1.5, 4.0], [4.0] * 3, list("abc"))
+        days, counts = stream.daily_counts(0.0, 4.0)
+        np.testing.assert_array_equal(days, [0, 1, 2, 3])
+        np.testing.assert_array_equal(counts, [1, 1, 0, 0])
+        assert counts.dtype == np.int64
+
     def test_rating_at(self):
         stream = make_stream(n=3)
         rating = stream.rating_at(1)
