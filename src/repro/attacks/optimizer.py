@@ -179,10 +179,12 @@ def heuristic_region_search(
     requests are scored in one batched call, letting a parallel evaluator
     fan the whole round out at once; ``evaluate`` may then be ``None``.
 
-    Every probe (one MP evaluation) is counted and timed into the metrics
-    ``registry`` (``search.probes``, ``search.probe_seconds``); ``None``
-    uses the globally active registry.  On the batched path timings and
-    MP observations are recorded per *request* rather than per probe.
+    Every probe (one MP evaluation) is counted into the metrics
+    ``registry`` (``search.probes``); ``None`` uses the globally active
+    registry.  The serial path times each probe (``search.probe_seconds``)
+    and observes its MP (``search.probe_mp``).  The batched path observes
+    ``search.probe_mp`` once per *request* and times nothing itself: the
+    evaluator times the batch (the ``exec.map`` span).
     """
     probes_per_subarea = check_positive_int(probes_per_subarea, "probes_per_subarea")
     max_rounds = check_positive_int(max_rounds, "max_rounds")
@@ -218,12 +220,9 @@ def heuristic_region_search(
             else:
                 pending.append(i)
         if pending and probe_batch is not None:
-            start = perf_counter()
             values = probe_batch([requests[i] for i in pending])
-            elapsed = perf_counter() - start
             for i, value in zip(pending, values):
                 reg.inc("search.probes", requests[i][2])
-                reg.observe("search.probe_seconds", elapsed / len(pending))
                 reg.observe("search.probe_mp", float(value))
                 scores[i] = float(value)
         elif pending:

@@ -26,7 +26,7 @@ from repro.errors import ChallengeRuleError, ValidationError
 from repro.marketplace.fair_ratings import FairRatingConfig, FairRatingGenerator
 from repro.marketplace.mp import MPResult, manipulation_power
 from repro.marketplace.product import Product, default_tv_lineup
-from repro.types import DEFAULT_SCALE, Rating, RatingDataset, RatingScale, RatingStream
+from repro.types import DEFAULT_SCALE, RatingDataset, RatingScale, RatingStream
 from repro.utils.rng import SeedLike
 
 __all__ = ["ChallengeConfig", "RatingChallenge", "LeaderboardEntry"]
@@ -222,17 +222,17 @@ class RatingChallenge:
         The (optionally attacked) dataset's time-sorted streams are cut
         at :attr:`start_day` by index.  The prefixes seed the system as
         pre-challenge history (calibrating the drift monitor).  The
-        suffixes are ordered as ``sorted`` orders :class:`~repro.types.
-        Rating` records, by one ``np.lexsort`` over their columns; each
-        becomes a ``Rating`` once and is submitted.  Then every epoch
-        that fits *completely* inside the challenge window is closed.  A
-        trailing partial window stays accumulating: checking drift over a
-        window the data only partly covers zero-pads the daily arrival
-        counts, which systematically inflates the dispersion statistic
-        and false-alarms on fair worlds.  Returns the
-        :class:`~repro.online.system.OnlineRatingSystem` with its epoch
-        reports -- the operational (drift/alert) view of the same world
-        the batch evaluator scores.
+        suffixes are submitted as one dataset, whose rows arrive in
+        :class:`~repro.types.Rating` order (see
+        :meth:`~repro.online.system.OnlineRatingSystem.submit_many`).
+        Then every epoch that fits *completely* inside the challenge
+        window is closed.  A trailing partial window stays accumulating:
+        checking drift over a window the data only partly covers
+        zero-pads the daily arrival counts, which systematically inflates
+        the dispersion statistic and false-alarms on fair worlds.  Returns
+        the :class:`~repro.online.system.OnlineRatingSystem` with its
+        epoch reports -- the operational (drift/alert) view of the same
+        world the batch evaluator scores.
         """
         from repro.online.system import OnlineRatingSystem
 
@@ -245,13 +245,13 @@ class RatingChallenge:
         )
         # Streams are time-sorted, so one index cuts each at start_day.
         history: List[RatingStream] = []
-        live: List[Tuple[RatingStream, int]] = []
+        live: List[RatingStream] = []
         for stream in dataset.streams():
             cut = int(np.searchsorted(stream.times, self.start_day))
             if cut:
-                history.append(stream.head(cut))
+                history.append(stream.rows(0, cut))
             if cut < len(stream):
-                live.append((stream, cut))
+                live.append(stream.rows(cut, len(stream)))
         system = OnlineRatingSystem(
             scheme,
             start_day=self.start_day,
@@ -261,7 +261,7 @@ class RatingChallenge:
             monitor_drift=monitor_drift,
             series_recorder=series_recorder,
         )
-        system.submit_many(_live_ratings(live))
+        system.submit_many(RatingDataset(live))
         while system.current_epoch_end <= self.end_day:
             system.close_epoch()
         return system
@@ -298,44 +298,3 @@ class RatingChallenge:
             for i, (submission, result) in enumerate(results)
         ]
 
-
-def _python_ranks(ids: List[str]) -> np.ndarray:
-    """Rank of each id in Python's string order, as ``sorted`` ranks it.
-
-    The ids stay Python strings: a numpy ``U`` array would drop trailing
-    NULs and tie ``"a\x00"`` with ``"a"``.
-    """
-    rank = {key: i for i, key in enumerate(sorted(set(ids)))}
-    return np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
-
-
-def _live_ratings(parts: Sequence[Tuple[RatingStream, int]]) -> List[Rating]:
-    """Every ``(stream, cut)`` part's ratings from ``cut`` on, sorted.
-
-    One stable ``np.lexsort`` over the columns reproduces ``sorted`` over
-    ``Rating`` records, whose order is ``(time, rater_id, product_id,
-    value)``: full ties keep dataset order.  Each ``Rating`` is built
-    once, already in order.
-    """
-    if not parts:
-        return []
-    lengths = [len(stream) - cut for stream, cut in parts]
-    product_ids = [stream.product_id for stream, _ in parts]
-    raters = [rater for stream, cut in parts for rater in stream.rater_ids[cut:]]
-    times = np.concatenate([stream.times[cut:] for stream, cut in parts])
-    values = np.concatenate([stream.values[cut:] for stream, cut in parts])
-    unfair = np.concatenate([stream.unfair[cut:] for stream, cut in parts])
-    part_of = np.repeat(np.arange(len(parts)), lengths)
-    order = np.lexsort(
-        (values, _python_ranks(product_ids)[part_of], _python_ranks(raters), times)
-    )
-    return list(
-        map(
-            Rating,
-            times[order].tolist(),
-            map(raters.__getitem__, order.tolist()),
-            map(product_ids.__getitem__, part_of[order].tolist()),
-            values[order].tolist(),
-            unfair[order].tolist(),
-        )
-    )

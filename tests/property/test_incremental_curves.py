@@ -919,7 +919,7 @@ class TestCurveReuse:
     def test_insertions(self, parts):
         base, extra = parts
         merged = base.merge(extra)
-        grown = merged.merge(extra.head(len(extra) // 2))
+        grown = merged.merge(extra.rows(0, len(extra) // 2))
         registry = MetricsRegistry()
         detector = JointDetector(SMALL, registry=registry)
         for stream in (base, merged, grown):

@@ -358,6 +358,32 @@ class TestSearchTelemetry:
             result.best_mp
         )
 
+    def test_batched_path_observes_mp_per_request_and_no_timings(self):
+        reg = MetricsRegistry()
+        area = SearchArea(bias_min=-4.0, bias_max=0.0, std_min=0.0, std_max=2.0)
+        batches = []
+
+        def probe_batch(requests):
+            batches.append(list(requests))
+            return [-bias * (1.0 + std) * count for bias, std, count in requests]
+
+        heuristic_region_search(
+            None,
+            area,
+            n_subareas=4,
+            probes_per_subarea=2,
+            max_rounds=2,
+            registry=reg,
+            probe_batch=probe_batch,
+        )
+        requests = [request for batch in batches for request in batch]
+        assert len(batches) >= 2
+        assert reg.histograms["search.probe_mp"].count == len(requests)
+        assert reg.counter_value("search.probes") == sum(r[2] for r in requests)
+        # The evaluator's ``exec.map`` span times a batch; no per-request
+        # share of it is recorded.
+        assert "search.probe_seconds" not in reg.histograms
+
 
 class TestHistogramEdgeCases:
     def test_percentile_on_empty_is_nan(self):

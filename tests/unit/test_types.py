@@ -202,14 +202,14 @@ class TestRatingStreamViews:
 
     def test_head_is_the_earliest_rows(self):
         stream = make_stream(n=6, unfair_every=2)
-        head = stream.head(4)
+        head = stream.rows(0, 4)
         reference = stream.between(-1.0, 4.0)
         assert np.array_equal(head.times, reference.times)
         assert np.array_equal(head.values, reference.values)
         assert np.array_equal(head.unfair, reference.unfair)
         assert head.rater_ids == reference.rater_ids
         assert head.lineage is None
-        assert len(stream.head(0)) == 0
+        assert len(stream.rows(0, 0)) == 0
 
     def test_daily_counts(self):
         stream = RatingStream("p", [0.1, 0.9, 1.5, 3.2], [1, 2, 3, 4], list("abcd"))
