@@ -3,7 +3,7 @@
 PYTHON ?= python
 RUN_DIR ?= .repro
 
-.PHONY: install test lint bench bench-quick reproduce bench-baseline bench-detectors ledger-check examples clean
+.PHONY: install test lint bench-quick reproduce bench-baseline bench-detectors ledger-check examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -18,11 +18,8 @@ lint:            ## compileall + ruff (when installed) + repro.lint invariants
 	else \
 		echo "ruff not installed; skipping generic pass (config pinned in pyproject.toml)"; \
 	fi
-	PYTHONPATH=src $(PYTHON) -m repro.lint src --json .repro-lint-findings.json --sarif .repro-lint.sarif
+	PYTHONPATH=src $(PYTHON) -m repro.lint src --json .repro-lint-findings.json
 	PYTHONPATH=src $(PYTHON) -m repro.lint.selfcheck
-
-bench:           ## full 251-submission reproduction of every figure
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-quick:     ## reduced population for a fast pass
 	PYTHONPATH=src REPRO_POPULATION=60 $(PYTHON) -m pytest benchmarks/ --benchmark-only

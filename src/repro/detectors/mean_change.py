@@ -2,7 +2,8 @@
 
 Three parts, matching the paper's subsection structure:
 
-1. the windowed Gaussian mean-change GLRT (:mod:`repro.signal.glrt`),
+1. the windowed Gaussian mean-change GLRT
+   (:func:`repro.signal.rolling.mean_change_stats`),
 2. the MC indicator curve built with a sliding 30-day window
    (:func:`repro.signal.curves.mean_change_curve_by_time`),
 3. MC suspiciousness: the stream is cut into segments at the curve's

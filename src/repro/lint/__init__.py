@@ -28,8 +28,8 @@ per-file and whole-project catalog checks.
 Run as ``python -m repro.lint [paths...]`` or ``repro-rating lint``
 (which takes exactly the same arguments); suppress a single line with
 ``# lint: ignore[rule-id]``, carry accepted pre-existing findings in
-``.repro-lint-baseline.json``, and export GitHub-code-scanning
-annotations with ``--sarif``.
+``.repro-lint-baseline.json``, and write the findings as JSON with
+``--json``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ignore", metavar="IDS", default="",
-        help="comma-separated rule ids to skip",
+        help="comma-separated rule ids to skip (e.g. metric-stale on a "
+             "subtree, where 'nothing emits X' is vacuous)",
     )
     parser.add_argument(
         "--catalog", metavar="PATH", action="append", default=None,
@@ -137,25 +138,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--alert-rules", metavar="PATH", action="append", default=None,
         help="alert-rule file checked for catalog parity (repeatable; "
              "default: every file under src/repro/obs/alert_rules)",
-    )
-    parser.add_argument(
-        "--sarif", metavar="PATH", default=None,
-        help="also write findings as a SARIF 2.1.0 report to PATH",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="check only modules touched in git diff (plus their "
-             "reverse-dependency closure over the import graph); implies "
-             "--no-stale",
-    )
-    parser.add_argument(
-        "--diff-base", metavar="REF", default="HEAD",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--no-stale", action="store_true",
-        help="skip the metric-stale direction (use when linting a subset "
-             "of the tree, where 'nothing emits X' is vacuous)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -189,40 +171,11 @@ def _default_alert_rules() -> List[str]:
     return out
 
 
-def _git_changed_paths(diff_base: str) -> List[str]:
-    """Python files touched vs ``diff_base``, plus untracked ones."""
-    import subprocess
-
-    out: List[str] = []
-    commands = [
-        ["git", "diff", "--name-only", diff_base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise RuntimeError(
-                f"--changed-only needs git ({' '.join(command)} failed: {exc})"
-            ) from exc
-        out.extend(
-            line.strip()
-            for line in proc.stdout.splitlines()
-            if line.strip().endswith(".py")
-        )
-    return sorted(set(out))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro.lint`` and ``repro-rating lint``."""
     args = build_arg_parser().parse_args(argv)
 
     ignore = {part.strip() for part in args.ignore.split(",") if part.strip()}
-    if args.no_stale or args.changed_only:
-        # A partial tree makes "nothing emits X" vacuous.
-        ignore.add(MetricStaleRule.id)
     select = None
     if args.select:
         select = {part.strip() for part in args.select.split(",") if part.strip()}
@@ -232,14 +185,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         baseline = DEFAULT_BASELINE
     if args.no_baseline:
         baseline = None
-
-    changed_paths: Optional[List[str]] = None
-    if args.changed_only:
-        try:
-            changed_paths = _git_changed_paths(args.diff_base)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     config = LintConfig(
         select=select,
@@ -253,7 +198,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.alert_rules is not None
             else _default_alert_rules()
         ),
-        changed_paths=changed_paths,
     )
     rules = default_rules(config)
 
@@ -281,15 +225,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{len(payload['entries'])} entr(y/ies)"
         )
         return 0
-
-    if args.sarif:
-        from repro.lint.sarif import to_sarif
-
-        Path(args.sarif).write_text(
-            json.dumps(to_sarif(result, rules), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
 
     json_owns_stdout = args.json == "-"
     if args.json:

@@ -219,9 +219,6 @@ class LintConfig:
     catalog_paths: Sequence[str] = ()
     #: Alert-rule files (TOML/JSON) whose metrics must be catalogued.
     alert_rule_paths: Sequence[str] = ()
-    #: When set, only these paths plus their reverse-dependency closure
-    #: over the import graph are checked (``--changed-only`` mode).
-    changed_paths: Optional[Sequence[str]] = None
 
 
 @dataclass
@@ -235,8 +232,7 @@ class LintResult:
     rules: List[str]
     parse_errors: List[Finding]
     #: Whole-program analysis stats: which modules were summarized
-    #: (``analyzed``) and which were actually rule-checked this run
-    #: (``checked``).  Empty when no program rule ran.
+    #: (``analyzed``).  Empty when no program rule ran.
     analysis: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
@@ -377,7 +373,7 @@ class Linter:
         program = None
         analysis: Dict[str, List[str]] = {}
         program_rules = [rule for rule in self.rules if rule.needs_program]
-        if program_rules or self.config.changed_paths is not None:
+        if program_rules:
             # Imported lazily: graph depends on this module.
             from repro.lint.graph import build_program, extract_summary
 
@@ -389,22 +385,10 @@ class Linter:
             program = build_program(summaries)
             analysis = {"analyzed": sorted(s.path for s in summaries)}
 
-        # ---- scope: everything, or the changed set's dependency closure.
-        if self.config.changed_paths is not None and program is not None:
-            wanted = program.reverse_dependency_closure(
-                Path(p).as_posix() for p in self.config.changed_paths
-            )
-            check_list = [rel for rel in order if rel in wanted]
-        else:
-            check_list = list(order)
-        checked_set = set(check_list)
-        if analysis or self.config.changed_paths is not None:
-            analysis["checked"] = list(check_list)
-
         # ---- per-file phase.
         raw: List[Finding] = []
         modules: List[ModuleSource] = []
-        for rel in check_list:
+        for rel in order:
             module = parse(rel)
             if module is None:
                 continue
@@ -413,13 +397,10 @@ class Linter:
                 if not rule.needs_program:
                     raw.extend(rule.check_module(module))
 
-        # ---- program phase: flow rules see the whole graph but only
-        # report into the checked scope.
+        # ---- program phase: flow rules see the whole graph.
         if program is not None:
             for rule in program_rules:
-                for finding in rule.check_program(program):
-                    if finding.path in checked_set:
-                        raw.append(finding)
+                raw.extend(rule.check_program(program))
 
         for rule in self.rules:
             if not rule.needs_program:
@@ -445,7 +426,7 @@ class Linter:
             findings=fresh,
             baseline_findings=baselined,
             pragma_suppressed=pragma_suppressed,
-            files_checked=len(check_list),
+            files_checked=len(order),
             rules=[rule.id for rule in self.rules],
             parse_errors=parse_errors,
             analysis=analysis,

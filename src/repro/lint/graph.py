@@ -1192,45 +1192,6 @@ class Program:
         """Every function id whose terminal name is ``name``."""
         return sorted(self._name_to_functions.get(name, []))
 
-    def importers_of(self, module: str) -> List[str]:
-        """Modules whose imports resolve into ``module`` (direct only)."""
-        out: List[str] = []
-        for name, summary in self.modules.items():
-            if name == module:
-                continue
-            for dotted in summary.imports.values():
-                if dotted == module or dotted.startswith(module + "."):
-                    out.append(name)
-                    break
-        return sorted(out)
-
-    def reverse_dependency_closure(self, paths: Iterable[str]) -> Set[str]:
-        """Paths of the given modules plus everything importing them.
-
-        This is the re-check set for ``--changed-only``: a change in B
-        can invalidate any interprocedural fact in a module that imports
-        B, transitively.
-        """
-        wanted: Set[str] = set()
-        queue: List[str] = []
-        for path in paths:
-            summary = self.by_path.get(path)
-            if summary is None:
-                wanted.add(path)  # unknown files stay in the check set
-                continue
-            if summary.path not in wanted:
-                wanted.add(summary.path)
-                queue.append(summary.module)
-        seen_modules: Set[str] = set(queue)
-        while queue:
-            module = queue.pop(0)
-            for importer in self.importers_of(module):
-                if importer not in seen_modules:
-                    seen_modules.add(importer)
-                    wanted.add(self.modules[importer].path)
-                    queue.append(importer)
-        return wanted
-
 
 def build_program(summaries: Sequence[ModuleSummary]) -> Program:
     """Link ``summaries`` into a queryable :class:`Program`."""

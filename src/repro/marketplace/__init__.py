@@ -15,6 +15,11 @@ package provides the calibrated synthetic equivalents (see DESIGN.md,
 - :mod:`repro.marketplace.challenge` -- the Rating Challenge: product set,
   50 biased raters, boost-2 / downgrade-2 objective, submission validation,
   evaluation, and leaderboards.
+- :mod:`repro.marketplace.io` -- CSV rating datasets and JSON attack
+  submissions.
+
+Detection quality against ground truth is scored in
+:mod:`repro.obs.quality`.
 """
 
 from repro.marketplace.challenge import (
@@ -23,12 +28,6 @@ from repro.marketplace.challenge import (
     RatingChallenge,
 )
 from repro.marketplace.fair_ratings import FairRatingConfig, FairRatingGenerator
-from repro.marketplace.metrics import (
-    DetectionQuality,
-    ScoreFidelity,
-    detection_quality,
-    score_fidelity,
-)
 from repro.marketplace.mp import MPResult, manipulation_power, monthly_deltas
 from repro.marketplace.product import Product, default_tv_lineup
 from repro.marketplace.rater import RaterProfile, build_rater_pool
@@ -39,10 +38,6 @@ __all__ = [
     "RatingChallenge",
     "FairRatingConfig",
     "FairRatingGenerator",
-    "DetectionQuality",
-    "ScoreFidelity",
-    "detection_quality",
-    "score_fidelity",
     "MPResult",
     "manipulation_power",
     "monthly_deltas",

@@ -41,8 +41,7 @@ write each stream's curve in one assembly step:
   band (H-ARC, L-ARC) with one ``np.bincount`` and builds every curve of
   every scale from one prefix sum over all those counts, exact because
   the counts are whole numbers.  It is cheap, so it builds every stream
-  whole; :func:`arrival_rate_curve` is the same statistic over one given
-  count series.
+  whole.
 
 Each window is reduced on its own, so a stream's curve does not depend
 on the other streams of its batch, nor on which of its own windows are
@@ -67,7 +66,7 @@ whole.
 
 See :mod:`repro.signal.rolling` for how the guarantee is kept and
 ``tests/property/test_incremental_curves.py`` for the exact-equality
-pinning against the retained naive references.
+pinning against the naive references in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.errors import ValidationError
 from repro.signal.ar import fit_ar_covariance, model_errors
 from repro.signal.rolling import (
-    centered_half_widths,
     day_counts,
     mean_change_stats,
     rate_change_stats_equal_halves,
@@ -96,7 +94,6 @@ __all__ = [
     "Reuse",
     "mean_change_curve_by_time",
     "mean_change_curves_by_time",
-    "arrival_rate_curve",
     "arrival_rate_curves",
     "histogram_change_curve",
     "histogram_change_curves",
@@ -284,47 +281,6 @@ def mean_change_curve_by_time(
     return curve
 
 
-def arrival_rate_curve(
-    days: np.ndarray,
-    counts: np.ndarray,
-    half_width_days: int,
-    kind: str = "ARC",
-    total_llr: bool = True,
-) -> Curve:
-    """ARC curve over a daily-count series with half-width ``D`` days.
-
-    ``ARC(k')`` is the Poisson GLRT statistic between counts
-    ``[k'-D, k')`` and ``[k', k'+D)``; edge windows shrink symmetrically
-    (Section IV-C.2).  ``days`` holds the day index of each count.
-
-    With ``total_llr=True`` (default) each point is the *total*
-    log-likelihood ratio of its window (statistic times window length),
-    which keeps one absolute threshold valid across window sizes; with
-    ``False`` it is the paper's per-day form (Eq. 5 left-hand side).
-
-    Raises :class:`~repro.errors.ValidationError` on negative counts, and
-    on counts that are not whole numbers or total ``2**53`` or more: the
-    half-window sums come from one prefix sum, which is exact only there.
-    """
-    days = np.asarray(days, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if days.size != counts.size:
-        raise ValidationError("days and counts must be aligned")
-    half_width_days = check_positive_int(half_width_days, "half_width_days")
-    if counts.size < 2:
-        return _empty_curve(kind)
-    if np.any(counts < 0):
-        raise ValidationError("daily counts must be non-negative")
-    centers, halves = centered_half_widths(counts.size, half_width_days)
-    stats = rate_change_stats_equal_halves(counts, centers, halves, total_llr)
-    return Curve(
-        kind=kind,
-        times=days[centers],
-        indices=centers,
-        values=stats,
-    )
-
-
 @dataclass(frozen=True)
 class ArrivalSeries:
     """One stream's daily-count series of one ARC kind, and its curves.
@@ -360,9 +316,9 @@ def arrival_rate_curves(
     band of every stream is counted with one
     :func:`~repro.signal.rolling.day_counts` call, and every curve of
     every scale comes from one prefix sum over all those counts (exact,
-    see :mod:`repro.signal.rolling`), so each curve equals
-    :func:`arrival_rate_curve` of its series (total log-likelihood
-    ratios) bit for bit.
+    see :mod:`repro.signal.rolling`), so each curve equals the
+    per-series reference, ``arrival_rate_curve`` in ``tests/reference.py``
+    (total log-likelihood ratios), bit for bit.
 
     Returns one tuple per stream holding one :class:`ArrivalSeries` per
     band.

@@ -9,8 +9,7 @@ configuration a "U-shape" (the valley between two significant peaks).
 :func:`find_peaks` extracts significant local maxima;
 :func:`u_shape_from_peaks` returns the interval bracketed by the two
 strongest of them, if the curve has one.  The detectors find each curve's
-peaks once and derive the U-shape from them; :func:`detect_u_shape` does
-both steps for callers that hold only a curve.
+peaks once and derive the U-shape from them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from repro.signal.curves import Curve
 from repro.utils.validation import check_non_negative, check_positive_int
 
-__all__ = ["Peak", "UShape", "find_peaks", "u_shape_from_peaks", "detect_u_shape"]
+__all__ = ["Peak", "UShape", "find_peaks", "u_shape_from_peaks"]
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,3 @@ def u_shape_from_peaks(curve: Curve, peaks: Sequence[Peak]) -> Optional[UShape]:
             if valley <= 0.5 * lower_peak:
                 return UShape(left=left, right=right)
     return None
-
-
-def detect_u_shape(
-    curve: Curve, threshold: float, min_separation: int = 2
-) -> Optional[UShape]:
-    """Detect a U-shape: two significant peaks with a valley between.
-
-    :func:`u_shape_from_peaks` over the peaks :func:`find_peaks` finds
-    with ``threshold`` and ``min_separation``.
-    """
-    return u_shape_from_peaks(curve, find_peaks(curve, threshold, min_separation))

@@ -52,17 +52,17 @@ within tolerance.  Two different arguments keep that guarantee:
   differently on many windows.)
 
 On top of those means, the GLRT combiners mirror the scalar expression
-trees of :func:`repro.signal.glrt.gaussian_mean_change_statistic` and
-:func:`repro.signal.poisson.poisson_rate_change_statistic` operation for
-operation (same associativity, same ufunc loops), so elementwise IEEE
+trees of the per-window references ``gaussian_mean_change_statistic``
+and ``poisson_rate_change_statistic`` (``tests/reference.py``) operation
+for operation (same associativity, same ufunc loops), so elementwise IEEE
 arithmetic reproduces the scalar results.  ``two_cluster_balance`` sorts
 whole window stacks at once; cluster sizes depend only on the sorted
 value sequence and the arg-max of the adjacent gaps, both of which are
 algorithm-independent.
 
 The equivalences are pinned by ``tests/property/test_incremental_curves.py``
-with ``np.array_equal`` (no tolerance) against retained naive reference
-implementations.
+with ``np.array_equal`` (no tolerance) against the naive per-window
+references in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "EXACT_SUM_BOUND",
     "window_means",
     "day_counts",
-    "centered_half_widths",
     "mean_change_stats",
     "rate_change_stats_equal_halves",
     "two_cluster_balance",
@@ -171,22 +170,6 @@ def day_counts(
     )
 
 
-def centered_half_widths(n: int, half_width: int) -> tuple:
-    """``(centers, halves)`` for every valid change-point centre.
-
-    Vectorized equivalent of :func:`repro.utils.windows.centered_windows`
-    for the symmetric-shrink case: centres run ``1 .. n-1`` and each
-    window is ``[c - h, c + h)`` with ``h = min(half_width, c, n - c)``
-    (always ``>= 1``, so both halves are non-empty).
-    """
-    if n < 2:
-        empty = np.empty(0, dtype=int)
-        return empty, empty
-    centers = np.arange(1, n)
-    halves = np.minimum(half_width, np.minimum(centers, n - centers))
-    return centers, halves
-
-
 def mean_change_stats(
     values: np.ndarray,
     first_starts: np.ndarray,
@@ -194,14 +177,22 @@ def mean_change_stats(
     second_starts: np.ndarray,
     second_lengths: np.ndarray,
 ) -> np.ndarray:
-    """Gaussian mean-change statistics of window pairs.
+    """Gaussian mean-change statistics of window pairs (paper Eq. 1).
 
-    Element ``i`` is what
-    :func:`~repro.signal.glrt.gaussian_mean_change_statistic` computes for
-    ``values[a:a+m]`` against ``values[b:b+n]``, where ``a, m`` and
-    ``b, n`` are the ``i``-th first and second starts and lengths.  The
-    means of both halves of every pair come from one :func:`window_means`
-    call.
+    Section IV-B.1 models the two halves ``X1``, ``X2`` of a window as
+    i.i.d. Gaussian with means ``A1``, ``A2`` and a common variance
+    ``sigma^2``, and tests ``H0: A1 == A2`` against ``H1: A1 != A2``.  The
+    GLRT decides H1 when ``W (A1_hat - A2_hat)^2 / (2 sigma^2) > gamma``
+    (Eq. 1, from Kay Vol. 2); the MC curve drops the unknown ``sigma^2``.
+    The MC detector windows by time, so the halves hold ``n1 != n2``
+    ratings in general, and the statistic is the unbalanced GLRT energy
+    ``2 n1 n2 / (n1 + n2) * (A1_hat - A2_hat)^2``, which is the paper's
+    ``W (A1_hat - A2_hat)^2`` when ``n1 = n2 = W``.
+
+    Element ``i`` is that statistic for ``values[a:a+m]`` against
+    ``values[b:b+n]``, where ``a, m`` and ``b, n`` are the ``i``-th first
+    and second starts and lengths.  The means of both halves of every
+    pair come from one :func:`window_means` call.
     """
     pairs = first_lengths.size
     means = window_means(
@@ -234,8 +225,22 @@ def rate_change_stats_equal_halves(
 ) -> np.ndarray:
     """Poisson rate-change statistics at ``centers`` with equal halves.
 
-    Matches :func:`~repro.signal.poisson.poisson_rate_change_statistic`
-    applied to ``counts[c-h:c]`` vs ``counts[c:c+h]`` for every centre.
+    Section IV-C.1 tests whether the arrival rate of the daily counts
+    changed at day ``c``: ``H0: lambda1 == lambda2`` against
+    ``H1: lambda1 != lambda2``, with ``Y1 = counts[c-h:c]`` (``a`` days)
+    and ``Y2 = counts[c:c+h]`` (``b`` days).  The GLRT (Eqs. 2-5)
+    decides H1 when
+
+        (a / 2D) Y1_bar ln Y1_bar + (b / 2D) Y2_bar ln Y2_bar
+            - Y_bar ln Y_bar   >=   (1 / 2D) ln gamma
+
+    with ``2D = a + b``, the per-day half means ``Y1_bar``, ``Y2_bar``,
+    the pooled mean ``Y_bar`` and ``0 ln 0 = 0``.  Element ``i`` is that
+    left-hand side at ``centers[i]`` with ``a = b = halves[i]``, clamped
+    at zero; ``total_llr=True`` multiplies it by ``2D``, giving the
+    window's total log-likelihood ratio, which is about ``chi^2_1 / 2``
+    under H0 whatever the window size.
+
     One prefix sum gives every half-window sum, and all centres are
     evaluated in one elementwise pass.  The sums are exact only for whole
     numbers with a total below ``2**53`` (see the module docstring), so
@@ -267,12 +272,19 @@ def rate_change_stats_equal_halves(
 def two_cluster_balance(windows: np.ndarray) -> np.ndarray:
     """HC balance ``min(n1/n2, n2/n1)`` for a stack of value windows.
 
-    ``windows`` is ``(num_windows, width)``; each row is clustered exactly
-    like :func:`repro.signal.clustering.two_cluster_split_1d`: split the
-    sorted row at its *last* largest adjacent gap, ``0.0`` when all values
-    coincide.  Rows from different streams may be stacked freely -- each
-    row is independent -- which is what lets the joint detector run one
-    clustering pass for a whole dataset.
+    Section IV-D clusters a window's ratings into two clusters by single
+    linkage (Matlab ``clusterdata()``) and compares the cluster sizes.  In
+    one dimension, cutting the single-linkage dendrogram at two clusters
+    splits the sorted sample at its largest adjacent gap: single linkage
+    merges nearest neighbours first, so the last link to survive is the
+    largest gap.  Ties go to the *last* maximal gap, because Kruskal-style
+    agglomeration merges the earlier of two equal links first.
+
+    ``windows`` is ``(num_windows, width)``; each row is split that way,
+    and its balance is ``0.0`` when all its values coincide.  Rows from
+    different streams may be stacked freely -- each row is independent --
+    which is what lets the joint detector run one clustering pass for a
+    whole dataset.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.size == 0:

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ValidationError
 from repro.signal.peaks import Peak
 
-__all__ = ["segment_bounds_from_peaks", "segment_labels"]
+__all__ = ["segment_bounds_from_peaks"]
 
 
 def segment_bounds_from_peaks(
@@ -43,14 +41,3 @@ def segment_bounds_from_peaks(
             start = cut
     bounds.append((start, n))
     return bounds
-
-
-def segment_labels(n: int, peaks: Sequence[Peak]) -> np.ndarray:
-    """Integer segment label per series element, from the same cuts.
-
-    Labels are ``0 .. num_segments - 1`` in chronological order.
-    """
-    labels = np.zeros(n, dtype=int)
-    for seg_id, (start, stop) in enumerate(segment_bounds_from_peaks(n, peaks)):
-        labels[start:stop] = seg_id
-    return labels

@@ -7,7 +7,7 @@
   per-epoch suspicious-rating counts into per-rater trust trajectories.
 """
 
-from repro.trust.beta import BetaEvidence, beta_trust_value
+from repro.trust.beta import beta_trust_value
 from repro.trust.manager import TrustManager, TrustSnapshot
 
-__all__ = ["BetaEvidence", "beta_trust_value", "TrustManager", "TrustSnapshot"]
+__all__ = ["beta_trust_value", "TrustManager", "TrustSnapshot"]

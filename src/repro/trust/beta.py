@@ -15,13 +15,11 @@ marked suspicious (Procedure 1).  The BF-scheme uses the same mapping with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["BetaEvidence", "beta_trust_value"]
+__all__ = ["beta_trust_value"]
 
 
 def beta_trust_value(successes, failures):
@@ -35,49 +33,3 @@ def beta_trust_value(successes, failures):
             f"evidence counts must be >= 0, got S={successes}, F={failures}"
         )
     return (successes + 1.0) / (successes + failures + 2.0)
-
-
-@dataclass
-class BetaEvidence:
-    """Mutable evidence accumulator for one rater.
-
-    Attributes
-    ----------
-    successes:
-        Count ``S`` of good events (ratings not marked suspicious).
-    failures:
-        Count ``F`` of bad events (ratings marked suspicious / filtered).
-    """
-
-    successes: float = 0.0
-    failures: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.successes < 0 or self.failures < 0:
-            raise ValidationError(
-                f"evidence counts must be >= 0, got S={self.successes}, "
-                f"F={self.failures}"
-            )
-
-    @property
-    def trust(self) -> float:
-        """Current beta trust value."""
-        return beta_trust_value(self.successes, self.failures)
-
-    @property
-    def total(self) -> float:
-        """Total evidence observed."""
-        return self.successes + self.failures
-
-    def record(self, good: float, bad: float) -> None:
-        """Accumulate ``good`` successes and ``bad`` failures."""
-        if good < 0 or bad < 0:
-            raise ValidationError(
-                f"evidence increments must be >= 0, got good={good}, bad={bad}"
-            )
-        self.successes += good
-        self.failures += bad
-
-    def copy(self) -> "BetaEvidence":
-        """An independent copy of the accumulator."""
-        return BetaEvidence(self.successes, self.failures)

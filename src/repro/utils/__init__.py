@@ -6,10 +6,6 @@ The submodules are deliberately small and dependency-free (numpy only):
   :class:`repro.errors.ValidationError` with readable messages.
 - :mod:`repro.utils.rng` -- seeding helpers producing
   :class:`numpy.random.Generator` instances.
-- :mod:`repro.utils.windows` -- sliding-window index construction, including
-  the shrinking edge windows used by the paper's indicator curves.
-- :mod:`repro.utils.stats` -- tiny numeric helpers (safe logs, clipping to
-  the rating scale, descriptive statistics).
 """
 
 from repro.utils.rng import resolve_rng, spawn_rng
@@ -20,7 +16,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_probability,
 )
-from repro.utils.windows import centered_windows, shrink_to_bounds, sliding_window_indices
 
 __all__ = [
     "resolve_rng",
@@ -30,7 +25,4 @@ __all__ = [
     "check_positive",
     "check_positive_int",
     "check_probability",
-    "centered_windows",
-    "shrink_to_bounds",
-    "sliding_window_indices",
 ]

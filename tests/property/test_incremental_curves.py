@@ -19,6 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference import (
+    arrival_rate_curve,
+    centered_windows,
+    gaussian_mean_change_statistic,
+    poisson_rate_change_statistic,
+    two_cluster_split_1d,
+)
 
 from repro.aggregation import PScheme, PSchemeConfig, SimpleAveragingScheme
 from repro.attacks.population import PopulationConfig, generate_population
@@ -31,9 +38,7 @@ from repro.marketplace.challenge import RatingChallenge
 from repro.obs import MetricsRegistry
 from repro.online.system import OnlineRatingSystem
 from repro.signal.ar import fit_ar_covariance
-from repro.signal.clustering import two_cluster_split_1d
 from repro.signal.curves import (
-    arrival_rate_curve,
     arrival_rate_curves,
     histogram_change_curve,
     histogram_change_curves,
@@ -42,11 +47,8 @@ from repro.signal.curves import (
     model_error_curve,
     model_error_curves,
 )
-from repro.signal.glrt import gaussian_mean_change_statistic
-from repro.signal.poisson import poisson_rate_change_statistic
 from repro.signal.rolling import EXACT_SUM_BOUND, _grid_sums, window_means
 from repro.types import Rating, RatingDataset, RatingStream
-from repro.utils.windows import centered_windows
 
 
 # --------------------------------------------------------------------- #

@@ -14,17 +14,12 @@ from typing import List, Optional
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference import detect_u_shape
 
 from repro.detectors.base import TimeInterval
 from repro.detectors.histogram import _mask_to_intervals
 from repro.signal.curves import Curve
-from repro.signal.peaks import (
-    Peak,
-    UShape,
-    detect_u_shape,
-    find_peaks,
-    u_shape_from_peaks,
-)
+from repro.signal.peaks import Peak, UShape, find_peaks, u_shape_from_peaks
 
 
 # --------------------------------------------------------------------- #

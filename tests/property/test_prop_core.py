@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from tests.reference import shrink_to_bounds
 
 from repro.aggregation.weighted import trust_weighted_average
 from repro.trust.beta import beta_trust_value
 from repro.types import RatingStream
-from repro.utils.windows import shrink_to_bounds
 
 times_arrays = arrays(
     np.float64,

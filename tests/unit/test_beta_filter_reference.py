@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference import BetaEvidence
 
 from repro.aggregation.base import month_windows
 from repro.aggregation.beta_filter import (
@@ -25,7 +26,6 @@ from repro.aggregation.beta_filter import (
 )
 from repro.aggregation.simple import SimpleAveragingScheme
 from repro.experiments.context import ExperimentContext
-from repro.trust.beta import BetaEvidence
 from repro.types import RatingDataset, RatingStream
 
 CONFIGS = (

@@ -474,6 +474,26 @@ class TestLintCommand:
         via_module = lint_main(args), capsys.readouterr()
         assert via_cli == via_module
 
+    @pytest.mark.parametrize("entry", ["repro-rating lint", "python -m repro.lint"])
+    @pytest.mark.parametrize("args", [
+        ["--sarif", "out.sarif"],
+        ["--changed-only"],
+        ["--diff-base", "HEAD"],
+        ["--no-stale"],
+    ], ids=lambda args: args[0])
+    def test_removed_lint_flags_exit_2(self, entry, args, capsys):
+        from repro.lint import main as lint_main
+
+        with pytest.raises(SystemExit) as exc:
+            if entry == "repro-rating lint":
+                main(["lint", *args])
+            else:
+                lint_main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestMetricsStreamFlag:
     def test_stream_written_with_closing_snapshot(self, tmp_path):

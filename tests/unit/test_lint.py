@@ -21,7 +21,7 @@ from repro.lint.catalog import (
     parse_catalog_text,
     pattern_to_glob,
 )
-from repro.lint.core import Finding, Linter, ModuleSource, baseline_payload
+from repro.lint.core import Finding, ModuleSource, baseline_payload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -282,6 +282,18 @@ class TestMetricRules:
         stale = [f for f in result.findings if f.rule == "metric-stale"]
         assert [f.symbol for f in stale] == ["ghost.metric"]
         assert stale[0].path.endswith("CATALOG.md")
+
+    def test_ignore_flag_skips_the_stale_check(self, tmp_path, capsys, monkeypatch):
+        # A subtree emits only part of the catalog, so ``--ignore
+        # metric-stale`` is how such a run skips the reverse check.
+        monkeypatch.chdir(tmp_path)
+        catalog = self.write_catalog(tmp_path)
+        (tmp_path / "mod.py").write_text("registry.inc('exec.tasks')\n")
+        args = ["mod.py", "--catalog", catalog, "-q"]
+        assert main(args) == 1
+        assert "metric-stale" in capsys.readouterr().out
+        assert main([*args, "--ignore", "metric-stale"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_span_outside_with_flagged(self, tmp_path):
         catalog = self.write_catalog(tmp_path)
@@ -825,80 +837,11 @@ class TestPragmaWindows:
 
 
 # --------------------------------------------------------------------- #
-# Whole-program plumbing: changed-only scope, SARIF, selfcheck
+# Analyzer self-check against the seeded corpus
 # --------------------------------------------------------------------- #
 
 
 class TestAnalysisPlumbing:
-    @staticmethod
-    def _git(repo, *args):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-            cwd=repo, check=True, capture_output=True,
-        )
-
-    def test_changed_only_scopes_to_dependency_closure(self, tmp_path, capsys, monkeypatch):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "alpha.py").write_text("def f():\n    return 1\n")
-        (pkg / "beta.py").write_text("from pkg.alpha import f\n")
-        (pkg / "gamma.py").write_text("def g():\n    return 2\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        (pkg / "alpha.py").write_text("def f():\n    return 3\n")
-
-        monkeypatch.chdir(tmp_path)
-        out_path = tmp_path / "out.json"
-        code = main([
-            "pkg", "--changed-only", "--json", str(out_path),
-        ])
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert sorted(payload["analysis"]["checked"]) == [
-            "pkg/alpha.py", "pkg/beta.py",
-        ]
-        # The whole tree was still summarized -- scope narrows checking,
-        # not graph construction.
-        assert "pkg/gamma.py" in payload["analysis"]["analyzed"]
-        assert payload["files_checked"] == 2
-
-    def test_sarif_export_structure(self, tmp_path):
-        from repro.lint.sarif import to_sarif
-
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nstamp = time.time()\n")
-        config = LintConfig()
-        result = run_lint([str(target)], config)
-        sarif = to_sarif(result, default_rules(config))
-        assert sarif["version"] == "2.1.0"
-        (run,) = sarif["runs"]
-        rule_index = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "wall-clock" in rule_index and "rng-taint" in rule_index
-        (entry,) = run["results"]
-        assert entry["ruleId"] == "wall-clock"
-        region = entry["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 2
-        assert "repro/baselineKey/v1" in entry["partialFingerprints"]
-        assert "suppressions" not in entry
-
-    def test_sarif_marks_baselined_findings_suppressed(self, tmp_path):
-        from repro.lint.sarif import to_sarif
-
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nstamp = time.time()\n")
-        first = run_lint([str(target)], LintConfig())
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(baseline_payload(first.findings)))
-        config = LintConfig(baseline_path=str(baseline))
-        result = run_lint([str(target)], config)
-        assert result.ok
-        sarif = to_sarif(result, default_rules(config))
-        (entry,) = sarif["runs"][0]["results"]
-        assert entry["suppressions"][0]["kind"] == "external"
-
     def test_selfcheck_matches_committed_corpus(self):
         from repro.lint.selfcheck import run_selfcheck
 

@@ -9,7 +9,6 @@ subclass fan-out, and the unique-name fallback for dynamic dispatch.
 """
 
 import textwrap
-from pathlib import Path
 
 from repro.lint.core import ModuleSource, walk_python_files
 from repro.lint.graph import build_program, extract_summary, module_name_for
@@ -328,17 +327,3 @@ class TestLinking:
             """,
         })
         assert program.task_classes() == ["base:EvalTask", "derived:ProbeTask"]
-
-    def test_reverse_dependency_closure(self, tmp_path):
-        program = build(tmp_path, {
-            "core_mod.py": "def f():\n    return 1\n",
-            "mid_mod.py": "from core_mod import f\n",
-            "top_mod.py": "import mid_mod\n",
-            "island_mod.py": "def g():\n    return 2\n",
-        })
-        core_path = (tmp_path / "core_mod.py").as_posix()
-        wanted = program.reverse_dependency_closure([core_path])
-        names = {Path(p).name for p in wanted}
-        assert names == {"core_mod.py", "mid_mod.py", "top_mod.py"}
-        unknown = program.reverse_dependency_closure(["nowhere.py"])
-        assert unknown == {"nowhere.py"}

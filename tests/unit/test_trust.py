@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from tests.reference import BetaEvidence
 
 from repro.errors import ValidationError
-from repro.trust.beta import BetaEvidence, beta_trust_value
+from repro.trust.beta import beta_trust_value
 from repro.trust.manager import TrustManager
 from repro.types import RatingDataset, RatingStream
 

@@ -3,7 +3,7 @@
 The references are the per-rating implementations the coded paths
 replaced, kept verbatim: :class:`ReferenceTrustManager` counts each epoch
 with one dict ``setdefault`` per rating, rescanning every product in
-every epoch, and keeps one :class:`~repro.trust.beta.BetaEvidence` per
+every epoch, and keeps one :class:`~tests.reference.BetaEvidence` per
 rater; :func:`reference_aggregate` cuts each Eq. 7 window with a boolean
 mask and reads each rating's trust with one ``snapshot.value`` call.
 
@@ -18,6 +18,7 @@ from typing import Dict, List
 
 import numpy as np
 import pytest
+from tests.reference import BetaEvidence
 
 from repro.aggregation.base import month_windows
 from repro.aggregation.pscheme import PScheme, PSchemeConfig
@@ -25,7 +26,6 @@ from repro.aggregation.weighted import trust_weighted_average
 from repro.errors import ValidationError
 from repro.experiments.context import ExperimentContext
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.trust.beta import BetaEvidence
 from repro.trust.manager import TrustManager
 from repro.types import RatingDataset, RatingStream
 
