@@ -6,10 +6,15 @@ collecting registry and the span-attributed sampling profiler on, and
 writes ``BENCH_detectors.json`` at the repo root:
 
 - per sub-detector (MC, H-ARC, L-ARC, HC, ME) and for the
-  ``detector.batch`` precompute (which builds every stream's MC, HC and
-  ME curves): call count plus p50/p90 wall-clock seconds from the
+  ``detector.batch`` precompute (which builds every stream's MC curve and
+  ARC series, and the HC and ME curves of the streams Path 2 consults):
+  call count plus p50/p90 wall-clock seconds from the
   ``span.detector.<kind>.seconds`` span histograms, so the regression
-  gate also sees the curve work that runs inside the batch;
+  gate also sees the curve work that runs inside the batch.  HC runs
+  once per L-ARC alarm and ME once per H-ARC alarm, so a kind no stream
+  consulted has no entry;
+- the reports' H-ARC and L-ARC alarm counts (``alarms``), which the
+  gate holds the ME and HC call counts to;
 - aggregate ``analyze_batch`` wall time per population (the batching win,
   distinct from the per-detector incremental win);
 - the top self-time frames the profiler attributed to detector spans;
@@ -66,6 +71,7 @@ def main() -> int:
     registry = MetricsRegistry()
     detector = JointDetector(registry=registry)
     streams = 0
+    alarms = {"H-ARC": 0, "L-ARC": 0}
     batch_seconds = []
     start = time.perf_counter()
     with use_registry(registry), SpanProfiler(registry):
@@ -75,6 +81,9 @@ def main() -> int:
             reports = detector.analyze_batch(dataset)
             batch_seconds.append(time.perf_counter() - batch_start)
             streams += len(reports)
+            for report in reports.values():
+                for kind, fired in report.alarms.items():
+                    alarms[kind] += fired
     wall_seconds = time.perf_counter() - start
 
     detectors = {}
@@ -106,6 +115,7 @@ def main() -> int:
         "total_samples": sum(samples.values()),
         "attributed_fraction": attributed_fraction(samples),
         "detectors": detectors,
+        "alarms": alarms,
         "top_self_frames": [
             {"frame": frame, "samples": count}
             for frame, count in top_frames(samples, 10)
@@ -130,6 +140,7 @@ def main() -> int:
         print(f"  {kind:6s} calls={stats['calls']:.0f}  "
               f"p50={stats['p50_seconds'] * 1e3:.3f}ms  "
               f"p90={stats['p90_seconds'] * 1e3:.3f}ms")
+    print(f"alarms: H-ARC {alarms['H-ARC']}, L-ARC {alarms['L-ARC']}")
     print(f"wrote {out_path}")
     print(f"wrote {SPEEDSCOPE_OUT}")
     return 0

@@ -1,10 +1,18 @@
 """Gate a fresh detector bench run against the committed baseline.
 
 Compares a freshly produced ``BENCH_detectors.json`` (first argument)
-against the committed reference file (second argument) and fails when any
-per-detector p50 regressed more than ``ALLOWED_RATIO`` (1.5x), subject to
-a noise floor: p50s below ``NOISE_FLOOR_SECONDS`` in both records are
-too close to timer resolution on shared CI runners to gate on.
+against the committed reference file (second argument) and fails when
+
+- any per-detector p50 present in both records regressed more than
+  ``ALLOWED_RATIO`` (1.5x), subject to a noise floor: p50s below
+  ``NOISE_FLOOR_SECONDS`` in both records are too close to timer
+  resolution on shared CI runners to gate on;
+- a kind that runs on every detected stream (``ALWAYS_RUN``) is missing
+  from the fresh run;
+- the fresh ME or HC call count (0 when absent) differs from the fresh
+  H-ARC or L-ARC alarm count: Path 2 consults ME on each H-ARC alarm and
+  HC on each L-ARC alarm, and nowhere else, so a small population may
+  consult neither.
 
 Structural checks from the original smoke job are kept here too, so the
 CI step stays a single invocation::
@@ -18,6 +26,9 @@ from pathlib import Path
 
 ALLOWED_RATIO = 1.5
 NOISE_FLOOR_SECONDS = 0.010
+ALWAYS_RUN = ("batch", "MC", "H-ARC", "L-ARC")
+#: Path 2's consulted kind -> the alarm it is consulted on.
+CONSULTED_ON = {"ME": "H-ARC", "HC": "L-ARC"}
 
 
 def check_structure(fresh: dict) -> None:
@@ -29,6 +40,7 @@ def check_structure(fresh: dict) -> None:
         "attributed_fraction",
         "hz",
         "wall_seconds",
+        "alarms",
     ):
         assert key in fresh, f"missing {key}"
     assert fresh["benchmark"] == "detector_hot_path"
@@ -41,12 +53,27 @@ def check_structure(fresh: dict) -> None:
     assert batch["total_seconds"] >= 0
 
 
+def check_consultations(fresh: dict) -> list:
+    failures = []
+    for kind in ALWAYS_RUN:
+        if kind not in fresh["detectors"]:
+            failures.append(f"{kind}: missing from fresh run")
+    for kind, alarm in CONSULTED_ON.items():
+        calls = int(fresh["detectors"].get(kind, {}).get("calls", 0))
+        alarms = int(fresh["alarms"][alarm])
+        if calls != alarms:
+            failures.append(
+                f"{kind}: {calls} calls, but {alarms} {alarm} alarms "
+                f"(Path 2 consults {kind} once per {alarm} alarm)"
+            )
+    return failures
+
+
 def check_regressions(fresh: dict, committed: dict) -> list:
     failures = []
     for kind, ref in committed.get("detectors", {}).items():
         now = fresh["detectors"].get(kind)
         if now is None:
-            failures.append(f"{kind}: missing from fresh run")
             continue
         ref_p50 = float(ref["p50_seconds"])
         now_p50 = float(now["p50_seconds"])
@@ -69,7 +96,7 @@ def main() -> int:
     fresh = json.loads(Path(sys.argv[1]).read_text())
     committed = json.loads(Path(sys.argv[2]).read_text())
     check_structure(fresh)
-    failures = check_regressions(fresh, committed)
+    failures = check_consultations(fresh) + check_regressions(fresh, committed)
     print("structure OK:", sorted(fresh["detectors"]))
     for kind in sorted(committed.get("detectors", {})):
         ref = committed["detectors"][kind]
@@ -83,8 +110,9 @@ def main() -> int:
         for failure in failures:
             print(" -", failure)
         return 1
-    print("no per-detector p50 regression beyond "
-          f"{ALLOWED_RATIO}x (noise floor {NOISE_FLOOR_SECONDS * 1e3:.0f}ms)")
+    print("ME and HC calls match the H-ARC and L-ARC alarms; no per-detector "
+          f"p50 regression beyond {ALLOWED_RATIO}x "
+          f"(noise floor {NOISE_FLOOR_SECONDS * 1e3:.0f}ms)")
     return 0
 
 

@@ -161,6 +161,16 @@ class ArrivalRateDetector:
                 )
         return intervals
 
+    def alarm(self, series: ArrivalSeries) -> bool:
+        """Whether any of ``series``' curves exceeds the alarm threshold:
+        the alarm of :meth:`analyze`, which the joint detector also reads
+        to decide which streams Path 2 consults ME or HC on."""
+        threshold = self.config.alarm_threshold_for(self.kind)
+        return any(
+            curve.values.size and float(curve.values.max()) > threshold
+            for curve in series.curves
+        )
+
     # ------------------------------------------------------------------ #
 
     def analyze(
@@ -194,18 +204,13 @@ class ArrivalRateDetector:
             u_shape = u_shape_from_peaks(curve, scale_peaks)
             if u_shape is not None:
                 break
-        alarm_threshold = self.config.alarm_threshold_for(self.kind)
-        alarm = any(
-            curve.values.size and float(curve.values.max()) > alarm_threshold
-            for curve in curves
-        )
         intervals = self.suspicious_segments(days, counts, peaks)
         return ArrivalRateReport(
             kind=self.kind,
             curve=curves[0],
             peaks=tuple(peaks),
             u_shape=u_shape,
-            alarm=alarm,
+            alarm=self.alarm(series),
             suspicious_intervals=tuple(intervals),
         )
 

@@ -260,8 +260,13 @@ class DetectionReport:
         and which detectors marked the rating.  Nonzero exactly where
         ``suspicious`` is ``True``; decode with :func:`provenance_labels`.
     curves:
-        Indicator curves by kind (``"MC"``, ``"H-ARC"``, ``"L-ARC"``,
-        ``"HC"``, ``"ME"``) for introspection and plotting.
+        The indicator curves of the sub-detectors that ran, by kind, for
+        introspection and plotting: ``"MC"``, ``"H-ARC"`` and ``"L-ARC"``
+        always, plus ``"HC"`` when the L-ARC alarm fired and ``"ME"``
+        when the H-ARC alarm fired (Path 2 consults them only then;
+        neither with Path 2 disabled).  Empty for a stream too short to
+        detect.  The standalone detectors' ``.curve(stream)`` builds
+        any of them for plotting.
     alarms:
         Which ARC alarms fired (``{"H-ARC": bool, "L-ARC": bool}``).
     """

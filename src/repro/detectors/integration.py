@@ -19,28 +19,36 @@ Both paths always run; their marks are unioned (a product can be attacked
 more than once, Section IV-F).
 
 :meth:`JointDetector.analyze_batch` is the production path: it builds the
-MC, HC and ME curves and the H-/L-ARC series of every stream of a dataset
-with the batch builders of :mod:`repro.signal.curves`, one cross-stream
-pass each, then runs :meth:`JointDetector.analyze` per stream on them.
-A stream analyzed alone gets its curves from the same builders over a
-batch of one, so both calls run the same code and give the same report.
+MC curve and the H-/L-ARC series of every stream of a dataset with the
+batch builders of :mod:`repro.signal.curves`, one cross-stream pass
+each, reads each stream's H-/L-ARC alarm off its series
+(:meth:`~repro.detectors.arrival_rate.ArrivalRateDetector.alarm`), and
+then builds the ME curves of the H-ARC-alarmed streams and the HC curves
+of the L-ARC-alarmed ones, one pass each: Path 2 consults nothing else,
+and with Path 2 disabled neither is built.  It then runs
+:meth:`JointDetector.analyze` per stream on them.  A stream analyzed
+alone gets its curves from the same builders over a batch of one, so both
+calls run the same code and give the same report.
 
-Both keep the MC, HC and ME curve values of the last
-:data:`CURVE_CACHE_SIZE` streams built, keyed by fingerprint, so a stream
-found there, or whose merge base is, computes only the windows that
-changed (the copy rule of :mod:`repro.signal.curves`).  The ARC series
-are a day count and a prefix sum, and are always built whole.
+Both keep the curve values of the last :data:`CURVE_CACHE_SIZE` streams
+built, keyed by fingerprint, so a stream found there, or whose merge base
+is, computes only the windows that changed (the copy rule of
+:mod:`repro.signal.curves`).  An entry holds MC, plus HC and ME where
+they were built; a stream that needs a kind its base lacks builds that
+kind whole.  The ARC series are a day count and a prefix sum, and are
+always built whole.
 
 Every mark also records *provenance*: which path fired and which
 sub-detectors contributed, as ``PROV_*`` bit flags per rating
 (:mod:`repro.detectors.base`).  The mask travels on the
 :class:`DetectionReport`, feeding per-decision attribution (the CLI's
 ``detect --explain``) without re-running detection.  Each sub-detector
-runs under a ``detector.<kind>`` span (nested under whatever stage span
-is open), which times it into the active metrics registry; when a
-collecting registry is active, each verdict is additionally joined
-against the stream's ground-truth unfair labels into a
-:mod:`repro.obs.quality` scorecard (``quality.*`` counters:
+that runs on a stream (MC, H-ARC and L-ARC always; ME and HC where Path 2
+consults them) runs under a ``detector.<kind>`` span (nested under
+whatever stage span is open), which times it into the active metrics
+registry; when a collecting registry is active, each verdict is
+additionally joined against the stream's ground-truth unfair labels into
+a :mod:`repro.obs.quality` scorecard (``quality.*`` counters:
 per-detector confusion cells, detection latency, bias at detection).
 
 Implementation note: the paper issues the Path 2 alarm only when the ARC
@@ -75,9 +83,9 @@ from repro.detectors.base import (
     TimeInterval,
 )
 from repro.detectors.columns import extract_columns
-from repro.detectors.histogram import HistogramChangeDetector
+from repro.detectors.histogram import HistogramChangeDetector, HistogramChangeReport
 from repro.detectors.mean_change import MeanChangeDetector, MeanChangeReport
-from repro.detectors.model_error import ModelErrorDetector
+from repro.detectors.model_error import ModelErrorDetector, ModelErrorReport
 from repro.obs import get_logger
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import span
@@ -94,16 +102,15 @@ __all__ = ["JointDetector", "CURVE_CACHE_SIZE"]
 
 TrustLookup = Callable[[str], float]
 
-#: What the batch pass builds per stream and kind: the MC, HC and ME
-#: curves and the H-/L-ARC series.
+#: What the batch pass builds per stream and kind: the MC curve, the
+#: H-/L-ARC series, and the HC and ME curves where Path 2 consults them.
 Curves = Union[Curve, ArrivalSeries]
 
-#: Streams whose MC, HC and ME curve values a detector keeps (LRU).
+#: Streams whose curve values (MC, and HC and ME where built) a detector
+#: keeps (LRU).
 CURVE_CACHE_SIZE = 64
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
-
-_KINDS = ("MC", "HC", "ME", "H-ARC", "L-ARC")
 
 logger = get_logger(__name__)
 
@@ -127,9 +134,9 @@ class JointDetector:
         self.l_arc = ArrivalRateDetector("L-ARC", self.config)
         self.histogram = HistogramChangeDetector(self.config)
         self.model_error = ModelErrorDetector(self.config)
-        # Fingerprint -> (MC, HC, ME) curve values.  The config is fixed,
-        # so one cache per detector is sound.
-        self._curve_cache: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = OrderedDict()
+        # Fingerprint -> curve values by kind ("MC", and "HC" / "ME" where
+        # built).  The config is fixed, so one cache per detector is sound.
+        self._curve_cache: "OrderedDict[tuple, Dict[str, np.ndarray]]" = OrderedDict()
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -208,30 +215,24 @@ class JointDetector:
     def _path2(
         self,
         stream: RatingStream,
-        harc_report: ArrivalRateReport,
-        larc_report: ArrivalRateReport,
-        me_intervals: List[TimeInterval],
-        hc_intervals: List[TimeInterval],
+        me_report: Optional[ModelErrorReport],
+        hc_report: Optional[HistogramChangeReport],
         high_mask: np.ndarray,
         low_mask: np.ndarray,
         mask: np.ndarray,
         provenance: np.ndarray,
     ) -> List[TimeInterval]:
-        """Path 2: ARC alarm confirmed by the ME or HC detector."""
+        """Path 2: ARC alarm confirmed by the ME or HC detector, which ran
+        (a report, not ``None``) only on its side's alarm."""
         fired: List[TimeInterval] = []
-        if harc_report.alarm:
-            for interval in me_intervals:
-                self._mark(
-                    mask, provenance, stream, interval, high_mask,
-                    PROV_PATH2 | PROV_H_ARC | PROV_ME,
-                )
-                fired.append(interval)
-        if larc_report.alarm:
-            for interval in hc_intervals:
-                self._mark(
-                    mask, provenance, stream, interval, low_mask,
-                    PROV_PATH2 | PROV_L_ARC | PROV_HC,
-                )
+        for report, value_mask, flags in (
+            (me_report, high_mask, PROV_PATH2 | PROV_H_ARC | PROV_ME),
+            (hc_report, low_mask, PROV_PATH2 | PROV_L_ARC | PROV_HC),
+        ):
+            if report is None:
+                continue
+            for interval in report.suspicious_intervals:
+                self._mark(mask, provenance, stream, interval, value_mask, flags)
                 fired.append(interval)
         return fired
 
@@ -249,8 +250,9 @@ class JointDetector:
             return analyze(*args)
 
     def _cached(self, stream: RatingStream):
-        """``(curve values, added rows)`` cached for ``stream`` itself, else
-        for its merge base, else ``None``.  A hit moves to the back."""
+        """``(curve values by kind, added rows)`` cached for ``stream``
+        itself, else for its merge base, else ``None``.  A hit moves to
+        the back."""
         cache = self._curve_cache
         for key, added in (
             (stream.fingerprint, _NO_ROWS),
@@ -268,38 +270,56 @@ class JointDetector:
         values: np.ndarray,
         bounds: Sequence[Tuple[int, int]],
     ) -> Tuple[List[Dict[str, Curves]], bool]:
-        """The MC, HC and ME curves and the H-/L-ARC series of a batch of
-        streams, keyed by kind, one dict per stream, and whether the
-        stacked ME solve fell back (see
+        """The curves and series of a batch of streams, keyed by kind, one
+        dict per stream, and whether the stacked ME solve fell back (see
         :func:`~repro.signal.curves.model_error_curves`).
 
         Stream ``j`` is rows ``bounds[j][0]:bounds[j][1]`` of ``times``
-        and ``values``.  Its MC, HC and ME curves reuse what the curve
-        cache holds for it or its merge base, and land in the cache; its
-        ARC series are built whole, every stream's in one pass.
+        and ``values``.  Every stream gets its MC curve and its H-/L-ARC
+        series, the series built whole, every stream's in one pass.  With
+        Path 2 enabled, a stream whose H-ARC (L-ARC) series raises its
+        alarm also gets its ME (HC) curve, which Path 2 consults there.
+        Each of the MC, HC and ME curves reuses the values of its kind that
+        the curve cache holds for the stream or its merge base, and lands
+        in the cache.
         """
         cfg = self.config
         found = [self._cached(stream) for stream in streams]
-        mc_reuse, hc_reuse, me_reuse = (
-            [None if hit is None else (hit[0][kind], hit[1]) for hit in found]
-            for kind in range(3)
-        )
+
+        def reuse(kind: str, rows: Sequence[int]) -> list:
+            return [
+                None
+                if found[j] is None or kind not in found[j][0]
+                else (found[j][0][kind], found[j][1])
+                for j in rows
+            ]
+
+        arc = arrival_series((self.h_arc, self.l_arc), times, values, bounds)
+        consult = cfg.enable_path2
+        me_rows = [j for j, (h, _) in enumerate(arc) if consult and self.h_arc.alarm(h)]
+        hc_rows = [j for j, (_, b) in enumerate(arc) if consult and self.l_arc.alarm(b)]
         mc = mean_change_curves_by_time(
-            times, values, bounds, cfg.mc_window_days, mc_reuse
+            times, values, bounds, cfg.mc_window_days, reuse("MC", range(len(streams)))
         )
         hc = histogram_change_curves(
-            times, values, bounds, cfg.hc_window_ratings, hc_reuse
+            times, values, [bounds[j] for j in hc_rows], cfg.hc_window_ratings,
+            reuse("HC", hc_rows),
         )
         me, fell_back = model_error_curves(
-            times, values, bounds, cfg.me_window_ratings, cfg.ar_order, me_reuse
+            times, values, [bounds[j] for j in me_rows], cfg.me_window_ratings,
+            cfg.ar_order, reuse("ME", me_rows),
         )
-        arc = arrival_series((self.h_arc, self.l_arc), times, values, bounds)
+        curves: List[Dict[str, Curves]] = [{"MC": curve} for curve in mc]
+        for kind, rows, built in (("HC", hc_rows, hc), ("ME", me_rows, me)):
+            for j, curve in zip(rows, built):
+                curves[j][kind] = curve
         cache = self._curve_cache
-        curves = []
-        for stream, triple, pair in zip(streams, zip(mc, hc, me), arc):
-            cache[stream.fingerprint] = tuple(curve.values for curve in triple)
+        for stream, stream_curves, (harc, larc) in zip(streams, curves, arc):
+            cache.setdefault(stream.fingerprint, {}).update(
+                (kind, curve.values) for kind, curve in stream_curves.items()
+            )
             cache.move_to_end(stream.fingerprint)
-            curves.append(dict(zip(_KINDS, triple + pair)))
+            stream_curves.update({"H-ARC": harc, "L-ARC": larc})
         evicted = max(len(cache) - CURVE_CACHE_SIZE, 0)
         for _ in range(evicted):
             cache.popitem(last=False)
@@ -323,10 +343,13 @@ class JointDetector:
         trust-moderated MC segment rule; omit it on the first pass, before
         any trust has been established.
 
-        ``curves`` holds the stream's MC, HC and ME curves and its H-/L-ARC
-        series, keyed by kind, when :meth:`analyze_batch` built them in
-        its cross-stream pass.  Without it they are built here, by the
-        same builders over a batch of one, through the same curve cache.
+        ``curves`` holds the stream's MC curve, its H-/L-ARC series, and
+        its ME (HC) curve when its H-ARC (L-ARC) alarm fired, keyed by
+        kind, when :meth:`analyze_batch` built them in its cross-stream
+        pass.  Without it they are built here, by the same builders over a
+        batch of one, through the same curve cache.  The ME and HC reports
+        are made only where Path 2 consults them, so the report's
+        ``curves`` hold MC, H-ARC and L-ARC, plus ME and HC where they ran.
         """
         n = len(stream)
         if n < self.config.min_ratings:
@@ -354,8 +377,18 @@ class JointDetector:
         larc_report = self._timed(
             "L-ARC", self.l_arc.analyze, stream, curves["L-ARC"]
         )
-        hc_report = self._timed("HC", self.histogram.report_from_curve, curves["HC"])
-        me_report = self._timed("ME", self.model_error.report_from_curve, curves["ME"])
+        # Path 2 consults HC on an L-ARC alarm and ME on an H-ARC alarm,
+        # and the batch pass built those curves only.
+        consult = self.config.enable_path2
+        hc_report = me_report = None
+        if consult and larc_report.alarm:
+            hc_report = self._timed(
+                "HC", self.histogram.report_from_curve, curves["HC"]
+            )
+        if consult and harc_report.alarm:
+            me_report = self._timed(
+                "ME", self.model_error.report_from_curve, curves["ME"]
+            )
 
         mask = np.zeros(n, dtype=bool)
         provenance = np.zeros(n, dtype=np.uint8)
@@ -366,18 +399,14 @@ class JointDetector:
                 stream, mc_report, harc_report, larc_report,
                 high_mask, low_mask, mask, provenance,
             )
-        if self.config.enable_path2:
+        if consult:
             path2 = self._path2(
-                stream,
-                harc_report,
-                larc_report,
-                list(me_report.suspicious_intervals),
-                list(hc_report.suspicious_intervals),
-                high_mask,
-                low_mask,
-                mask,
-                provenance,
+                stream, me_report, hc_report, high_mask, low_mask, mask, provenance
             )
+        ran = (
+            ("MC", mc_report), ("H-ARC", harc_report), ("L-ARC", larc_report),
+            ("HC", hc_report), ("ME", me_report),
+        )
         registry = self.registry
         if mask.any():
             registry.inc("detector.joint.marked_ratings", int(mask.sum()))
@@ -391,13 +420,7 @@ class JointDetector:
             path1_intervals=tuple(path1),
             path2_intervals=tuple(path2),
             provenance=provenance,
-            curves={
-                "MC": mc_report.curve,
-                "H-ARC": harc_report.curve,
-                "L-ARC": larc_report.curve,
-                "HC": hc_report.curve,
-                "ME": me_report.curve,
-            },
+            curves={kind: sub.curve for kind, sub in ran if sub is not None},
             alarms={"H-ARC": harc_report.alarm, "L-ARC": larc_report.alarm},
         )
         if registry.enabled:
@@ -421,19 +444,24 @@ class JointDetector:
 
         The dataset is first flattened into contiguous columnar arrays
         (:func:`~repro.detectors.columns.extract_columns`).  Under the
-        ``detector.batch`` span, the MC, HC and ME curves and the H-/L-ARC
-        series of *all* eligible streams are then built with the batch
-        builders of :mod:`repro.signal.curves`: one window-means pass for
-        MC (exact prefix sums for half-star windows, the rest grouped by
-        length across streams), one clustering pass for HC, one stacked
-        LAPACK solve for ME, and one day count and one prefix sum for
-        both ARC kinds at both scales.  The per-stream :meth:`analyze`
-        calls that follow take those curves and series.  Every report
-        (masks, provenance, curves, ``quality.*`` scorecards) is
-        bit-identical to analyzing each stream alone, while the
-        window-statistic work runs once per dataset instead of once per
-        product.  Streams the curve cache knows, or whose merge base it
-        knows, compute only the MC, HC and ME windows that changed.
+        ``detector.batch`` span, the MC curves and the H-/L-ARC series of
+        *all* eligible streams are then built with the batch builders of
+        :mod:`repro.signal.curves`: one window-means pass for MC (exact
+        prefix sums for half-star windows, the rest grouped by length
+        across streams), and one day count and one prefix sum for both
+        ARC kinds at both scales.  The series give each stream's H-/L-ARC
+        alarms, and Path 2 consults ME only on an H-ARC alarm and HC only
+        on an L-ARC alarm, so only those streams get those curves: one
+        stacked LAPACK solve for the ME curves of the H-ARC-alarmed
+        streams, one clustering pass for the HC curves of the
+        L-ARC-alarmed ones (neither with Path 2 disabled).  The
+        per-stream :meth:`analyze` calls that follow take those curves
+        and series.  Every report (masks, provenance, curves,
+        ``quality.*`` scorecards) is bit-identical to analyzing each
+        stream alone, while the window-statistic work runs once per
+        dataset instead of once per product.  Streams the curve cache
+        knows, or whose merge base it knows, compute only the windows
+        that changed, of each kind the cached entry holds.
 
         Batch telemetry: ``detector.batch.streams`` / ``.ratings``
         counters (whole streams, reused windows included), the
@@ -441,7 +469,7 @@ class JointDetector:
         is the number of calls), ``detector.batch.fallbacks`` when a
         singular window makes the stacked ME solve fall back to solving
         stream by stream, and ``detector.curve_cache.{hits,misses,
-        evictions}``.
+        evictions}`` (one per stream, whichever kinds it reused).
         """
         registry = self.registry
         with span("detector.batch", registry):

@@ -303,8 +303,8 @@ class OnlineRatingSystem:
         # new to the system join it in that order.
         order = np.argsort(codes, kind="stable")
         grouped = codes[order]
-        firsts = np.flatnonzero(np.diff(grouped, prepend=-1))
-        ends = np.append(firsts[1:], order.size)
+        firsts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        ends = np.concatenate((firsts[1:], [order.size]))
         for g in np.argsort(order[firsts]).tolist():
             rows = order[firsts[g]:ends[g]]
             chunks = self._tails.setdefault(product_ids[grouped[firsts[g]]], [])

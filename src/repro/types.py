@@ -357,23 +357,29 @@ class RatingStream:
         already, so nothing is re-checked: one stable argsort of the
         concatenated times (ties keep this stream's rows first, as
         ``RatingStream(...)`` over the concatenated columns would) gathers
-        every column, and the same order gives the :attr:`lineage`.
+        every column, and the same order gives the :attr:`lineage`.  When
+        ``other`` appends (either stream is empty, or ``other`` starts no
+        earlier than this stream ends, as an online snapshot's tail does),
+        that order is the identity, so the columns are only concatenated.
         """
         if other.product_id != self.product_id:
             raise ValidationError(
                 f"cannot merge stream for {other.product_id!r} into {self.product_id!r}"
             )
         times = np.concatenate([self.times, other.times])
-        order = np.argsort(times, kind="stable")
-        merged = RatingStream._sorted(
-            self.product_id,
-            times[order],
-            np.concatenate([self.values, other.values])[order],
-            _gather(self.rater_ids + other.rater_ids, order),
-            np.concatenate([self.unfair, other.unfair])[order],
-        )
-        added = np.flatnonzero(order >= len(self))
+        values = np.concatenate([self.values, other.values])
+        rater_ids = self.rater_ids + other.rater_ids
+        unfair = np.concatenate([self.unfair, other.unfair])
+        n = len(self)
+        if n and len(other) and other.times[0] < self.times[-1]:
+            order = np.argsort(times, kind="stable")
+            times, values, unfair = times[order], values[order], unfair[order]
+            rater_ids = _gather(rater_ids, order)
+            added = np.flatnonzero(order >= n)
+        else:
+            added = np.arange(n, times.size, dtype=np.intp)
         added.setflags(write=False)
+        merged = RatingStream._sorted(self.product_id, times, values, rater_ids, unfair)
         merged.lineage = (self.fingerprint, added)
         return merged
 

@@ -12,7 +12,10 @@ empty streams, single ratings, all-same-day timestamps, constant values
 
 It also pins curve reuse: the joint detector's curves for a stream that
 it (or its merge base) detected before, built from the changed windows
-plus copies, equal the same builders run over the stream whole.
+plus copies, equal the same builders run over the stream whole.  The
+detector builds HC and ME curves only where Path 2 consults them, so the
+HC and ME reuse is also pinned at the builders: given a base's values and
+the rows its lineage added, they equal a whole build.
 """
 
 import numpy as np
@@ -636,6 +639,31 @@ class TestModelErrorExact:
         assert curve.values[0] == 0.0
 
 
+def span_count(registry, kind):
+    """How many ``detector.<kind>`` spans ``registry`` recorded."""
+    hist = registry.histograms.get(f"span.detector.{kind}.seconds")
+    return hist.count if hist is not None else 0
+
+
+def _alarmed_stream(rng, product_id):
+    """Fair-looking ratings plus a burst of zeros and a burst of fives,
+    which raise the L-ARC and the H-ARC alarm: Path 2 consults HC and ME.
+    Each burst is constant, so some of its ME windows are singular."""
+    n = 300
+    stream = RatingStream(
+        product_id, np.sort(rng.uniform(0.0, 90.0, n)),
+        rng.choice([3.5, 4.0, 4.5, 5.0], n), [f"r{i}" for i in range(n)],
+    )
+    for level, start, size in ((0.0, 20.0, 60), (5.0, 60.0, 80)):
+        stream = stream.merge(
+            RatingStream(
+                product_id, np.linspace(start, start + 1.0, size),
+                np.full(size, level), [f"x{level}"] * size, [True] * size,
+            )
+        )
+    return stream
+
+
 def _random_dataset(rng, num_products=6):
     streams = []
     for i in range(num_products):
@@ -653,7 +681,9 @@ class TestAnalyzeBatchEquivalence:
 
     def test_reports_and_metrics_match(self):
         rng = np.random.default_rng(2008)
-        dataset = _random_dataset(rng)
+        dataset = RatingDataset(
+            list(_random_dataset(rng).streams()) + [_alarmed_stream(rng, "both")]
+        )
         serial_registry = MetricsRegistry()
         batch_registry = MetricsRegistry()
         serial = JointDetector(registry=serial_registry)
@@ -680,16 +710,25 @@ class TestAnalyzeBatchEquivalence:
                     a.curves[kind].values, b.curves[kind].values
                 )
         # The batch path runs every sub-detector and scores every
-        # stream as often as the per-stream path does.
+        # stream as often as the per-stream path does: MC and both ARC
+        # kinds on every detected stream, HC on each L-ARC alarm and ME
+        # on each H-ARC alarm.
         assert batch_registry.counter_value(
             "quality.scorecards"
         ) == serial_registry.counter_value("quality.scorecards")
-        for kind in ("MC", "H-ARC", "L-ARC", "HC", "ME"):
-            name = f"span.detector.{kind}.seconds"
-            assert (
-                batch_registry.histograms[name].count
-                == serial_registry.histograms[name].count
-            ), name
+        alarms = [report.alarms for report in got.values() if report.alarms]
+        consulted = {
+            "MC": len(alarms),
+            "H-ARC": len(alarms),
+            "L-ARC": len(alarms),
+            "HC": sum(a["L-ARC"] for a in alarms),
+            "ME": sum(a["H-ARC"] for a in alarms),
+        }
+        assert 0 < consulted["HC"] < len(alarms)
+        assert 0 < consulted["ME"] < len(alarms)
+        for kind, count in consulted.items():
+            for registry in (serial_registry, batch_registry):
+                assert span_count(registry, kind) == count, kind
 
     def test_short_streams_counted(self):
         config = DetectorConfig()
@@ -717,7 +756,8 @@ class TestAnalyzeBatchEquivalence:
 
 
 def _assert_stream_curves_match_naive(detector, report, stream):
-    """MC, H-/L-ARC, HC and ME curves of one stream's batched report
+    """MC, H-/L-ARC curves of one stream's batched report, and its HC (ME)
+    curve, which it holds exactly when its L-ARC (H-ARC) alarm fired,
     against the naive references run on that stream alone (default
     config: both ARC scales)."""
     config = detector.config
@@ -728,19 +768,25 @@ def _assert_stream_curves_match_naive(detector, report, stream):
         report.curves["MC"],
         naive_mean_change_by_time(stream.times, stream.values, config.mc_window_days),
     )
-    assert_curve_equals(
-        report.curves["HC"],
-        naive_histogram_change(
-            stream.times, stream.values, config.hc_window_ratings
-        ),
-    )
-    assert_curve_equals(
-        report.curves["ME"],
-        naive_model_error(
-            stream.times, stream.values, config.me_window_ratings,
-            config.ar_order,
-        ),
-    )
+    consulted = {"HC": report.alarms["L-ARC"], "ME": report.alarms["H-ARC"]}
+    assert {kind for kind in ("HC", "ME") if kind in report.curves} == {
+        kind for kind, alarm in consulted.items() if alarm
+    }
+    if "HC" in report.curves:
+        assert_curve_equals(
+            report.curves["HC"],
+            naive_histogram_change(
+                stream.times, stream.values, config.hc_window_ratings
+            ),
+        )
+    if "ME" in report.curves:
+        assert_curve_equals(
+            report.curves["ME"],
+            naive_model_error(
+                stream.times, stream.values, config.me_window_ratings,
+                config.ar_order,
+            ),
+        )
     half_widths = (config.arc_window_days // 2, config.arc_long_window_days // 2)
     for arc in (detector.h_arc, detector.l_arc):
         days, counts = (a.astype(float) for a in naive_daily_counts(arc, stream))
@@ -750,6 +796,39 @@ def _assert_stream_curves_match_naive(detector, report, stream):
         assert len(curves) == len(naive)
         for curve, reference in zip(curves, naive):
             assert_curve_equals(curve, reference)
+
+
+def _assert_window_builders_match_naive(config, dataset):
+    """The HC and ME builders over *every* stream of ``dataset`` at once
+    (the detector builds them only for alarmed streams) against the naive
+    per-stream references; returns whether the stacked ME solve fell
+    back."""
+    columns = extract_columns(dataset)
+    offsets = columns.offsets.tolist()
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    hc = histogram_change_curves(
+        columns.times, columns.values, bounds, config.hc_window_ratings
+    )
+    me, fell_back = model_error_curves(
+        columns.times, columns.values, bounds, config.me_window_ratings,
+        config.ar_order,
+    )
+    for pid, hc_curve, me_curve in zip(columns.product_ids, hc, me):
+        stream = dataset[pid]
+        assert_curve_equals(
+            hc_curve,
+            naive_histogram_change(
+                stream.times, stream.values, config.hc_window_ratings
+            ),
+        )
+        assert_curve_equals(
+            me_curve,
+            naive_model_error(
+                stream.times, stream.values, config.me_window_ratings,
+                config.ar_order,
+            ),
+        )
+    return fell_back
 
 
 class TestBatchCurvesPerStream:
@@ -787,6 +866,7 @@ class TestBatchCurvesPerStream:
             streams.append(
                 RatingStream(f"p{i}", times, values, [f"u{j}" for j in range(n)])
             )
+        streams.append(_alarmed_stream(rng, "alarmed"))
         dataset = RatingDataset(streams)
         registry = MetricsRegistry()
         detector = JointDetector(registry=registry)
@@ -794,11 +874,17 @@ class TestBatchCurvesPerStream:
         assert list(reports) == list(dataset)
         for pid in dataset:
             _assert_stream_curves_match_naive(detector, reports[pid], dataset[pid])
-        # The constant stream's windows make the stacked AR solve
-        # singular, so the batch falls back once, to per-stream solves.
-        # Analyzing that stream alone is no batch and counts nothing.
+        assert "HC" in reports["p1"].curves and "ME" in reports["alarmed"].curves
+        # Over every stream at once, the constant stream's windows make
+        # the stacked AR solve singular, so it falls back to per-stream
+        # solves.  The detector builds ME for the H-ARC-alarmed stream
+        # only, whose constant bursts make its solve singular too: the
+        # batch falls back once.  Analyzing the stream alone is no batch
+        # and counts nothing.
+        assert _assert_window_builders_match_naive(detector.config, dataset)
+        assert "ME" not in reports["constant"].curves
         assert registry.counter_value("detector.batch.fallbacks") == 1
-        detector.analyze(dataset["constant"])
+        detector.analyze(dataset["alarmed"])
         assert registry.counter_value("detector.batch.fallbacks") == 1
 
     @pytest.mark.parametrize("seed", [2008, 7])
@@ -808,6 +894,7 @@ class TestBatchCurvesPerStream:
             challenge, PopulationConfig(size=4), seed=seed + 1
         )
         detector = JointDetector(registry=MetricsRegistry())
+        consulted = 0
         for submission in population:
             dataset = challenge.attacked_dataset(submission)
             reports = detector.analyze_batch(dataset)
@@ -815,6 +902,9 @@ class TestBatchCurvesPerStream:
                 _assert_stream_curves_match_naive(
                     detector, reports[pid], dataset[pid]
                 )
+                consulted += len(reports[pid].curves) > 3
+            assert not _assert_window_builders_match_naive(detector.config, dataset)
+        assert consulted > 0
 
 
 # --------------------------------------------------------------------- #
@@ -835,18 +925,51 @@ def whole_curves(config, stream):
     return {"MC": mc, "HC": hc, "ME": me}
 
 
+def assert_same_curve(curve, reference, label):
+    assert np.array_equal(curve.times, reference.times), label
+    assert np.array_equal(curve.indices, reference.indices), label
+    assert np.array_equal(curve.values, reference.values), label
+
+
 def assert_built_whole(detector, reports, dataset):
-    """Every eligible stream's MC, HC and ME curves equal the whole-curve
-    reference bit for bit."""
+    """Every eligible stream's report holds its MC curve, and its HC (ME)
+    curve exactly when its L-ARC (H-ARC) alarm fired, each equal to the
+    whole-curve reference bit for bit."""
     for pid in dataset:
         stream = dataset[pid]
         if len(stream) < detector.config.min_ratings:
             continue
-        for kind, reference in whole_curves(detector.config, stream).items():
-            curve = reports[pid].curves[kind]
-            assert np.array_equal(curve.times, reference.times), (pid, kind)
-            assert np.array_equal(curve.indices, reference.indices), (pid, kind)
-            assert np.array_equal(curve.values, reference.values), (pid, kind)
+        report = reports[pid]
+        held = {"MC"}
+        held |= {"HC"} if report.alarms["L-ARC"] else set()
+        held |= {"ME"} if report.alarms["H-ARC"] else set()
+        assert {"MC", "HC", "ME"} & set(report.curves) == held, pid
+        whole = whole_curves(detector.config, stream)
+        for kind in held:
+            assert_same_curve(report.curves[kind], whole[kind], (pid, kind))
+
+
+def assert_reuse_builds_whole(config, base, stream):
+    """``stream``'s HC and ME curves, built by the batch builders from
+    ``base``'s whole curves and the rows ``stream.lineage`` says were
+    added, equal ``stream``'s whole curves bit for bit.  Returns whether
+    the ME solve fell back."""
+    base_fingerprint, added = stream.lineage
+    assert base_fingerprint == base.fingerprint
+    prior = whole_curves(config, base)
+    times, values, bounds = stream.times, stream.values, [(0, len(stream))]
+    (hc,) = histogram_change_curves(
+        times, values, bounds, config.hc_window_ratings,
+        [(prior["HC"].values, added)],
+    )
+    (me,), fell_back = model_error_curves(
+        times, values, bounds, config.me_window_ratings, config.ar_order,
+        [(prior["ME"].values, added)],
+    )
+    whole = whole_curves(config, stream)
+    assert_same_curve(hc, whole["HC"], "HC")
+    assert_same_curve(me, whole["ME"], "ME")
+    return fell_back
 
 
 def assert_reports_equal(a, b):
@@ -904,12 +1027,14 @@ class TestCurveReuse:
         challenge = context.challenge
         registry = MetricsRegistry()
         detector = JointDetector(registry=registry)
+        fair = challenge.fair_dataset
         for submission in context.population:
-            for dataset in (
-                challenge.fair_dataset,
-                challenge.attacked_dataset(submission),
-            ):
+            attacked = challenge.attacked_dataset(submission)
+            for dataset in (fair, attacked):
                 assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
+            for pid in attacked:
+                if attacked[pid].lineage is not None:
+                    assert_reuse_builds_whole(detector.config, fair[pid], attacked[pid])
         # Only the fair world is built whole, once.  Every attacked
         # stream finds itself (an untargeted product) or its fair base.
         assert registry.counter_value("detector.curve_cache.misses") == 9
@@ -927,6 +1052,8 @@ class TestCurveReuse:
         for stream in (base, merged, grown):
             dataset = RatingDataset([stream])
             assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
+        assert_reuse_builds_whole(SMALL, base, merged)
+        assert_reuse_builds_whole(SMALL, merged, grown)
         # Each stream long enough to detect finds its base in the cache.
         detected = [len(s) >= SMALL.min_ratings for s in (base, merged, grown)]
         hits = sum(a and b for a, b in zip(detected, detected[1:]))
@@ -961,6 +1088,8 @@ class TestCurveReuse:
         }
         registry = MetricsRegistry()
         detector = JointDetector(registry=registry)
+        previous = {}
+        grown = 0
         times = np.sort(rng.uniform(0.0, 100.0, 300))
         for step, chunk in enumerate(np.array_split(np.arange(times.size), 6)):
             batch = [
@@ -988,6 +1117,17 @@ class TestCurveReuse:
                 assert stream.rater_ids == reference.rater_ids
                 assert stream.fingerprint == reference.fingerprint
             assert_built_whole(detector, detector.analyze_batch(snapshot), snapshot)
+            # A stream grown from the last snapshot this loop took (not
+            # from one an epoch close took in between) reuses its curves.
+            for pid in snapshot:
+                stream = snapshot[pid]
+                base = previous.get(pid)
+                if base is not None and stream.lineage is not None:
+                    if stream.lineage[0] == base.fingerprint:
+                        assert_reuse_builds_whole(detector.config, base, stream)
+                        grown += 1
+                previous[pid] = stream
+        assert grown >= 3
         assert len(system.reports) >= 3
         assert sum(system.late_ratings_by_epoch().values()) >= 4
         assert registry.counter_value("detector.curve_cache.hits") > 0
@@ -1014,14 +1154,20 @@ class TestCurveReuse:
     )
     def test_singular_window_copied_or_touched(self, added, fallbacks):
         base = self._singular_base()
-        registry = MetricsRegistry()
-        detector = JointDetector(registry=registry)
-        detector.analyze_batch(RatingDataset([base]))
-        assert registry.counter_value("detector.batch.fallbacks") == 1
+        config = DetectorConfig()
+        (_,), fell_back = model_error_curves(
+            base.times, base.values, [(0, len(base))],
+            config.me_window_ratings, config.ar_order,
+        )
+        assert fell_back
         merged = base.merge(RatingStream("p", [added[0]], [added[1]], ["x"], [True]))
-        dataset = RatingDataset([merged])
-        assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
-        assert registry.counter_value("detector.batch.fallbacks") == 1 + fallbacks
+        assert assert_reuse_builds_whole(config, base, merged) == bool(fallbacks)
+        # The detector: the merged stream finds its base in the cache.
+        registry = MetricsRegistry()
+        detector = JointDetector(config, registry=registry)
+        for stream in (base, merged):
+            dataset = RatingDataset([stream])
+            assert_built_whole(detector, detector.analyze_batch(dataset), dataset)
         assert registry.counter_value("detector.curve_cache.hits") == 1
 
     def test_evictions_past_the_cache_size(self):
@@ -1048,6 +1194,8 @@ class TestCurveReuse:
         )
         reports = detector.analyze_batch(grown)
         assert_built_whole(detector, reports, grown)
+        for base, stream in zip((streams[0], streams[-1]), grown.streams()):
+            assert_reuse_builds_whole(detector.config, base, stream)
         assert registry.counter_value("detector.curve_cache.misses") == 71
         assert registry.counter_value("detector.curve_cache.hits") == 1
         assert registry.counter_value("detector.curve_cache.evictions") == 8

@@ -28,6 +28,49 @@ def build_stream(times, prefix="u"):
     return RatingStream("p", times, values, raters)
 
 
+def sorted_merge(base, tail):
+    """``base.merge(tail)``'s columns and added rows by one stable argsort
+    of the concatenated columns, whether or not ``tail`` appends."""
+    times = np.concatenate([base.times, tail.times])
+    order = np.argsort(times, kind="stable")
+    rater_ids = base.rater_ids + tail.rater_ids
+    return (
+        times[order],
+        np.concatenate([base.values, tail.values])[order],
+        tuple(rater_ids[i] for i in order),
+        np.concatenate([base.unfair, tail.unfair])[order],
+        np.flatnonzero(order >= len(base)),
+    )
+
+
+@st.composite
+def tails(draw):
+    """A receiver and rows to merge in, which mostly append: the tail
+    starts at the receiver's last time (a tie at the boundary) or later,
+    and otherwise earlier, often ending later.  Either may be empty.  Times sit on a
+    half-day grid, so rows also tie within each side; rater ids differ
+    by trailing NULs."""
+    half_days = st.integers(0, 20).map(lambda v: v / 2.0)
+    ids = st.sampled_from(["a", "a\x00", "b"])
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 8))
+    base_times = sorted(draw(st.lists(half_days, min_size=n, max_size=n)))
+    start = (base_times[-1] if base_times else 0.0) + draw(
+        st.sampled_from([0.0, 0.0, 0.5, 4.0, -0.5, -2.0])
+    )
+    tail_times = [start + t for t in draw(st.lists(half_days, min_size=m, max_size=m))]
+    values = st.sampled_from([1.0, 4.0, 4.5])
+    base = RatingStream(
+        "p", base_times, draw(st.lists(values, min_size=n, max_size=n)),
+        draw(st.lists(ids, min_size=n, max_size=n)),
+    )
+    tail = RatingStream(
+        "p", tail_times, draw(st.lists(values, min_size=m, max_size=m)),
+        draw(st.lists(ids, min_size=m, max_size=m)), [True] * m,
+    )
+    return base, tail
+
+
 class TestStreamProperties:
     @given(times_arrays)
     def test_times_sorted_after_construction(self, times):
@@ -49,6 +92,27 @@ class TestStreamProperties:
             np.sort(merged.values),
             np.sort(np.concatenate([a.values, b.values])),
         )
+
+    @given(tails())
+    @settings(max_examples=200)
+    def test_merge_equals_the_sorting_path(self, parts):
+        base, tail = parts
+        merged = base.merge(tail)
+        times, values, rater_ids, unfair, added = sorted_merge(base, tail)
+        assert np.array_equal(merged.times, times)
+        assert np.array_equal(merged.values, values)
+        assert np.array_equal(merged.unfair, unfair)
+        assert merged.rater_ids == rater_ids
+        for column in (merged.times, merged.values, merged.unfair):
+            assert not column.flags.writeable
+        fingerprint, merged_added = merged.lineage
+        assert fingerprint == base.fingerprint
+        assert np.array_equal(merged_added, added)
+        assert merged_added.dtype == added.dtype
+        assert not merged_added.flags.writeable
+        assert merged.fingerprint == RatingStream(
+            "p", times, values, rater_ids, unfair
+        ).fingerprint
 
     @given(times_arrays, st.floats(0.0, 500.0), st.floats(0.0, 500.0))
     def test_between_subset_of_range(self, times, a, b):

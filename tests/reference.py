@@ -24,20 +24,42 @@ those kernels, bit for bit, against the straightforward forms kept here:
 - :func:`detect_u_shape` -- peaks and U-shape of a curve in one call.
 - :class:`BetaEvidence` -- one rater's evidence counts, which
   :class:`~repro.trust.manager.TrustManager` keeps as columns.
+- :func:`eager_joint_detection` -- the joint detector of paper Fig. 1 run
+  eagerly: every sub-detector's standalone ``analyze`` on the stream, then
+  both paths' marking, where
+  :class:`~repro.detectors.integration.JointDetector` builds the HC and
+  ME curves only where Path 2 consults them, from a curve cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.detectors.arrival_rate import ArrivalRateDetector
+from repro.detectors.base import (
+    PROV_H_ARC,
+    PROV_HC,
+    PROV_L_ARC,
+    PROV_MC,
+    PROV_ME,
+    PROV_PATH1,
+    PROV_PATH2,
+    DetectionReport,
+    DetectorConfig,
+    TimeInterval,
+)
+from repro.detectors.histogram import HistogramChangeDetector
+from repro.detectors.mean_change import MeanChangeDetector
+from repro.detectors.model_error import ModelErrorDetector
 from repro.errors import EmptyDataError, ValidationError
 from repro.signal.curves import Curve, _empty_curve
 from repro.signal.peaks import UShape, find_peaks, u_shape_from_peaks
 from repro.signal.rolling import rate_change_stats_equal_halves
 from repro.trust.beta import beta_trust_value
+from repro.types import RatingStream
 from repro.utils.validation import check_positive_int
 
 
@@ -381,3 +403,85 @@ class BetaEvidence:
     def copy(self) -> "BetaEvidence":
         """An independent copy of the accumulator."""
         return BetaEvidence(self.successes, self.failures)
+
+
+# --------------------------------------------------------------------- #
+# The joint detector, every sub-detector on every stream (paper Fig. 1)
+# --------------------------------------------------------------------- #
+
+
+def _suspicious_intervals(report) -> List[TimeInterval]:
+    """A sub-detector's segment intervals, plus its U-shape's if any."""
+    intervals = list(report.suspicious_intervals)
+    if getattr(report, "u_shape", None) is not None:
+        intervals.append(TimeInterval.from_u_shape(report.u_shape))
+    return intervals
+
+
+def eager_joint_detection(
+    config: DetectorConfig,
+    stream: RatingStream,
+    trust_lookup: Optional[Callable[[str], float]] = None,
+) -> DetectionReport:
+    """Joint detection of one stream with every sub-detector run on it.
+
+    MC, H-ARC, L-ARC, HC and ME each run their standalone ``analyze`` on
+    ``stream``, building their own curves (no batch, no cache).  Path 1
+    marks the high (low) ratings of every H-ARC (L-ARC) interval that
+    overlaps an MC interval; Path 2 marks the high ratings of every ME
+    interval when the H-ARC alarm fired, and the low ratings of every HC
+    interval when the L-ARC alarm fired.  The report holds all five
+    curves.  A stream shorter than ``config.min_ratings`` gets an empty
+    report.
+    """
+    n = len(stream)
+    if n < config.min_ratings:
+        return DetectionReport(stream.product_id, np.zeros(n, dtype=bool))
+    mc = MeanChangeDetector(config).analyze(stream, trust_lookup)
+    harc = ArrivalRateDetector("H-ARC", config).analyze(stream)
+    larc = ArrivalRateDetector("L-ARC", config).analyze(stream)
+    hc = HistogramChangeDetector(config).analyze(stream)
+    me = ModelErrorDetector(config).analyze(stream)
+    mean_value = float(stream.values.mean())
+    high = stream.values > config.high_value_threshold(mean_value)
+    low = stream.values < config.low_value_threshold(mean_value)
+    mask = np.zeros(n, dtype=bool)
+    provenance = np.zeros(n, dtype=np.uint8)
+
+    def mark(interval: TimeInterval, value_mask: np.ndarray, flags: int) -> None:
+        hit = interval.mask(stream.times) & value_mask
+        mask[hit] = True
+        provenance[hit] |= flags
+
+    path1: List[TimeInterval] = []
+    if config.enable_path1:
+        mc_intervals = _suspicious_intervals(mc)
+        for arc, value_mask, flag in (
+            (harc, high, PROV_H_ARC), (larc, low, PROV_L_ARC)
+        ):
+            for interval in _suspicious_intervals(arc):
+                if any(m.intersect(interval) is not None for m in mc_intervals):
+                    mark(interval, value_mask, PROV_PATH1 | PROV_MC | flag)
+                    path1.append(interval)
+    path2: List[TimeInterval] = []
+    if config.enable_path2:
+        for alarm, sub, value_mask, flags in (
+            (harc.alarm, me, high, PROV_PATH2 | PROV_H_ARC | PROV_ME),
+            (larc.alarm, hc, low, PROV_PATH2 | PROV_L_ARC | PROV_HC),
+        ):
+            if alarm:
+                for interval in sub.suspicious_intervals:
+                    mark(interval, value_mask, flags)
+                    path2.append(interval)
+    return DetectionReport(
+        product_id=stream.product_id,
+        suspicious=mask,
+        path1_intervals=tuple(path1),
+        path2_intervals=tuple(path2),
+        provenance=provenance,
+        curves={
+            "MC": mc.curve, "H-ARC": harc.curve, "L-ARC": larc.curve,
+            "HC": hc.curve, "ME": me.curve,
+        },
+        alarms={"H-ARC": harc.alarm, "L-ARC": larc.alarm},
+    )

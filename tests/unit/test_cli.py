@@ -191,9 +191,26 @@ class TestObservabilityFlags:
         save_dataset_csv(merged, out)
         return out, attack_path
 
-    def test_metrics_out_written(self, small_world, attacked_world, tmp_path,
-                                 capsys):
-        _, attack_path = attacked_world
+    def test_metrics_out_written(self, small_world, tmp_path, capsys):
+        # Path 2 consults HC on an L-ARC alarm and ME on an H-ARC alarm.
+        # Here tv1's downgrade raises the first, and tv3's boost, packed
+        # into five days, the second, so every sub-detector runs.
+        attack_path = tmp_path / "attack.json"
+        code = main(
+            [
+                "attack",
+                "--world", str(small_world),
+                "--target", "tv1:-1",
+                "--target", "tv3:+1",
+                "--bias", "3.0",
+                "--std", "0.2",
+                "--n-ratings", "40",
+                "--window-start", "15",
+                "--window-days", "5",
+                "--out", str(attack_path),
+            ]
+        )
+        assert code == 0
         metrics_path = tmp_path / "run" / METRICS_FILE
         code = main(
             [

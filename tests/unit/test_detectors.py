@@ -255,12 +255,32 @@ class TestJointDetector:
         assert not report.any_detection
 
     def test_report_structure(self):
+        # The low attack raises the L-ARC alarm only, so Path 2 consults
+        # HC and not ME, and the report holds the curves that ran.
         report = JointDetector().analyze(attacked_stream())
-        assert set(report.curves) == {"MC", "H-ARC", "L-ARC", "HC", "ME"}
-        assert set(report.alarms) == {"H-ARC", "L-ARC"}
+        assert report.alarms == {"H-ARC": False, "L-ARC": True}
+        assert set(report.curves) == {"MC", "H-ARC", "L-ARC", "HC"}
         assert report.intervals() == list(report.path1_intervals) + list(
             report.path2_intervals
         )
+        # A burst of high ratings raises the H-ARC alarm too: ME joins.
+        rng = np.random.default_rng(9)
+        high = RatingStream(
+            "p", np.sort(rng.uniform(20.0, 22.0, 60)), np.full(60, 5.0),
+            [f"b{i}" for i in range(60)], unfair=np.ones(60, bool),
+        )
+        report = JointDetector().analyze(attacked_stream().merge(high))
+        assert report.alarms == {"H-ARC": True, "L-ARC": True}
+        assert set(report.curves) == {"MC", "H-ARC", "L-ARC", "HC", "ME"}
+        # A fair stream raises neither, and without Path 2 nothing is
+        # consulted.
+        assert set(JointDetector().analyze(fair_stream()).curves) == {
+            "MC", "H-ARC", "L-ARC",
+        }
+        no_path2 = JointDetector(DetectorConfig(enable_path2=False))
+        assert set(no_path2.analyze(attacked_stream().merge(high)).curves) == {
+            "MC", "H-ARC", "L-ARC",
+        }
 
     def test_analyze_dataset(self):
         ds = RatingDataset([fair_stream(seed=1, product="a"),

@@ -240,15 +240,30 @@ class TestPSchemeTelemetry:
         assert total.total >= stages
 
     def test_detector_timings_recorded(self):
+        # Path 2 consults HC on an L-ARC alarm and ME on an H-ARC alarm,
+        # so the stream carries a low attack and a burst of high ratings,
+        # which raise both.
+        rng = np.random.default_rng(9)
+        high = RatingStream(
+            "p", np.sort(rng.uniform(20.0, 22.0, 60)), np.full(60, 5.0),
+            [f"b{i}" for i in range(60)], unfair=np.ones(60, bool),
+        )
+        stream = attacked_stream().merge(high)
         reg = MetricsRegistry()
         scheme = PScheme(registry=reg)
-        scheme.monthly_scores(small_dataset())
+        scheme.monthly_scores(RatingDataset([stream]))
         for kind in ("MC", "H-ARC", "L-ARC", "HC", "ME"):
             hist = reg.histograms[
                 f"span.pscheme.monthly_scores.detect.detector.{kind}.seconds"
             ]
-            assert hist.count >= 1
+            assert hist.count == 1
             assert hist.total > 0.0
+        # A fair stream raises neither alarm: HC and ME never run.
+        reg = MetricsRegistry()
+        PScheme(registry=reg).monthly_scores(small_dataset())
+        names = [name.split(".")[-2] for name in reg.histograms]
+        assert {"MC", "H-ARC", "L-ARC"} <= set(names)
+        assert not {"HC", "ME"} & set(names)
 
     def test_trust_telemetry(self):
         reg = MetricsRegistry()
