@@ -10,11 +10,15 @@ writes ``BENCH_detectors.json`` at the repo root:
   ARC series, and the HC and ME curves of the streams Path 2 consults):
   call count plus p50/p90 wall-clock seconds from the
   ``span.detector.<kind>.seconds`` span histograms, so the regression
-  gate also sees the curve work that runs inside the batch.  HC runs
-  once per L-ARC alarm and ME once per H-ARC alarm, so a kind no stream
-  consulted has no entry;
-- the reports' H-ARC and L-ARC alarm counts (``alarms``), which the
-  gate holds the ME and HC call counts to;
+  gate also sees the curve work that runs inside the batch.  Each
+  ``analyze_batch`` call runs every sub-detector it needs over the whole
+  batch under one span, so ``calls`` counts batches and the p50s are per
+  batch; HC runs only on a batch with an L-ARC alarm and ME only on one
+  with an H-ARC alarm, so a kind no batch consulted has no entry;
+- the reports' H-ARC and L-ARC alarm counts (``alarms``) and how many
+  reports hold an HC and an ME curve (``consulted``): Path 2 consults HC
+  on each L-ARC alarm and ME on each H-ARC alarm, and the gate holds the
+  two counts equal;
 - aggregate ``analyze_batch`` wall time per population (the batching win,
   distinct from the per-detector incremental win);
 - the top self-time frames the profiler attributed to detector spans;
@@ -72,6 +76,7 @@ def main() -> int:
     detector = JointDetector(registry=registry)
     streams = 0
     alarms = {"H-ARC": 0, "L-ARC": 0}
+    consulted = {"HC": 0, "ME": 0}
     batch_seconds = []
     start = time.perf_counter()
     with use_registry(registry), SpanProfiler(registry):
@@ -84,6 +89,8 @@ def main() -> int:
             for report in reports.values():
                 for kind, fired in report.alarms.items():
                     alarms[kind] += fired
+                for kind in consulted:
+                    consulted[kind] += kind in report.curves
     wall_seconds = time.perf_counter() - start
 
     detectors = {}
@@ -116,6 +123,7 @@ def main() -> int:
         "attributed_fraction": attributed_fraction(samples),
         "detectors": detectors,
         "alarms": alarms,
+        "consulted": consulted,
         "top_self_frames": [
             {"frame": frame, "samples": count}
             for frame, count in top_frames(samples, 10)
@@ -140,7 +148,8 @@ def main() -> int:
         print(f"  {kind:6s} calls={stats['calls']:.0f}  "
               f"p50={stats['p50_seconds'] * 1e3:.3f}ms  "
               f"p90={stats['p90_seconds'] * 1e3:.3f}ms")
-    print(f"alarms: H-ARC {alarms['H-ARC']}, L-ARC {alarms['L-ARC']}")
+    print(f"alarms: H-ARC {alarms['H-ARC']}, L-ARC {alarms['L-ARC']}; "
+          f"consulted: ME {consulted['ME']}, HC {consulted['HC']}")
     print(f"wrote {out_path}")
     print(f"wrote {SPEEDSCOPE_OUT}")
     return 0

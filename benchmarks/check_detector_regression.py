@@ -9,10 +9,13 @@ against the committed reference file (second argument) and fails when
   resolution on shared CI runners to gate on;
 - a kind that runs on every detected stream (``ALWAYS_RUN``) is missing
   from the fresh run;
-- the fresh ME or HC call count (0 when absent) differs from the fresh
-  H-ARC or L-ARC alarm count: Path 2 consults ME on each H-ARC alarm and
-  HC on each L-ARC alarm, and nowhere else, so a small population may
-  consult neither.
+- the fresh count of reports holding an ME or HC curve (``consulted``)
+  differs from the fresh H-ARC or L-ARC alarm count: Path 2 consults ME
+  on each H-ARC alarm and HC on each L-ARC alarm, and nowhere else, so a
+  small population may consult neither;
+- an ME or HC span entry is present without a consultation, or missing
+  with one.  Spans count batches (one per ``analyze_batch`` call and
+  kind that ran), not consultations.
 
 Structural checks from the original smoke job are kept here too, so the
 CI step stays a single invocation::
@@ -41,6 +44,7 @@ def check_structure(fresh: dict) -> None:
         "hz",
         "wall_seconds",
         "alarms",
+        "consulted",
     ):
         assert key in fresh, f"missing {key}"
     assert fresh["benchmark"] == "detector_hot_path"
@@ -59,12 +63,17 @@ def check_consultations(fresh: dict) -> list:
         if kind not in fresh["detectors"]:
             failures.append(f"{kind}: missing from fresh run")
     for kind, alarm in CONSULTED_ON.items():
-        calls = int(fresh["detectors"].get(kind, {}).get("calls", 0))
+        consulted = int(fresh["consulted"][kind])
         alarms = int(fresh["alarms"][alarm])
-        if calls != alarms:
+        if consulted != alarms:
             failures.append(
-                f"{kind}: {calls} calls, but {alarms} {alarm} alarms "
-                f"(Path 2 consults {kind} once per {alarm} alarm)"
+                f"{kind}: {consulted} reports hold its curve, but {alarms} "
+                f"{alarm} alarms (Path 2 consults {kind} once per {alarm} alarm)"
+            )
+        if (kind in fresh["detectors"]) != (consulted > 0):
+            failures.append(
+                f"{kind}: span entry {'present' if consulted == 0 else 'missing'}"
+                f" with {consulted} consultations"
             )
     return failures
 
@@ -110,7 +119,7 @@ def main() -> int:
         for failure in failures:
             print(" -", failure)
         return 1
-    print("ME and HC calls match the H-ARC and L-ARC alarms; no per-detector "
+    print("ME and HC consultations match the H-ARC and L-ARC alarms; no per-detector "
           f"p50 regression beyond {ALLOWED_RATIO}x "
           f"(noise floor {NOISE_FLOOR_SECONDS * 1e3:.0f}ms)")
     return 0

@@ -174,11 +174,10 @@ class PScheme(AggregationScheme):
             keys[product_id] = key
             cached = self._report_cache.get(key)
             if cached is None:
-                registry.inc("pscheme.report_cache.misses")
                 missing.append(stream)
             else:
-                registry.inc("pscheme.report_cache.hits")
                 marks[product_id] = cached
+        evicted = 0
         if missing:
             reports = self.detector.analyze_batch(RatingDataset(missing))
             for stream in missing:
@@ -187,8 +186,15 @@ class PScheme(AggregationScheme):
                 self._report_cache[keys[stream.product_id]] = mask
                 while len(self._report_cache) > max(4 * self.config.cache_size, 64):
                     self._report_cache.popitem(last=False)
-                    registry.inc("pscheme.report_cache.evictions")
+                    evicted += 1
                 marks[stream.product_id] = mask
+        for name, count in (
+            ("hits", len(dataset) - len(missing)),
+            ("misses", len(missing)),
+            ("evictions", evicted),
+        ):
+            if count:
+                registry.inc(f"pscheme.report_cache.{name}", count)
         return {product_id: marks[product_id] for product_id in dataset}
 
     # ------------------------------------------------------------------ #

@@ -21,8 +21,8 @@ Every command accepts ``--seed`` for reproducibility and four globals.
 ``--log-level LEVEL`` sets the structured log verbosity (stderr).
 ``--run-dir DIR`` collects the invocation's telemetry and writes it as
 one bundle in ``DIR`` (:mod:`repro.obs.export`): an appended run-ledger
-record, the metrics, a Perfetto trace with the profiler lane, the
-sampling profile, per-epoch series checked against the packaged alert
+record, the metrics with the sampling profile, a Perfetto trace with
+the profiler lane, per-epoch series checked against the packaged alert
 rules, and an HTML report.  Without it nothing is collected.
 ``population``, ``search`` and
 ``sensitivity`` always dispatch their evaluations through the
@@ -32,18 +32,18 @@ inline) and ``--cache-dir DIR`` fan them out over ``N`` processes and/or
 replay them from a persistent MP cache, with bit-identical output at any
 worker count.
 
-Four inspection subcommands read a run directory (``--run-dir``,
-default ``.repro``): ``trace`` validates and summarizes its trace,
-``profile`` summarizes its profile (top self-time spans and frames) and
-re-exports it as speedscope JSON, ``monitor`` renders its series as
-terminal sparklines plus the alert board, and ``runs list|show|diff|
-check`` reads its ledger -- ``runs check`` compares the latest run
-against a rolling baseline of comparable runs and exits 1 when result
-digests, stable metrics, wall-clock, or the alert state regressed beyond
-the configured thresholds (``--allow-alerts`` waives the alert check),
-and 3 when no comparable baseline exists (nothing was checked --
-distinct from "checked and clean").  ``alerts`` validates and lists
-alert-rule files (``--check`` for exit-status-only validation).
+Four inspection subcommands read a run directory (``--run-dir``, default
+``.repro``): ``trace`` validates and summarizes its trace, ``profile``
+summarizes the profile its ``metrics.json`` holds (top self-time spans
+and frames) and re-exports it as speedscope JSON, ``monitor`` renders
+its series as terminal sparklines plus the alert board, and ``runs
+list|show|diff|check`` reads its ledger -- ``runs check`` compares the
+latest run against a rolling baseline of comparable runs and exits 1
+when result digests, stable metrics, wall-clock, or the alert state
+regressed beyond the configured thresholds (``--allow-alerts`` waives
+the alert check), and 3 when no comparable baseline exists (nothing was
+checked -- distinct from "checked and clean").  ``alerts`` validates and
+lists alert-rule files (``--check`` for exit-status-only validation).
 
 Detection quality closes the last gap: ``report --out FILE`` runs a
 seeded challenge scenario end to end and writes a single self-contained
@@ -89,7 +89,7 @@ from repro.attacks.optimizer import SearchArea, heuristic_region_search
 from repro.attacks.population import PopulationConfig, generate_population
 from repro.attacks.time_models import UniformWindow
 from repro.detectors import JointDetector
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.marketplace.challenge import RatingChallenge
 from repro.marketplace.fair_ratings import FairRatingConfig, FairRatingGenerator
 from repro.marketplace.io import (
@@ -115,7 +115,7 @@ from repro.obs import (
 from repro.obs.export import (
     DEFAULT_RUN_DIR,
     LEDGER_FILE,
-    PROFILE_FILE,
+    METRICS_FILE,
     SERIES_FILE,
     TRACE_FILE,
     RunDirectoryWriter,
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--run-dir", default=None, metavar="DIR",
         help="write this run's telemetry bundle to DIR (ledger.jsonl, "
-             "metrics.json, trace.json, profile.json, series.jsonl, "
+             "metrics.json, trace.json, series.jsonl, "
              "report.html); nothing is collected without it. trace, "
              f"profile, monitor and runs read DIR (default {DEFAULT_RUN_DIR})",
     )
@@ -789,12 +789,19 @@ def _cmd_trace(args) -> int:
 
 def _cmd_profile(args) -> int:
     run_dir = _run_dir(args)
-    path = run_dir / PROFILE_FILE
-    payload = obs_profile.read_profile(path)
-    samples = {
-        key: float(count) for key, count in payload["samples"].items()
-    }
-    hz = float(payload["hz"])
+    path = run_dir / METRICS_FILE
+    # The samples sit in metrics.json; a run that took none has no
+    # ``profile`` section and reads as 0 samples at the default rate.
+    try:
+        metrics = json.loads(path.read_text(encoding="utf-8"))
+        samples = {
+            key: float(count) for key, count in metrics.get("profile", {}).items()
+        }
+        hz = float(metrics["gauges"].get("profile.hz", obs_profile.DEFAULT_HZ))
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValidationError(f"{path}: not a metrics file ({exc!r})") from None
+    if not hz > 0:
+        hz = float(obs_profile.DEFAULT_HZ)
     total = sum(samples.values())
     print(f"profile {path}: structurally valid")
     print(

@@ -25,14 +25,14 @@ each, reads each stream's H-/L-ARC alarm off its series
 (:meth:`~repro.detectors.arrival_rate.ArrivalRateDetector.alarm`), and
 then builds the ME curves of the H-ARC-alarmed streams and the HC curves
 of the L-ARC-alarmed ones, one pass each: Path 2 consults nothing else,
-and with Path 2 disabled neither is built.  It then runs
-:meth:`JointDetector.analyze` per stream on them.  A stream analyzed
-alone gets its curves from the same builders over a batch of one, so both
-calls run the same code and give the same report.
+and with Path 2 disabled neither is built.  It then runs each
+sub-detector over the batch and marks each stream.
+:meth:`JointDetector.analyze` is a batch of one, so both calls run the
+same code and give the same report.
 
-Both keep the curve values of the last :data:`CURVE_CACHE_SIZE` streams
-built, keyed by fingerprint, so a stream found there, or whose merge base
-is, computes only the windows that changed (the copy rule of
+The detector keeps the curve values of the last :data:`CURVE_CACHE_SIZE`
+streams built, keyed by fingerprint, so a stream found there, or whose
+merge base is, computes only the windows that changed (the copy rule of
 :mod:`repro.signal.curves`).  An entry holds MC, plus HC and ME where
 they were built; a stream that needs a kind its base lacks builds that
 kind whole.  The ARC series are a day count and a prefix sum, and are
@@ -43,13 +43,14 @@ sub-detectors contributed, as ``PROV_*`` bit flags per rating
 (:mod:`repro.detectors.base`).  The mask travels on the
 :class:`DetectionReport`, feeding per-decision attribution (the CLI's
 ``detect --explain``) without re-running detection.  Each sub-detector
-that runs on a stream (MC, H-ARC and L-ARC always; ME and HC where Path 2
-consults them) runs under a ``detector.<kind>`` span (nested under
-whatever stage span is open), which times it into the active metrics
-registry; when a collecting registry is active, each verdict is
-additionally joined against the stream's ground-truth unfair labels into
-a :mod:`repro.obs.quality` scorecard (``quality.*`` counters:
-per-detector confusion cells, detection latency, bias at detection).
+that a batch needs (MC, H-ARC and L-ARC always; ME and HC where Path 2
+consults them) runs over the batch under one ``detector.<kind>`` span
+(nested under whatever stage span is open), which times it into the
+active metrics registry; when a collecting registry is active, each
+verdict is additionally joined against the stream's ground-truth unfair
+labels into a :mod:`repro.obs.quality` scorecard, and the batch's
+scorecards are folded in once (``quality.*`` counters: per-detector
+confusion cells, detection latency, bias at detection).
 
 Implementation note: the paper issues the Path 2 alarm only when the ARC
 curve "does not have such a U-shape"; we raise it whenever the curve
@@ -96,7 +97,7 @@ from repro.signal.curves import (
     mean_change_curves_by_time,
     model_error_curves,
 )
-from repro.types import RatingStream
+from repro.types import RatingDataset, RatingStream
 
 __all__ = ["JointDetector", "CURVE_CACHE_SIZE"]
 
@@ -238,16 +239,17 @@ class JointDetector:
 
     # ------------------------------------------------------------------ #
 
-    def _timed(self, kind: str, analyze: Callable, *args):
-        """Run one sub-detector under a span.
+    def _run(self, kind: str, analyze: Callable, calls: Sequence[tuple]) -> list:
+        """``analyze(*args)`` for each ``args`` of ``calls``, in order.
 
-        The span (``detector.<kind>``, nested under whatever stage is
-        open) counts and times the call, and is what the sampling
-        profiler attributes frames to, so a profile breaks each
-        sub-detector's cost down per frame.
+        One ``detector.<kind>`` span (nested under whatever stage is
+        open) times the whole batch, and is what the sampling profiler
+        attributes frames to; a kind with no calls opens none.
         """
+        if not calls:
+            return []
         with span(f"detector.{kind}", self.registry):
-            return analyze(*args)
+            return [analyze(*args) for args in calls]
 
     def _cached(self, stream: RatingStream):
         """``(curve values by kind, added rows)`` cached for ``stream``
@@ -331,64 +333,23 @@ class JointDetector:
                 self.registry.inc(f"detector.curve_cache.{name}", count)
         return curves, fell_back
 
-    def analyze(
+    def _report(
         self,
         stream: RatingStream,
-        trust_lookup: Optional[TrustLookup] = None,
-        curves: Optional[Dict[str, Curves]] = None,
+        mc_report: MeanChangeReport,
+        harc_report: ArrivalRateReport,
+        larc_report: ArrivalRateReport,
+        hc_report: Optional[HistogramChangeReport],
+        me_report: Optional[ModelErrorReport],
     ) -> DetectionReport:
-        """Run both detection paths over one product stream.
-
-        ``trust_lookup`` (rater id -> current trust) feeds the
-        trust-moderated MC segment rule; omit it on the first pass, before
-        any trust has been established.
-
-        ``curves`` holds the stream's MC curve, its H-/L-ARC series, and
-        its ME (HC) curve when its H-ARC (L-ARC) alarm fired, keyed by
-        kind, when :meth:`analyze_batch` built them in its cross-stream
-        pass.  Without it they are built here, by the same builders over a
-        batch of one, through the same curve cache.  The ME and HC reports
-        are made only where Path 2 consults them, so the report's
-        ``curves`` hold MC, H-ARC and L-ARC, plus ME and HC where they ran.
-        """
+        """Mark one stream from its sub-detector reports (HC and ME
+        ``None`` where Path 2 did not consult them)."""
         n = len(stream)
-        if n < self.config.min_ratings:
-            self.registry.inc("detector.short_streams")
-            return DetectionReport(
-                product_id=stream.product_id,
-                suspicious=np.zeros(n, dtype=bool),
-            )
-        if curves is None:
-            (curves,), _ = self._curves(
-                [stream], stream.times, stream.values, [(0, n)]
-            )
         mean_value = float(stream.values.mean())
         threshold_a = self.config.high_value_threshold(mean_value)
         threshold_b = self.config.low_value_threshold(mean_value)
         high_mask = stream.values > threshold_a
         low_mask = stream.values < threshold_b
-
-        mc_report = self._timed(
-            "MC", self.mean_change.analyze, stream, trust_lookup, curves["MC"]
-        )
-        harc_report = self._timed(
-            "H-ARC", self.h_arc.analyze, stream, curves["H-ARC"]
-        )
-        larc_report = self._timed(
-            "L-ARC", self.l_arc.analyze, stream, curves["L-ARC"]
-        )
-        # Path 2 consults HC on an L-ARC alarm and ME on an H-ARC alarm,
-        # and the batch pass built those curves only.
-        consult = self.config.enable_path2
-        hc_report = me_report = None
-        if consult and larc_report.alarm:
-            hc_report = self._timed(
-                "HC", self.histogram.report_from_curve, curves["HC"]
-            )
-        if consult and harc_report.alarm:
-            me_report = self._timed(
-                "ME", self.model_error.report_from_curve, curves["ME"]
-            )
 
         mask = np.zeros(n, dtype=bool)
         provenance = np.zeros(n, dtype=np.uint8)
@@ -399,7 +360,7 @@ class JointDetector:
                 stream, mc_report, harc_report, larc_report,
                 high_mask, low_mask, mask, provenance,
             )
-        if consult:
+        if self.config.enable_path2:
             path2 = self._path2(
                 stream, me_report, hc_report, high_mask, low_mask, mask, provenance
             )
@@ -407,14 +368,12 @@ class JointDetector:
             ("MC", mc_report), ("H-ARC", harc_report), ("L-ARC", larc_report),
             ("HC", hc_report), ("ME", me_report),
         )
-        registry = self.registry
         if mask.any():
-            registry.inc("detector.joint.marked_ratings", int(mask.sum()))
             logger.debug(
                 "product=%s marked=%d path1_intervals=%d path2_intervals=%d",
                 stream.product_id, int(mask.sum()), len(path1), len(path2),
             )
-        report = DetectionReport(
+        return DetectionReport(
             product_id=stream.product_id,
             suspicious=mask,
             path1_intervals=tuple(path1),
@@ -423,21 +382,27 @@ class JointDetector:
             curves={kind: sub.curve for kind, sub in ran if sub is not None},
             alarms={"H-ARC": harc_report.alarm, "L-ARC": larc_report.alarm},
         )
-        if registry.enabled:
-            # Join the verdict against the stream's ground-truth unfair
-            # labels and fold the scorecard into the registry, so every
-            # detection pass contributes to the quality.* namespace.
-            # (Imported here: repro.obs.quality needs the provenance
-            # flags from this package, so a top-level import would be
-            # circular.)
-            from repro.obs.quality import emit_scorecard, score_detection
 
-            emit_scorecard(score_detection(stream, report), registry)
-        return report
+    def analyze(
+        self,
+        stream: RatingStream,
+        trust_lookup: Optional[TrustLookup] = None,
+    ) -> DetectionReport:
+        """Run both detection paths over one product stream.
+
+        ``trust_lookup`` (rater id -> current trust) feeds the
+        trust-moderated MC segment rule; omit it on the first pass, before
+        any trust has been established.  The stream is analyzed as a batch
+        of one (:meth:`analyze_batch`), so its report, curves and
+        telemetry are what the batch path gives it.
+        """
+        return self.analyze_batch(RatingDataset([stream]), trust_lookup)[
+            stream.product_id
+        ]
 
     def analyze_batch(
         self,
-        dataset,
+        dataset: RatingDataset,
         trust_lookup: Optional[TrustLookup] = None,
     ) -> Dict[str, DetectionReport]:
         """Run detection over every product of a dataset, batched.
@@ -454,22 +419,28 @@ class JointDetector:
         on an L-ARC alarm, so only those streams get those curves: one
         stacked LAPACK solve for the ME curves of the H-ARC-alarmed
         streams, one clustering pass for the HC curves of the
-        L-ARC-alarmed ones (neither with Path 2 disabled).  The
-        per-stream :meth:`analyze` calls that follow take those curves
-        and series.  Every report (masks, provenance, curves,
-        ``quality.*`` scorecards) is bit-identical to analyzing each
-        stream alone, while the window-statistic work runs once per
-        dataset instead of once per product.  Streams the curve cache
-        knows, or whose merge base it knows, compute only the windows
-        that changed, of each kind the cached entry holds.
+        L-ARC-alarmed ones (neither with Path 2 disabled).  Streams the
+        curve cache knows, or whose merge base it knows, compute only the
+        windows that changed, of each kind the cached entry holds.
+
+        Each sub-detector then runs over the batch under one
+        ``detector.<kind>`` span: MC, H-ARC and L-ARC on every eligible
+        stream, HC on the L-ARC-alarmed streams and ME on the
+        H-ARC-alarmed ones (no span for a kind no stream needs).  Each
+        stream is marked from its reports, and with a collecting registry
+        the batch's scorecards are folded in once
+        (:func:`~repro.obs.quality.emit_scorecards`).  Every report
+        (masks, provenance, curves, ``quality.*`` values) is bit-identical
+        to analyzing each stream alone.
 
         Batch telemetry: ``detector.batch.streams`` / ``.ratings``
         counters (whole streams, reused windows included), the
         ``detector.batch`` span for the precompute wall time (its count
         is the number of calls), ``detector.batch.fallbacks`` when a
         singular window makes the stacked ME solve fall back to solving
-        stream by stream, and ``detector.curve_cache.{hits,misses,
-        evictions}`` (one per stream, whichever kinds it reused).
+        stream by stream, ``detector.curve_cache.{hits,misses,
+        evictions}`` (one per stream, whichever kinds it reused),
+        ``detector.short_streams`` and ``detector.joint.marked_ratings``.
         """
         registry = self.registry
         with span("detector.batch", registry):
@@ -480,23 +451,67 @@ class JointDetector:
                 for i, length in enumerate(columns.lengths)
                 if length >= self.config.min_ratings
             ]
+            streams = [dataset[columns.product_ids[i]] for i in eligible]
             curves, fell_back = self._curves(
-                [dataset[columns.product_ids[i]] for i in eligible],
+                streams,
                 columns.times,
                 columns.values,
                 [(offsets[i], offsets[i + 1]) for i in eligible],
             )
             if fell_back:
                 registry.inc("detector.batch.fallbacks")
-            by_product = {
-                columns.product_ids[i]: stream_curves
-                for i, stream_curves in zip(eligible, curves)
-            }
         registry.inc("detector.batch.streams", columns.num_streams)
         registry.inc("detector.batch.ratings", columns.total_ratings)
+
+        mc = self._run("MC", self.mean_change.analyze, [
+            (stream, trust_lookup, c["MC"]) for stream, c in zip(streams, curves)
+        ])
+        harc = self._run("H-ARC", self.h_arc.analyze, [
+            (stream, c["H-ARC"]) for stream, c in zip(streams, curves)
+        ])
+        larc = self._run("L-ARC", self.l_arc.analyze, [
+            (stream, c["L-ARC"]) for stream, c in zip(streams, curves)
+        ])
+        # Path 2 consults HC on an L-ARC alarm and ME on an H-ARC alarm,
+        # and the batch pass built those curves only.
+        consult = self.config.enable_path2
+        hc_rows = [j for j, sub in enumerate(larc) if consult and sub.alarm]
+        me_rows = [j for j, sub in enumerate(harc) if consult and sub.alarm]
+        hc = dict(zip(hc_rows, self._run("HC", self.histogram.report_from_curve, [
+            (curves[j]["HC"],) for j in hc_rows
+        ])))
+        me = dict(zip(me_rows, self._run("ME", self.model_error.report_from_curve, [
+            (curves[j]["ME"],) for j in me_rows
+        ])))
+        reports = [
+            self._report(stream, mc[j], harc[j], larc[j], hc.get(j), me.get(j))
+            for j, stream in enumerate(streams)
+        ]
+
+        if len(streams) < columns.num_streams:
+            registry.inc("detector.short_streams", columns.num_streams - len(streams))
+        marked = sum(report.num_suspicious for report in reports)
+        if marked:
+            registry.inc("detector.joint.marked_ratings", marked)
+        if registry.enabled:
+            # Join each verdict against its stream's ground-truth unfair
+            # labels and fold the batch's scorecards into the registry, so
+            # every detection pass contributes to the quality.* namespace.
+            # (Imported here: repro.obs.quality needs the provenance flags
+            # from this package, so a top-level import would be circular.)
+            from repro.obs.quality import emit_scorecards, score_detection
+
+            emit_scorecards(
+                [score_detection(s, r) for s, r in zip(streams, reports)],
+                registry,
+            )
+        by_product = {report.product_id: report for report in reports}
         return {
-            product_id: self.analyze(
-                dataset[product_id], trust_lookup, by_product.get(product_id)
+            product_id: by_product[product_id]
+            if product_id in by_product
+            else DetectionReport(
+                product_id=product_id,
+                suspicious=np.zeros(len(dataset[product_id]), dtype=bool),
             )
             for product_id in dataset
         }

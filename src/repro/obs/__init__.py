@@ -20,9 +20,8 @@ this package:
   Chrome/Perfetto ``trace_event`` export of the recorded span tree, with
   one lane per worker process (plus a profiler-sample lane when one ran).
 - :class:`SpanProfiler` -- low-overhead sampling wall-clock profiler
-  whose samples attribute to the open span stack; exporters for
-  speedscope JSON and the native profile artifact
-  (:mod:`repro.obs.profile`).
+  whose samples attribute to the open span stack; a speedscope JSON
+  exporter (:mod:`repro.obs.profile`).
 - :class:`RunLedger` / :func:`check_ledger` -- the persistent run ledger
   (JSONL, one record per invocation) and its regression checker.
 - :func:`score_detection` / :class:`Scorecard` -- ground-truth detection
@@ -93,12 +92,8 @@ from repro.obs.profile import (
     enable_profiling,
     maybe_task_profiler,
     profiling_enabled,
-    read_profile,
-    read_speedscope,
-    span_self_seconds,
     span_self_times,
     speedscope_document,
-    write_profile,
     write_speedscope,
 )
 from repro.obs.series import (
@@ -129,7 +124,7 @@ from repro.obs.quality import (  # noqa: E402
     ConfusionCounts,
     Scorecard,
     aggregate_confusions,
-    emit_scorecard,
+    emit_scorecards,
     roc_auc,
     score_detection,
 )
@@ -176,12 +171,8 @@ __all__ = [
     "enable_profiling",
     "maybe_task_profiler",
     "profiling_enabled",
-    "read_profile",
-    "read_speedscope",
-    "span_self_seconds",
     "span_self_times",
     "speedscope_document",
-    "write_profile",
     "write_speedscope",
     "get_logger",
     "setup_logging",
@@ -190,7 +181,7 @@ __all__ = [
     "ConfusionCounts",
     "Scorecard",
     "aggregate_confusions",
-    "emit_scorecard",
+    "emit_scorecards",
     "roc_auc",
     "score_detection",
     "DriftMonitor",

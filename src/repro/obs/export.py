@@ -26,12 +26,7 @@ from repro.obs.ledger import (
     end_run_capture,
     runtime_environment,
 )
-from repro.obs.profile import (
-    SpanProfiler,
-    disable_profiling,
-    enable_profiling,
-    write_profile,
-)
+from repro.obs.profile import SpanProfiler, disable_profiling, enable_profiling
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.obs.report import report_from_registry, write_report
 from repro.obs.series import MetricsStreamWriter, TimeSeriesRecorder
@@ -41,7 +36,6 @@ __all__ = [
     "DEFAULT_RUN_DIR",
     "LEDGER_FILE",
     "METRICS_FILE",
-    "PROFILE_FILE",
     "REPORT_FILE",
     "SERIES_FILE",
     "TRACE_FILE",
@@ -51,9 +45,8 @@ __all__ = [
 ]
 
 LEDGER_FILE = "ledger.jsonl"    # one appended RunRecord line per run
-METRICS_FILE = "metrics.json"   # the registry dump (registry_to_dict)
+METRICS_FILE = "metrics.json"   # the registry dump, profile included
 TRACE_FILE = "trace.json"       # Perfetto span tree plus profiler lane
-PROFILE_FILE = "profile.json"   # the sampled profile (write_profile)
 SERIES_FILE = "series.jsonl"    # one registry snapshot per epoch close
 REPORT_FILE = "report.html"     # the self-contained run report
 
@@ -173,8 +166,6 @@ class RunDirectoryWriter:
             ("metrics", METRICS_FILE, lambda path: write_json(registry, path)),
             ("trace", TRACE_FILE,
              lambda path: f"{write_trace(registry, path)} events"),
-            ("profile", PROFILE_FILE,
-             lambda path: f"{write_profile(registry, path)} samples"),
             ("report", REPORT_FILE, write_html_report),
             ("run record", LEDGER_FILE, append_record),
         ):

@@ -32,10 +32,10 @@ Design points:
   entry whose thread is dead) sample correctly under their own.
 
 Exporters: :func:`speedscope_document` / :func:`write_speedscope`
-(sampled-profile speedscope JSON), :func:`profile_trace_events` (a
-profile lane merged into the Perfetto ``trace_event`` export), and
-:func:`write_profile` / :func:`read_profile` (the native artifact, a run
-directory's ``profile.json``).
+(sampled-profile speedscope JSON) and :func:`profile_trace_events` (a
+profile lane merged into the Perfetto ``trace_event`` export).  A run
+directory keeps the samples once, in ``metrics.json`` (``profile``, with
+the ``profile.hz`` gauge), which ``repro profile`` reads back.
 """
 
 from __future__ import annotations
@@ -67,13 +67,9 @@ __all__ = [
     "top_frames",
     "self_durations",
     "span_self_times",
-    "span_self_seconds",
     "speedscope_document",
     "write_speedscope",
-    "read_speedscope",
     "profile_trace_events",
-    "write_profile",
-    "read_profile",
 ]
 
 #: Default sampling rate.  A prime avoids phase-locking with periodic
@@ -397,14 +393,6 @@ def span_self_times(spans: Sequence) -> Dict[str, List[float]]:
     return dict(grouped)
 
 
-def span_self_seconds(spans: Sequence) -> Dict[str, float]:
-    """Total exclusive (self) seconds per span path (see span_self_times)."""
-    return {
-        path: sum(values)
-        for path, values in span_self_times(spans).items()
-    }
-
-
 # --------------------------------------------------------------------- #
 # Exporters
 # --------------------------------------------------------------------- #
@@ -464,55 +452,6 @@ def write_speedscope(
     return len(samples)
 
 
-def read_speedscope(path: os.PathLike) -> Dict[str, object]:
-    """Load and structurally validate a speedscope JSON file.
-
-    Raises :class:`~repro.errors.ValidationError` on anything the
-    speedscope importer would reject: missing ``shared.frames`` /
-    ``profiles``, mismatched ``samples``/``weights`` lengths, or frame
-    indices outside the shared frame table.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    shared = payload.get("shared")
-    if not isinstance(shared, dict) or not isinstance(
-        shared.get("frames"), list
-    ):
-        raise ValidationError(f"{path}: missing 'shared.frames' list")
-    profiles = payload.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        raise ValidationError(f"{path}: missing non-empty 'profiles' list")
-    n_frames = len(shared["frames"])
-    for p_index, profile in enumerate(profiles):
-        if not isinstance(profile, dict) or profile.get("type") != "sampled":
-            raise ValidationError(
-                f"{path}: profile #{p_index} is not a sampled profile"
-            )
-        sample_stacks = profile.get("samples")
-        weights = profile.get("weights")
-        if not isinstance(sample_stacks, list) or not isinstance(
-            weights, list
-        ) or len(sample_stacks) != len(weights):
-            raise ValidationError(
-                f"{path}: profile #{p_index} samples/weights length mismatch"
-            )
-        for stack in sample_stacks:
-            if not isinstance(stack, list) or any(
-                not isinstance(i, int) or not (0 <= i < n_frames)
-                for i in stack
-            ):
-                raise ValidationError(
-                    f"{path}: profile #{p_index} has a frame index outside "
-                    "the shared frame table"
-                )
-    return payload
-
-
 def profile_trace_events(
     samples: Dict[str, float], hz: float = DEFAULT_HZ
 ) -> List[Dict[str, object]]:
@@ -558,58 +497,3 @@ def registry_hz(registry: MetricsRegistry) -> float:
     if gauge is not None and not math.isnan(gauge.value) and gauge.value > 0:
         return float(gauge.value)
     return float(DEFAULT_HZ)
-
-
-def write_profile(registry: MetricsRegistry, path: os.PathLike) -> int:
-    """Write the registry's profile as the native artifact JSON.
-
-    Returns the total sample count.  The artifact is self-describing
-    (schema/kind/hz) so ``repro profile`` can summarize it and re-export
-    it as speedscope JSON without the original registry.
-    """
-    samples = {key: registry.profile[key] for key in sorted(registry.profile)}
-    hz = registry_hz(registry)
-    total = sum(samples.values())
-    payload = {
-        "schema": 1,
-        "kind": "repro.profile",
-        # When the profile was captured -- provenance for humans diffing
-        # artifacts, never an input to any fingerprinted computation.
-        "captured_at": time.time(),  # lint: ignore[wall-clock]
-        "hz": hz,
-        "total_samples": total,
-        "attributed_fraction": attributed_fraction(samples),
-        "samples": samples,
-        "self_seconds_by_span": dict(
-            sorted(self_seconds_by_span(samples, hz=hz).items())
-        ),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    registry.inc("profile.artifacts_written")
-    return int(total)
-
-
-def read_profile(path: os.PathLike) -> Dict[str, object]:
-    """Load and structurally validate a :func:`write_profile` artifact."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("kind") != "repro.profile":
-        raise ValidationError(
-            f"{path}: expected a 'repro.profile' artifact object"
-        )
-    hz = payload.get("hz")
-    if not isinstance(hz, (int, float)) or hz <= 0:
-        raise ValidationError(f"{path}: missing positive numeric 'hz'")
-    samples = payload.get("samples")
-    if not isinstance(samples, dict) or any(
-        not isinstance(count, (int, float)) for count in samples.values()
-    ):
-        raise ValidationError(
-            f"{path}: 'samples' must map stack keys to numeric counts"
-        )
-    return payload

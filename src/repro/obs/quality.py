@@ -17,10 +17,10 @@ lost its flags in serialization).  The join yields
   product's mean when the first flag landed -- the damage an online
   deployment would have published before reacting.
 
-:func:`emit_scorecard` folds a scorecard into the active metrics
-registry under the ``quality.*`` namespace, so scorecards travel through
-:class:`~repro.obs.capsule.TelemetryCapsule` like any other counter and
-are bit-identical between serial and hermetic parallel runs.
+:func:`emit_scorecards` folds a batch of scorecards into the active
+metrics registry under the ``quality.*`` namespace, so scorecards travel
+through :class:`~repro.obs.capsule.TelemetryCapsule` like any other
+counter and are bit-identical between serial and hermetic parallel runs.
 
 Sweep-level summaries: :func:`roc_auc` turns the (false-alarm, recall)
 pairs of a sensitivity sweep into a trapezoidal AUC with the
@@ -44,7 +44,7 @@ __all__ = [
     "Scorecard",
     "score_detection",
     "aggregate_confusions",
-    "emit_scorecard",
+    "emit_scorecards",
     "roc_auc",
 ]
 
@@ -250,30 +250,34 @@ def aggregate_confusions(
     return totals
 
 
-def emit_scorecard(card: Scorecard, registry: MetricsRegistry) -> None:
-    """Fold one scorecard into ``registry`` under ``quality.*``.
+def emit_scorecards(cards: Sequence[Scorecard], registry: MetricsRegistry) -> None:
+    """Fold a batch of scorecards into ``registry`` under ``quality.*``.
 
     Counter names are ``quality.<detector>.{tp,fp,fn,tn}`` (detector
-    rows as in :data:`DETECTOR_ORDER`); latency and bias observations
-    land in the ``quality.detection_latency_days`` /
-    ``quality.bias_at_detection`` histograms.  ``quality.scorecards``
-    counts emissions and ``quality.detected_streams`` the ones where an
-    attack was caught.
+    rows as in :data:`DETECTOR_ORDER`), each incremented once by the
+    batch's :func:`aggregate_confusions` sum; ``quality.scorecards``
+    counts the cards and ``quality.detected_streams`` the ones where an
+    attack was caught.  Latency and bias land in the
+    ``quality.detection_latency_days`` / ``quality.bias_at_detection``
+    histograms, one observation per detected stream, in card order.  An
+    empty batch records nothing.
     """
-    if not registry.enabled:
+    if not cards or not registry.enabled:
         return
-    registry.inc("quality.scorecards")
-    if card.detected:
-        registry.inc("quality.detected_streams")
-    for name, counts in card.counts():
+    registry.inc("quality.scorecards", len(cards))
+    detected = sum(card.detected for card in cards)
+    if detected:
+        registry.inc("quality.detected_streams", detected)
+    for name, counts in aggregate_confusions(cards).items():
         for cell, value in counts.as_dict().items():
             registry.inc(f"quality.{name}.{cell}", value)
-    if card.detection_latency_days is not None:
-        registry.observe(
-            "quality.detection_latency_days", card.detection_latency_days
-        )
-    if card.bias_at_detection is not None:
-        registry.observe("quality.bias_at_detection", card.bias_at_detection)
+    for card in cards:
+        if card.detection_latency_days is not None:
+            registry.observe(
+                "quality.detection_latency_days", card.detection_latency_days
+            )
+        if card.bias_at_detection is not None:
+            registry.observe("quality.bias_at_detection", card.bias_at_detection)
 
 
 def roc_auc(points: Sequence[Tuple[float, float]]) -> float:

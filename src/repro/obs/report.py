@@ -110,7 +110,7 @@ def confusion_from_counters(
 ) -> Dict[str, ConfusionCounts]:
     """Reassemble per-detector confusion counts from ``quality.*`` counters.
 
-    Inverse of :func:`repro.obs.quality.emit_scorecard`'s counter naming
+    Inverse of :func:`repro.obs.quality.emit_scorecards`'s counter naming
     (``quality.<detector>.<cell>``), so any collected registry -- live,
     merged from capsules, or read back from a ledger record -- can feed
     the report's scorecard table.

@@ -4,13 +4,15 @@ Pins the acceptance criteria for ``repro.obs.profile``: sample
 attribution on the detector workload stays >= 95%, the sampler's own
 CPU work at the default rate stays under 10% of the workload's
 (slow-marked), profiles ride telemetry capsules out of live worker
-processes, and the CLI round-trips a run directory's ``profile.json``
-through ``repro profile`` and its speedscope re-export.
+processes, and ``repro profile`` reads a run directory's samples back
+from ``metrics.json`` and re-exports them as speedscope JSON.
 """
 
+import json
 from contextlib import nullcontext
 
 import pytest
+from tests.unit.test_profile import read_speedscope
 
 from repro.attacks.population import PopulationConfig, generate_population
 from repro.cli import main
@@ -21,13 +23,12 @@ from repro.obs import (
     SpanProfiler,
     disable_profiling,
     enable_profiling,
-    read_speedscope,
     set_registry,
     span,
     use_registry,
 )
-from repro.obs.export import PROFILE_FILE
-from repro.obs.profile import attributed_fraction, read_profile
+from repro.obs.export import METRICS_FILE
+from repro.obs.profile import DEFAULT_HZ, attributed_fraction
 
 SEED = 2008
 
@@ -158,7 +159,6 @@ class TestWorkerProfiles:
 
 class TestCliProfileRoundTrip:
     def test_profile_out_then_inspect_and_reexport(self, tmp_path, capsys):
-        profile_path = tmp_path / PROFILE_FILE
         speedscope_path = tmp_path / "profile.speedscope.json"
         status = main([
             "population",
@@ -169,8 +169,9 @@ class TestCliProfileRoundTrip:
             "--run-dir", str(tmp_path),
         ])
         assert status == 0
-        payload = read_profile(profile_path)  # structural validation
-        assert sum(payload["samples"].values()) > 0
+        metrics = json.loads((tmp_path / METRICS_FILE).read_text())
+        assert sum(metrics["profile"].values()) > 0
+        assert not (tmp_path / "profile.json").exists()
 
         status = main([
             "profile", "--run-dir", str(tmp_path),
@@ -183,3 +184,21 @@ class TestCliProfileRoundTrip:
         assert "span-attributed" in out
         document = read_speedscope(speedscope_path)
         assert document["profiles"][0]["samples"]
+
+    def test_a_run_without_samples_reads_as_zero_at_the_default_rate(
+        self, tmp_path, capsys
+    ):
+        # metrics.json has no ``profile`` section when no sample landed,
+        # and no ``profile.hz`` gauge when no profiler ran.
+        (tmp_path / METRICS_FILE).write_text(json.dumps(
+            {"counters": {}, "gauges": {}, "histograms": {}, "spans": []}
+        ))
+        assert main(["profile", "--run-dir", str(tmp_path)]) == 0
+        assert f"0 samples at {DEFAULT_HZ} Hz" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["{nope", "[]", '{"profile": {"k": "lots"}}'])
+    def test_a_bad_metrics_file_is_a_clean_error(self, tmp_path, capsys, text):
+        (tmp_path / METRICS_FILE).write_text(text)
+        assert main(["profile", "--run-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

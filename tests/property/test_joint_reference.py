@@ -9,10 +9,12 @@ standalone ``analyze`` on every stream.  The two must agree bit for bit
 on every mask, provenance bit, path interval, alarm, ``quality.*``
 scorecard and curve the production report holds.  The report holds MC,
 H-ARC and L-ARC, plus HC exactly when the L-ARC alarm fired and ME
-exactly when the H-ARC alarm fired (neither with Path 2 disabled), and
-the ``detector.HC`` and ``detector.ME`` spans count those consultations.
+exactly when the H-ARC alarm fired (neither with Path 2 disabled), so
+the reports' curves pin those consultations.  Each ``analyze_batch``
+call records one ``detector.<kind>`` span per kind that ran on the batch.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.aggregation import PScheme, PSchemeConfig
 from repro.detectors import DetectorConfig, JointDetector, integration
 from repro.experiments.context import ExperimentContext
 from repro.obs import MetricsRegistry
-from repro.obs.quality import emit_scorecard, score_detection
+from repro.obs.quality import DETECTOR_ORDER, emit_scorecards, score_detection
 from repro.types import RatingDataset, RatingStream
 
 
@@ -43,16 +45,22 @@ def consulted_kinds(config, alarms):
 
 class ReferenceLedger:
     """Checks reports against the eager reference, and keeps what the
-    production detector must have counted: each reference scorecard
-    (emitted into :attr:`registry`) and the Path 2 consultations."""
+    production detector must have counted: each batch's reference
+    scorecards (emitted into :attr:`registry`), the Path 2 consultations,
+    and one ``detector.<kind>`` span per batch and kind that ran."""
 
     def __init__(self, config):
         self.config = config
         self.registry = MetricsRegistry()
         self.consulted = {"HC": 0, "ME": 0}
+        self.spans = dict.fromkeys(("MC", "H-ARC", "L-ARC", "HC", "ME"), 0)
 
     def check(self, dataset, reports, trust_lookup=None):
+        """Check one ``analyze_batch`` call's reports (a lone ``analyze``
+        is a batch of one)."""
         assert list(reports) == list(dataset)
+        cards = []
+        ran = set()
         for pid in dataset:
             stream, report = dataset[pid], reports[pid]
             expected = eager_joint_detection(self.config, stream, trust_lookup)
@@ -70,13 +78,17 @@ class ReferenceLedger:
                 assert np.array_equal(got.values, want.values), (pid, kind)
             for kind in ("HC", "ME"):
                 self.consulted[kind] += kind in kinds
+            ran |= kinds
             if len(stream) >= self.config.min_ratings:
-                emit_scorecard(score_detection(stream, expected), self.registry)
+                cards.append(score_detection(stream, expected))
+        emit_scorecards(cards, self.registry)
+        for kind in ran:
+            self.spans[kind] += 1
 
     def assert_counted(self, registry):
         """``registry`` (the production detector's) holds the reference's
-        ``quality.*`` metrics exactly, and one ``detector.HC`` /
-        ``detector.ME`` span per consultation."""
+        ``quality.*`` metrics exactly, and one ``detector.<kind>`` span per
+        checked batch and kind that ran on it."""
         expected = self.registry.snapshot()
         got = registry.snapshot()
         for section in ("counters", "histograms"):
@@ -86,13 +98,30 @@ class ReferenceLedger:
                 if name.startswith("quality.")
             }
             assert quality == expected[section], section
-        for kind, count in self.consulted.items():
+        for kind, count in self.spans.items():
             spans = sum(
                 hist.count
                 for name, hist in registry.histograms.items()
                 if name.endswith(f"detector.{kind}.seconds")
             )
             assert spans == count, kind
+
+
+class CountingRegistry(MetricsRegistry):
+    """A collecting registry that logs every span record and counter
+    increment it receives, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def record_span(self, record):
+        self.log.append(("span", record.path))
+        super().record_span(record)
+
+    def inc(self, name, amount=1.0):
+        self.log.append(("inc", name))
+        super().inc(name, amount)
 
 
 class RecordingDetector(JointDetector):
@@ -235,6 +264,45 @@ class TestPopulations:
         # Path 2 consults something, and not everywhere.
         assert 0 < ledger.consulted["HC"] < 6 * 2 * 9
         assert registry.counter_value("detector.batch.fallbacks") == 0
+
+    def test_one_span_per_kind_and_one_fold_per_batch(self, seed):
+        # Each analyze_batch call records one detector.<kind> span per kind
+        # that ran on the batch -- MC and both ARC kinds when a stream was
+        # long enough, HC iff an L-ARC alarm fired, ME iff an H-ARC alarm
+        # did -- and folds its scorecards in once: one increment of each
+        # quality counter, whatever the number of streams.
+        context = ExperimentContext(seed=seed, population_size=6)
+        challenge = context.challenge
+        registry = CountingRegistry()
+        detector = JointDetector(registry=registry)
+        quality = ["quality.scorecards"] + [
+            f"quality.{row}.{cell}"
+            for row in DETECTOR_ORDER
+            for cell in ("tp", "fp", "fn", "tn")
+        ]
+        batches = Counter()
+        for submission in context.population:
+            for dataset in (
+                challenge.fair_dataset,
+                challenge.attacked_dataset(submission),
+            ):
+                start = len(registry.log)
+                alarms = [r.alarms for r in detector.analyze_batch(dataset).values()]
+                log = Counter(registry.log[start:])
+                ran = {
+                    "MC": any(alarms),
+                    "H-ARC": any(alarms),
+                    "L-ARC": any(alarms),
+                    "HC": any(a.get("L-ARC") for a in alarms),
+                    "ME": any(a.get("H-ARC") for a in alarms),
+                }
+                for kind, expected in ran.items():
+                    assert log[("span", f"detector.{kind}")] == expected, kind
+                    batches[kind] += expected
+                for name in quality:
+                    assert log[("inc", name)] == 1, name
+        assert batches["MC"] == 2 * 6
+        assert batches["HC"] > 0
 
     def test_builds_only_the_consulted_curves(self, seed, monkeypatch):
         # The batch pass hands the HC builder the L-ARC-alarmed streams

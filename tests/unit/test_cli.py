@@ -12,7 +12,6 @@ from repro.cli import build_parser, main
 from repro.obs.export import (
     LEDGER_FILE,
     METRICS_FILE,
-    PROFILE_FILE,
     REPORT_FILE,
     SERIES_FILE,
     TRACE_FILE,
@@ -625,8 +624,7 @@ class TestRunDirectory:
         run_dir = tmp_path / "run"
         assert main([*self.RUN, "--run-dir", str(run_dir)]) == 0
         assert sorted(p.name for p in run_dir.iterdir()) == sorted([
-            LEDGER_FILE, METRICS_FILE, TRACE_FILE, PROFILE_FILE,
-            SERIES_FILE, REPORT_FILE,
+            LEDGER_FILE, METRICS_FILE, TRACE_FILE, SERIES_FILE, REPORT_FILE,
         ])
         for reader in (["trace"], ["profile"], ["monitor"], ["runs", "show"]):
             assert main([*reader, "--run-dir", str(run_dir)]) == 0

@@ -153,25 +153,9 @@ class TestWallClockRule:
             "time.time()" in module.lines[lineno - 1] for lineno in pragma_lines
         )
 
-    def test_profile_capture_timestamp_site_is_pragmad(self):
-        profile = REPO_ROOT / "src/repro/obs/profile.py"
-        module = ModuleSource.parse("profile.py", profile.read_text())
-        pragma_lines = [
-            lineno
-            for lineno, rules in module.ignores.items()
-            if rules is not None and "wall-clock" in rules
-        ]
-        assert pragma_lines, (
-            "the profile artifact's captured_at site lost its pragma"
-        )
-        assert any(
-            "time.time()" in module.lines[lineno - 1] for lineno in pragma_lines
-        )
-
     def test_unpragmad_sampler_timestamp_trips_the_rule(self, tmp_path):
-        # The inverse of the test above: a profiler artifact writer that
-        # stamps wall-clock provenance *without* the pragma is exactly
-        # what the rule exists to catch.
+        # A profiler artifact writer that stamps wall-clock provenance
+        # *without* the pragma is exactly what the rule exists to catch.
         result = lint_source(
             tmp_path,
             "import time\n"

@@ -16,7 +16,7 @@ from repro.obs.quality import (
     EPOCH_DAYS,
     ConfusionCounts,
     aggregate_confusions,
-    emit_scorecard,
+    emit_scorecards,
     roc_auc,
     score_detection,
 )
@@ -230,7 +230,7 @@ class TestAggregateAndEmit:
         suspicious = np.zeros(10, bool)
         suspicious[7] = True
         card = score_detection(stream, make_report(stream, suspicious))
-        emit_scorecard(card, registry)
+        emit_scorecards([card], registry)
         assert registry.counter_value("quality.scorecards") == 1
         assert registry.counter_value("quality.detected_streams") == 1
         assert registry.counter_value("quality.joint.tp") == card.joint.tp
@@ -249,7 +249,28 @@ class TestAggregateAndEmit:
         card = score_detection(
             stream, make_report(stream, np.zeros(6, bool))
         )
-        emit_scorecard(card, NULL_REGISTRY)  # must not raise
+        emit_scorecards([card], NULL_REGISTRY)  # must not raise
+
+    def test_a_batch_folds_like_its_cards_one_by_one(self):
+        cards = []
+        for n_unfair, flagged in ((4, [7]), (0, []), (3, [8, 9]), (2, [])):
+            stream = make_stream(n=10, n_unfair=n_unfair)
+            suspicious = np.zeros(10, bool)
+            suspicious[flagged] = True
+            cards.append(score_detection(stream, make_report(stream, suspicious)))
+        batched, one_by_one = MetricsRegistry(), MetricsRegistry()
+        emit_scorecards(cards, batched)
+        for card in cards:
+            emit_scorecards([card], one_by_one)
+        assert batched.snapshot() == one_by_one.snapshot()
+        assert batched.counter_value("quality.scorecards") == 4
+        assert batched.counter_value("quality.detected_streams") == 2
+        assert batched.histograms["quality.detection_latency_days"].count == 2
+
+    def test_an_empty_batch_records_nothing(self):
+        registry = MetricsRegistry()
+        emit_scorecards([], registry)
+        assert registry.snapshot() == MetricsRegistry().snapshot()
 
 
 class TestRocAuc:

@@ -102,7 +102,7 @@ class TestMarkdownRendering:
 
 class TestConfusionFromCounters:
     def test_round_trip_with_emit(self):
-        from repro.obs.quality import emit_scorecard, score_detection
+        from repro.obs.quality import emit_scorecards, score_detection
         from repro.detectors.base import PROV_PATH1, DetectionReport
         from repro.types import RatingStream
 
@@ -119,7 +119,7 @@ class TestConfusionFromCounters:
         )
         registry = MetricsRegistry()
         card = score_detection(stream, report)
-        emit_scorecard(card, registry)
+        emit_scorecards([card], registry)
         rebuilt = confusion_from_counters(
             registry.snapshot()["counters"]
         )

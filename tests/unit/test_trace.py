@@ -14,7 +14,7 @@ from repro.obs import (
     use_registry,
     write_trace,
 )
-from repro.obs.profile import span_self_seconds
+from repro.obs.profile import span_self_times
 from repro.obs.spans import SpanRecord
 from repro.obs.trace import trace_events
 
@@ -205,7 +205,10 @@ class TestSummarize:
         for line in text.split("self-time paths:\n", 1)[1].splitlines():
             ms, path = line.split(" ms self  ")
             printed[path] = float(ms)
-        expected = span_self_seconds(registry.spans)
+        expected = {
+            path: sum(values)
+            for path, values in span_self_times(registry.spans).items()
+        }
         assert expected == pytest.approx(
             {"map": 0.010, "map.task": 0.0475, "map.task.detect": 0.0125}
         )
